@@ -91,6 +91,7 @@ from .ooc import (
     load_task,
     obfuscate,
     ooc_predict,
+    ooc_predict_many,
     parse_choice,
     predict_label,
     predict_stratifier,

@@ -10,9 +10,15 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
+import tempfile
+import threading
 import time
 from dataclasses import dataclass
+from datetime import datetime, timezone
+from email.utils import parsedate_to_datetime
 from pathlib import Path
+from typing import Sequence
 
 import requests
 
@@ -46,10 +52,48 @@ class ChatTurnRequest:
 
 
 class ChatClient:
-    """Interface: complete(request) -> assistant text."""
+    """Interface: complete(request) -> assistant text.
+
+    ``complete_many`` answers one batch, in order, with the text or the
+    ServiceError of each request; the base class loops serially in the
+    calling thread. ``close`` releases whatever the client holds open.
+    """
 
     def complete(self, request: ChatTurnRequest) -> str:  # pragma: no cover
         raise NotImplementedError
+
+    def complete_many(
+        self, requests: Sequence[ChatTurnRequest]
+    ) -> list[str | ServiceError]:
+        return [_text_or_error(self.complete, r) for r in requests]
+
+    def close(self) -> None:
+        pass
+
+
+def _text_or_error(complete, request: ChatTurnRequest) -> str | ServiceError:
+    try:
+        return complete(request)
+    except ServiceError as exc:
+        return exc
+
+
+def _retry_after(resp) -> float | None:
+    """Seconds a 429 response asks the client to wait, or None."""
+    value = resp.headers.get("Retry-After")
+    if value is None:
+        return None
+    try:
+        return max(0.0, float(value))
+    except ValueError:
+        pass
+    try:
+        when = parsedate_to_datetime(value)
+    except (TypeError, ValueError):
+        return None
+    if when.tzinfo is None:
+        when = when.replace(tzinfo=timezone.utc)
+    return max(0.0, (when - datetime.now(timezone.utc)).total_seconds())
 
 
 class HttpChatClient(ChatClient):
@@ -57,8 +101,18 @@ class HttpChatClient(ChatClient):
 
     The bearer token comes from the STRATINV_API_TOKEN environment variable
     when set. Transient failures (transport errors, 5xx, 429) are retried
-    with a short backoff; anything else, or exhaustion, raises ServiceError.
+    after a capped exponential backoff with full jitter, or after the
+    ``Retry-After`` delay a 429 names; anything else, or exhaustion, raises
+    ServiceError.
+
+    ``complete_many`` keeps at most ``max_in_flight`` requests in flight,
+    on worker threads that live as long as the client and each keep their
+    own ``requests.Session``, so keep-alive connections carry over from one
+    batch to the next. With ``max_in_flight`` 1 it starts no thread. A
+    ``session`` passed in is shared by every thread.
     """
+
+    max_backoff = 8.0  # seconds; cap on the jittered wait before a retry
 
     def __init__(
         self,
@@ -67,13 +121,31 @@ class HttpChatClient(ChatClient):
         timeout: float = 60.0,
         max_retries: int = 2,
         backoff: float = 0.5,
+        max_in_flight: int = 1,
         session=None,
     ):
+        if max_in_flight < 1:
+            raise ValueError("max_in_flight must be >= 1")
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff = backoff
-        self.session = session or requests.Session()
+        self.max_in_flight = max_in_flight
+        self.session = session
+        self._local = threading.local()
+        self._sessions: list = []
+        self._lock = threading.Lock()
+        self._pool = None
+
+    def _session(self):
+        if self.session is not None:
+            return self.session
+        session = getattr(self._local, "session", None)
+        if session is None:
+            session = self._local.session = requests.Session()
+            with self._lock:
+                self._sessions.append(session)
+        return session
 
     def complete(self, request: ChatTurnRequest) -> str:
         payload = {
@@ -90,10 +162,12 @@ class HttpChatClient(ChatClient):
         if token:
             headers["Authorization"] = f"Bearer {token}"
         url = f"{self.base_url}/chat/completions"
+        session = self._session()
         last = "no attempt made"
         for attempt in range(self.max_retries + 1):
+            wait = None
             try:
-                resp = self.session.post(
+                resp = session.post(
                     url, json=payload, headers=headers, timeout=self.timeout
                 )
             except requests.RequestException as exc:
@@ -102,24 +176,55 @@ class HttpChatClient(ChatClient):
                 if resp.status_code == 200:
                     try:
                         return resp.json()["choices"][0]["message"]["content"]
-                    except (KeyError, IndexError, ValueError) as exc:
+                    except (KeyError, IndexError, TypeError, ValueError) as exc:
                         raise ServiceError(
                             f"malformed completion payload: {exc}"
                         ) from exc
                 last = f"HTTP {resp.status_code}: {resp.text[:200]}"
-                if resp.status_code not in (429,) and resp.status_code < 500:
+                if resp.status_code == 429:
+                    wait = _retry_after(resp)
+                elif resp.status_code < 500:
                     raise ServiceError(last)
             if attempt < self.max_retries:
-                time.sleep(self.backoff * (attempt + 1))
+                if wait is None:  # capped exponential backoff, full jitter
+                    cap = min(self.max_backoff, self.backoff * 2**attempt)
+                    wait = random.uniform(0.0, cap)
+                time.sleep(wait)
         raise ServiceError(f"giving up after {self.max_retries + 1} attempts; {last}")
+
+    def complete_many(
+        self, requests: Sequence[ChatTurnRequest]
+    ) -> list[str | ServiceError]:
+        if self.max_in_flight == 1 or len(requests) < 2:
+            return super().complete_many(requests)
+        if self._pool is None:
+            # Imported here so runs that never fan out never load it.
+            from concurrent.futures import ThreadPoolExecutor
+
+            self._pool = ThreadPoolExecutor(
+                self.max_in_flight, thread_name_prefix="stratinv-chat"
+            )
+        return list(
+            self._pool.map(lambda r: _text_or_error(self.complete, r), requests)
+        )
+
+    def close(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
+        with self._lock:
+            sessions, self._sessions = self._sessions, []
+        for session in sessions:
+            session.close()
 
 
 class CachingChatClient(ChatClient):
     """File cache; one completion per request digest.
 
     Files are plain UTF-8 named ``<digest>.txt`` so a cache can be inspected
-    and shipped. Writes go through a temp file and rename, keeping partial
-    writes out of the cache.
+    and shipped. Each write goes through its own temp file and a rename, so
+    partial writes stay out of the cache and processes sharing a cache
+    directory never collide. Empty completions are never cached.
     """
 
     def __init__(self, inner: ChatClient, cache_dir):
@@ -130,13 +235,43 @@ class CachingChatClient(ChatClient):
         self.misses = 0
 
     def complete(self, request: ChatTurnRequest) -> str:
-        path = self.cache_dir / f"{request.digest()}.txt"
-        if path.exists():
-            self.hits += 1
-            return path.read_text(encoding="utf-8")
-        self.misses += 1
-        completion = self.inner.complete(request)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(completion, encoding="utf-8")
-        tmp.replace(path)
-        return completion
+        answer = self.complete_many([request])[0]
+        if isinstance(answer, ServiceError):
+            raise answer
+        return answer
+
+    def complete_many(
+        self, requests: Sequence[ChatTurnRequest]
+    ) -> list[str | ServiceError]:
+        """Serve hits from disk and send the misses on as one batch."""
+        paths = [self.cache_dir / f"{r.digest()}.txt" for r in requests]
+        answers: list = [None] * len(requests)
+        missed = []
+        for i, path in enumerate(paths):
+            try:
+                answers[i] = path.read_text(encoding="utf-8")
+            except FileNotFoundError:
+                missed.append(i)
+        self.hits += len(requests) - len(missed)
+        self.misses += len(missed)
+        fresh = self.inner.complete_many([requests[i] for i in missed])
+        for i, answer in zip(missed, fresh):
+            answers[i] = answer
+            if isinstance(answer, str) and answer:
+                self._store(paths[i], answer)
+        return answers
+
+    def _store(self, path: Path, text: str) -> None:
+        fd, tmp = tempfile.mkstemp(
+            dir=self.cache_dir, prefix=f".{path.stem}.", suffix=".tmp"
+        )
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+
+    def close(self) -> None:
+        self.inner.close()

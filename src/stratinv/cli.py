@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import sys
+from contextlib import closing
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -34,7 +35,7 @@ from .metrics import (
     si_bias,
 )
 from .mock import MockStructuredLm
-from .ooc import TaskConfig, load_task, ooc_predict, predict_label
+from .ooc import TaskConfig, load_task, ooc_predict_many
 from .reports import (
     ReportRow,
     delta_vs_baseline,
@@ -49,6 +50,11 @@ EXIT_VALIDATION = 2
 EXIT_SERVICE = 3
 
 _METRIC_CHOICES = ("si_bias", "macro_f1", "permutation")
+
+# Records whose calls ooc-run plans and sends together, one batch per stage.
+# Large enough to keep max_in_flight requests busy through each stage, small
+# enough that a stage's rendered prompts stay a few hundred kilobytes.
+STAGE_RECORDS = 128
 
 
 # ---------------------------------------------------------------------------
@@ -134,9 +140,11 @@ def metric_rows(
     permutations: int,
     rng: np.random.Generator,
     manifest_digest: str,
+    z_pair: str | None = None,
 ) -> list[ReportRow]:
+    """Rows for ``records``; ``z_pair`` defaults to the contexts they hold."""
     rows: list[ReportRow] = []
-    z_pair = _z_pair(records)
+    z_pair = z_pair or _z_pair(records)
 
     def add(metric, value, dispersion=None, n=None):
         rows.append(
@@ -305,7 +313,7 @@ def _make_client(args, cfg: TaskConfig) -> ChatClient:
     else:
         if not args.endpoint:
             raise ValueError("--client http requires --endpoint")
-        client = HttpChatClient(args.endpoint)
+        client = HttpChatClient(args.endpoint, max_in_flight=cfg.max_in_flight)
     if args.cache:
         client = CachingChatClient(client, args.cache)
     return client
@@ -336,23 +344,39 @@ def _trace_doc(record, result) -> dict:
     }
 
 
-def _ooc_pass(cfg, client, records, seed, r, single_call, trace_sink, failed_sink):
-    """One full standard+OOC pass over the records with per-record rng streams."""
-    standard_records, ooc_records = [], []
-    for idx, record in enumerate(records):
-        std_label = predict_label(cfg, client, record.x)
-        standard_records.append(
-            LabeledRecord(record.record_id, record.x, record.s, record.z,
-                          y=record.y, y_hat=std_label)
+def _ooc_outcomes(cfg, client, records, seed, r, single_call):
+    """Staged predictions for a pass, ``STAGE_RECORDS`` records per batch."""
+    for lo in range(0, len(records), STAGE_RECORDS):
+        yield from ooc_predict_many(
+            cfg, client,
+            (
+                (record.x, record.s, np.random.default_rng([seed, r, idx]))
+                for idx, record in enumerate(
+                    records[lo:lo + STAGE_RECORDS], start=lo
+                )
+            ),
+            single_call=single_call, standard=True,
         )
-        rng_i = np.random.default_rng([seed, r, idx])
-        try:
-            result = ooc_predict(
-                cfg, client, record.x, s=record.s, rng=rng_i,
-                single_call=single_call,
+
+
+def _ooc_pass(cfg, client, records, seed, r, single_call, trace_sink, failed_sink):
+    """One full standard+OOC pass over the records with per-record rng streams.
+
+    A record whose standard label or OOC prediction fails is dropped from that
+    arm only and listed in ``failed_sink``.
+    """
+    outcomes = _ooc_outcomes(cfg, client, records, seed, r, single_call)
+    standard_records, ooc_records = [], []
+    for record, (std_label, result) in zip(records, outcomes):
+        if isinstance(std_label, StratinvError):
+            failed_sink.append((record.record_id, f"standard label: {std_label}"))
+        else:
+            standard_records.append(
+                LabeledRecord(record.record_id, record.x, record.s, record.z,
+                              y=record.y, y_hat=std_label)
             )
-        except OocFailed as exc:
-            failed_sink.append((record.record_id, str(exc)))
+        if isinstance(result, OocFailed):
+            failed_sink.append((record.record_id, str(result)))
             continue
         if trace_sink is not None:
             trace_sink.append(_trace_doc(record, result))
@@ -384,50 +408,64 @@ def cmd_ooc_run(args) -> int:
         [task_path, args.records],
     )
     digest = write_manifest(manifest, out)
-    client = _make_client(args, cfg)
 
     per_seed: dict[tuple, list[float]] = {}
     ordered_keys: list[tuple] = []
     sizes: dict[tuple, int] = {}
     failed: list[tuple[str, str]] = []
     traces: list[dict] | None = None
-    for r in range(args.seeds):
-        pass_rng = np.random.default_rng([args.seed, r])
-        records = records_all
-        if args.balance:
-            records = balanced_subsample(records_all, args.balance, pass_rng)
-        trace_sink = [] if r == 0 else None
-        standard_records, ooc_records = _ooc_pass(
-            cfg, client, records, args.seed, r, args.single_call,
-            trace_sink, failed,
-        )
-        if trace_sink is not None:
-            traces = trace_sink
-        if not ooc_records:
-            raise StratinvError(
-                "every record failed out-of-context prediction; "
-                f"first error: {failed[0][1] if failed else 'none recorded'}"
+    with closing(_make_client(args, cfg)) as client:
+        for r in range(args.seeds):
+            pass_rng = np.random.default_rng([args.seed, r])
+            records = records_all
+            if args.balance:
+                records = balanced_subsample(records_all, args.balance, pass_rng)
+            trace_sink = [] if r == 0 else None
+            standard_records, ooc_records = _ooc_pass(
+                cfg, client, records, args.seed, r, args.single_call,
+                trace_sink, failed,
             )
-        if r == 0:
-            dump_records(standard_records, out / "records_standard.jsonl")
-            dump_records(ooc_records, out / "records_ooc.jsonl")
-        method = "single_call" if args.single_call else "ooc"
-        for tag, recs in (("standard", standard_records), (method, ooc_records)):
-            rows_r = metric_rows(
-                recs, cfg.name, tag, metrics, args.permutations, pass_rng, digest
-            )
-            for row in rows_r:
-                key = (row.dataset, row.z_pair, tag, row.metric)
-                if key not in per_seed:
-                    per_seed[key] = []
-                    ordered_keys.append(key)
-                per_seed[key].append(row.value)
-                sizes[key] = row.n
+            if trace_sink is not None:
+                traces = trace_sink
+            method = "single_call" if args.single_call else "ooc"
+            arms = (("standard", standard_records), (method, ooc_records))
+            for tag, recs in arms:
+                if not recs:
+                    raise StratinvError(
+                        f"every record failed the {tag} arm; "
+                        f"first error: {failed[0][1] if failed else 'none recorded'}"
+                    )
+            if r == 0:
+                dump_records(standard_records, out / "records_standard.jsonl")
+                dump_records(ooc_records, out / "records_ooc.jsonl")
+            # Both arms' rows name the contexts attempted, so they stay
+            # comparable when failures empty a context in one arm.
+            z_pair = _z_pair(records)
+            for tag, recs in arms:
+                rows_r = metric_rows(
+                    recs, cfg.name, tag, metrics, args.permutations, pass_rng,
+                    digest, z_pair,
+                )
+                rows_r.append(ReportRow(
+                    dataset=cfg.name, z_pair=z_pair, method=tag,
+                    metric="failure_rate",
+                    value=(len(records) - len(recs)) / len(records),
+                    n=len(records), manifest=digest,
+                ).validate())
+                for row in rows_r:
+                    key = (row.dataset, row.z_pair, tag, row.metric)
+                    if key not in per_seed:
+                        per_seed[key] = []
+                        ordered_keys.append(key)
+                    per_seed[key].append(row.value)
+                    sizes[key] = row.n
 
     rows = []
     for key in ordered_keys:
         values = per_seed[key]
         dataset, z_pair, method_tag, metric = key
+        if metric == "failure_rate" and not failed:
+            continue  # failure_rate rows appear only when something failed
         if len(values) > 1:
             dispersion = float(np.std(values, ddof=1) / np.sqrt(len(values)))
         else:

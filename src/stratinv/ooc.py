@@ -14,7 +14,7 @@ import re
 import string
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -572,6 +572,52 @@ def _draw_seed(rng: np.random.Generator) -> int:
     return int(rng.integers(1 << 31))
 
 
+def _draw_instruction(
+    cfg: TaskConfig, pool: tuple[str, ...], rng: np.random.Generator
+) -> tuple[str, int | None]:
+    # RNG order per call is fixed: instruction index first, then (only when the
+    # temperature is positive) a request seed.  Replays depend on it.
+    instruction = pool[int(rng.integers(len(pool)))]
+    seed = _draw_seed(rng) if cfg.transform_temperature > 0 else None
+    return instruction, seed
+
+
+def _draw_context(cfg: TaskConfig, rng: np.random.Generator) -> str:
+    return cfg.contexts[int(rng.integers(len(cfg.contexts)))]
+
+
+def _dispatch(
+    client: ChatClient, requests: Sequence[ChatTurnRequest]
+) -> list[str | ServiceError]:
+    """Complete one stage's batch, sending each distinct request once.
+
+    Returns, in order, the text or the ServiceError of every request; an
+    empty batch never reaches the client.
+    """
+    if not requests:
+        return []
+    unique = list(dict.fromkeys(requests))
+    answers = dict(zip(unique, client.complete_many(unique)))
+    return [answers[r] for r in requests]
+
+
+def _unwrap(value):
+    if isinstance(value, Exception):
+        raise value
+    return value
+
+
+def _transform_request(
+    cfg: TaskConfig, prompt: str, seed: int | None
+) -> ChatTurnRequest:
+    return ChatTurnRequest(
+        messages=(("user", prompt),),
+        temperature=cfg.transform_temperature,
+        seed=seed,
+        model=cfg.model,
+    )
+
+
 @dataclass(frozen=True)
 class TransformStep:
     """One rewrite call: the sampled instruction and what came back."""
@@ -591,22 +637,10 @@ def _transform(
     z_plus,
     rng: np.random.Generator,
 ) -> TransformStep:
-    # RNG order per call is fixed: instruction index first, then (only when the
-    # temperature is positive) a request seed.  Replays depend on it.
-    instruction = pool[int(rng.integers(len(pool)))]
-    seed = _draw_seed(rng) if cfg.transform_temperature > 0 else None
+    instruction, seed = _draw_instruction(cfg, pool, rng)
     prompt = render_transform_prompt(body, instruction, cfg, x, stratum, z_plus)
-    request = ChatTurnRequest(
-        messages=(("user", prompt),),
-        temperature=cfg.transform_temperature,
-        seed=seed,
-        model=cfg.model,
-    )
-    return TransformStep(
-        text=client.complete(request),
-        instruction=instruction,
-        rendered_prompt=prompt,
-    )
+    text = _unwrap(_dispatch(client, [_transform_request(cfg, prompt, seed)])[0])
+    return TransformStep(text=text, instruction=instruction, rendered_prompt=prompt)
 
 
 def obfuscate(
@@ -666,22 +700,32 @@ def _normalize(text: str) -> list[str]:
 
 
 def parse_choice(answer: str, options: Sequence[str]):
-    """Tolerant matcher: exact normalized equality first, then first option (in
-    the given order) whose words appear contiguously in the answer.  Returns the
-    matched option or None."""
+    """Tolerant matcher: exact normalized equality first, then the one option
+    whose words appear contiguously in the answer.  A mention lying inside a
+    longer option's mention does not count ("non-toxic" is no "toxic"); an
+    answer that mentions two options is ambiguous.  Returns the matched option
+    or None."""
     answer_tokens = _normalize(answer)
     normalized = [(_normalize(opt), opt) for opt in options]
     for opt_tokens, opt in normalized:
         if opt_tokens == answer_tokens:
             return opt
+    spans = []
     for opt_tokens, opt in normalized:
-        if not opt_tokens:
-            continue
         width = len(opt_tokens)
+        if not width:
+            continue
         for start in range(len(answer_tokens) - width + 1):
             if answer_tokens[start:start + width] == opt_tokens:
-                return opt
-    return None
+                spans.append((start, start + width, opt))
+    found = {
+        opt
+        for lo, hi, opt in spans
+        if not any(
+            a <= lo and hi <= b and b - a > hi - lo for a, b, _o in spans
+        )
+    }
+    return found.pop() if len(found) == 1 else None
 
 
 _RETRY_REMINDER = (
@@ -690,39 +734,55 @@ _RETRY_REMINDER = (
 )
 
 
-def _predict(
-    cfg: TaskConfig, client: ChatClient, prompt: str, options: Sequence[str]
-):
-    """One completion plus one format-reminder retry, parsed into ``options``."""
-    request = ChatTurnRequest(
-        messages=(("user", prompt),),
+def _predict_request(cfg: TaskConfig, messages) -> ChatTurnRequest:
+    return ChatTurnRequest(
+        messages=messages,
         temperature=cfg.predict_temperature,
         seed=None,
         model=cfg.model,
     )
-    answer = client.complete(request)
-    choice = parse_choice(answer, options)
-    if choice is not None:
-        return choice
-    reminder = _RETRY_REMINDER.format(alternatives=", ".join(options))
-    retry = ChatTurnRequest(
-        messages=(("user", prompt), ("assistant", answer), ("user", reminder)),
-        temperature=cfg.predict_temperature,
-        seed=None,
-        model=cfg.model,
-    )
-    second = client.complete(retry)
-    choice = parse_choice(second, options)
-    if choice is None:
-        raise UnparsableAnswer(
-            f"could not parse {second!r} into options {list(options)} "
-            f"(first answer {answer!r})"
-        )
-    return choice
 
 
-def predict_label(cfg: TaskConfig, client: ChatClient, x: str):
-    """Ask for the task label on ``x`` at the prediction temperature."""
+def _predict_many(
+    cfg: TaskConfig,
+    client: ChatClient,
+    jobs: Sequence[tuple[str, Sequence[str]]],
+) -> list:
+    """One predict stage over ``(prompt, options)`` jobs.
+
+    One batch asks every prompt; one format-reminder batch re-asks those whose
+    answer did not parse.  Each entry of the result is the chosen option, a
+    ServiceError, or an UnparsableAnswer.
+    """
+    firsts = _dispatch(client, [_predict_request(cfg, (("user", p),)) for p, _o in jobs])
+    results = [
+        answer if isinstance(answer, ServiceError) else parse_choice(answer, options)
+        for (_p, options), answer in zip(jobs, firsts)
+    ]
+    retry = [i for i, choice in enumerate(results) if choice is None]
+    reminders = [
+        _predict_request(cfg, (
+            ("user", jobs[i][0]),
+            ("assistant", firsts[i]),
+            ("user", _RETRY_REMINDER.format(alternatives=", ".join(jobs[i][1]))),
+        ))
+        for i in retry
+    ]
+    for i, second in zip(retry, _dispatch(client, reminders)):
+        options = jobs[i][1]
+        if isinstance(second, ServiceError):
+            results[i] = second
+        elif (choice := parse_choice(second, options)) is not None:
+            results[i] = choice
+        else:
+            results[i] = UnparsableAnswer(
+                f"could not parse {second!r} into options {list(options)} "
+                f"(first answer {firsts[i]!r})"
+            )
+    return results
+
+
+def _label_job(cfg: TaskConfig, x: str) -> tuple[str, Sequence[str]]:
     prompt = render_template(
         cfg.label_template,
         {
@@ -731,17 +791,10 @@ def predict_label(cfg: TaskConfig, client: ChatClient, x: str):
             "alternatives": ", ".join(cfg.labels),
         },
     )
-    return _predict(cfg, client, prompt, cfg.labels)
+    return prompt, cfg.labels
 
 
-def predict_stratifier(cfg: TaskConfig, client: ChatClient, x: str):
-    """Predict a stratum proxy for ``x``; None when the task has no strata.
-
-    Downstream invariance statements are then conditional on this predicted
-    proxy rather than the underlying stratum; reports must carry that caveat.
-    """
-    if not cfg.requires_stratum:
-        return None
+def _stratifier_job(cfg: TaskConfig, x: str) -> tuple[str, Sequence[str]]:
     if not cfg.strata:
         raise TemplateError(
             f"task {cfg.name!r} needs a stratum but declares no stratum values"
@@ -754,7 +807,23 @@ def predict_stratifier(cfg: TaskConfig, client: ChatClient, x: str):
             "alternatives": ", ".join(cfg.strata),
         },
     )
-    return _predict(cfg, client, prompt, cfg.strata)
+    return prompt, cfg.strata
+
+
+def predict_label(cfg: TaskConfig, client: ChatClient, x: str):
+    """Ask for the task label on ``x`` at the prediction temperature."""
+    return _unwrap(_predict_many(cfg, client, [_label_job(cfg, x)])[0])
+
+
+def predict_stratifier(cfg: TaskConfig, client: ChatClient, x: str):
+    """Predict a stratum proxy for ``x``; None when the task has no strata.
+
+    Downstream invariance statements are then conditional on this predicted
+    proxy rather than the underlying stratum; reports must carry that caveat.
+    """
+    if not cfg.requires_stratum:
+        return None
+    return _unwrap(_predict_many(cfg, client, [_stratifier_job(cfg, x)])[0])
 
 
 PROXY_CAVEAT = (
@@ -764,7 +833,7 @@ PROXY_CAVEAT = (
 
 
 # ---------------------------------------------------------------------------
-# The full per-input pipeline
+# The full pipeline: plan every input's draws, then one batch per stage
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -790,6 +859,162 @@ class OocResult:
     notes: tuple[str, ...] = field(default_factory=tuple)
 
 
+@dataclass(slots=True)
+class _Chain:
+    """One replicate on its way through the stages.
+
+    ``draws`` holds one (instruction, seed) pair per transform step and
+    ``texts`` the input followed by each step's output.
+    """
+
+    record: int
+    j: int
+    z_plus: str
+    draws: list[tuple[str, int | None]]
+    texts: list[str]
+    label: str = ""
+    error: Exception | None = None
+
+
+def _transform_steps(cfg: TaskConfig, single_call: bool):
+    """(template, instruction pool, writes z_plus) for each transform step."""
+    if single_call:
+        return ((cfg.rewrite_template, cfg.rewrite_prompts, True),)
+    return (
+        (cfg.obfuscate_template, cfg.obfuscate_prompts, False),
+        (cfg.add_template, cfg.add_prompts, True),
+    )
+
+
+def _settle(chains: list[_Chain], answers: Sequence) -> list[tuple[_Chain, str]]:
+    """Mark the chains whose answer is an error; pair the rest with theirs."""
+    ok = []
+    for chain, answer in zip(chains, answers):
+        if isinstance(answer, Exception):
+            chain.error = answer
+        else:
+            ok.append((chain, answer))
+    return ok
+
+
+def ooc_predict_many(
+    cfg: TaskConfig,
+    client: ChatClient,
+    inputs: Iterable[tuple[str, object, np.random.Generator]],
+    *,
+    single_call: bool = False,
+    standard: bool = False,
+) -> list[tuple[object, OocResult | OocFailed]]:
+    """Run the replicate loop on many ``(x, s, rng)`` inputs in staged batches.
+
+    All draws come first, per replicate in this order: obfuscation
+    instruction and seed, new context, addition instruction and seed
+    (single-call: context, rewrite instruction and seed).  Then each stage is
+    one ``client.complete_many`` batch with identical requests sent once:
+    (1) standard labels (when ``standard``) and stratum predictions,
+    (2) obfuscate or the single-call rewrite, (3) add, (4) labels.  Predict
+    stages end with one format-reminder batch.
+
+    Replicates that fail with a service or parse error are dropped without
+    topping ``m`` back up; the draws being fixed, a failure never shifts
+    another replicate's randomness.  Returns per input the standard label or
+    the error that dropped it (None unless ``standard``), and the OocResult
+    or an OocFailed when the stratum or every replicate failed.
+    """
+    steps = _transform_steps(cfg, single_call)
+    xs, strata, chains = [], [], []
+    for i, (x, s, rng) in enumerate(inputs):
+        xs.append(x)
+        strata.append(s)
+        for j in range(cfg.m):
+            draws = []
+            for _body, pool, writes_context in steps:
+                if writes_context:
+                    z_plus = _draw_context(cfg, rng)
+                draws.append(_draw_instruction(cfg, pool, rng))
+            chains.append(_Chain(i, j, z_plus, draws, [x]))
+
+    # Stage 1: standard labels and stratum predictions.
+    n = len(xs)
+    predicted = [i for i in range(n) if strata[i] is None and cfg.requires_stratum]
+    jobs = [_label_job(cfg, x) for x in xs] if standard else []
+    jobs += [_stratifier_job(cfg, xs[i]) for i in predicted]
+    answers = _predict_many(cfg, client, jobs)
+    standard_out = answers[:n] if standard else [None] * n
+    stratum_errors = {}
+    for i, answer in zip(predicted, answers[len(jobs) - len(predicted):]):
+        if isinstance(answer, Exception):
+            stratum_errors[i] = answer
+        else:
+            strata[i] = answer
+
+    # Stages 2 and 3: the transforms; then stage 4: labels.
+    live = [c for c in chains if c.record not in stratum_errors]
+    for k, (body, _pool, writes_context) in enumerate(steps):
+        texts = _dispatch(client, [
+            _transform_request(
+                cfg,
+                render_transform_prompt(
+                    body, c.draws[k][0], cfg, c.texts[-1], strata[c.record],
+                    c.z_plus if writes_context else None,
+                ),
+                c.draws[k][1],
+            )
+            for c in live
+        ])
+        for c, text in _settle(live, texts):
+            c.texts.append(text)
+        live = [c for c in live if c.error is None]
+    labels = _predict_many(cfg, client, [_label_job(cfg, c.texts[-1]) for c in live])
+    for c, label in _settle(live, labels):
+        c.label = label
+
+    aggregator = Aggregator(kind="majority", label_order=cfg.labels)
+    outcomes = []
+    for i in range(n):
+        own = chains[i * cfg.m:(i + 1) * cfg.m]
+        errors = [c.error for c in own if c.error is not None]
+        if i in stratum_errors:
+            failure = OocFailed(f"stratum prediction failed: {stratum_errors[i]}")
+            failure.__cause__ = stratum_errors[i]
+        elif len(errors) == len(own):
+            failure = OocFailed(
+                f"all {cfg.m} replicates failed; last error: {errors[-1]}"
+            )
+            failure.__cause__ = errors[-1]
+        else:
+            failure = None
+        if failure is not None:
+            outcomes.append((standard_out[i], failure))
+            continue
+        replicates = tuple(
+            OocReplicate(
+                j=c.j,
+                obfuscate_instruction=c.draws[0][0],
+                x_minus=c.texts[1],
+                z_plus=str(c.z_plus),
+                add_instruction=c.draws[-1][0],
+                x_plus=c.texts[-1],
+                label=c.label,
+            )
+            for c in own
+            if c.error is None
+        )
+        if i in predicted:
+            source, notes = "predicted", (PROXY_CAVEAT,)
+        else:
+            source, notes = ("none" if strata[i] is None else "given"), ()
+        outcomes.append((standard_out[i], OocResult(
+            label=aggregator.combine([r.label for r in replicates]),
+            stratum=strata[i],
+            stratum_source=source,
+            replicates=replicates,
+            failures=len(errors),
+            notes=notes,
+        )))
+    return outcomes
+
+
 def ooc_predict(
     cfg: TaskConfig,
     client: ChatClient,
@@ -802,70 +1027,15 @@ def ooc_predict(
     """Run the replicate loop on one input and majority-vote the labels.
 
     Per replicate: sample an obfuscation instruction, obfuscate, draw the new
-    context uniformly, sample an addition instruction, add, predict.  Replicates
-    that fail with a service or parse error are dropped without topping ``m``
-    back up; when every replicate fails the last error surfaces as OocFailed.
-    Requests run one at a time, which respects any ``max_in_flight`` cap.
+    context uniformly, sample an addition instruction, add, predict.  This is
+    ``ooc_predict_many`` on one input: each stage sends its replicates' calls
+    as one batch.  Replicates that fail with a service or parse error are
+    dropped without topping ``m`` back up; when every replicate fails, or the
+    stratum prediction does, the error surfaces as OocFailed.
     """
     if rng is None:
         rng = np.random.default_rng()
-    notes: list[str] = []
-    if s is None and cfg.requires_stratum:
-        s = predict_stratifier(cfg, client, x)
-        source = "predicted"
-        notes.append(PROXY_CAVEAT)
-    elif s is None:
-        source = "none"
-    else:
-        source = "given"
-
-    replicates: list[OocReplicate] = []
-    failures = 0
-    last_error: Exception | None = None
-    for j in range(cfg.m):
-        try:
-            if single_call:
-                z_plus = cfg.contexts[int(rng.integers(len(cfg.contexts)))]
-                step = rewrite_single_call(cfg, client, x, z_plus, s, rng)
-                label = predict_label(cfg, client, step.text)
-                replicates.append(OocReplicate(
-                    j=j,
-                    obfuscate_instruction=step.instruction,
-                    x_minus=step.text,
-                    z_plus=str(z_plus),
-                    add_instruction=step.instruction,
-                    x_plus=step.text,
-                    label=label,
-                ))
-            else:
-                removed = obfuscate(cfg, client, x, s, rng)
-                z_plus = cfg.contexts[int(rng.integers(len(cfg.contexts)))]
-                added = add_context(cfg, client, removed.text, z_plus, s, rng)
-                label = predict_label(cfg, client, added.text)
-                replicates.append(OocReplicate(
-                    j=j,
-                    obfuscate_instruction=removed.instruction,
-                    x_minus=removed.text,
-                    z_plus=str(z_plus),
-                    add_instruction=added.instruction,
-                    x_plus=added.text,
-                    label=label,
-                ))
-        except (ServiceError, UnparsableAnswer) as exc:
-            failures += 1
-            last_error = exc
-    if not replicates:
-        raise OocFailed(
-            f"all {cfg.m} replicates failed; last error: {last_error}"
-        ) from last_error
-
-    aggregator = Aggregator(kind="majority", label_order=cfg.labels)
-    label = aggregator.combine([r.label for r in replicates])
-    return OocResult(
-        label=label,
-        stratum=s,
-        stratum_source=source,
-        replicates=tuple(replicates),
-        failures=failures,
-        notes=tuple(notes),
+    [(_std, result)] = ooc_predict_many(
+        cfg, client, [(x, s, rng)], single_call=single_call
     )
+    return _unwrap(result)

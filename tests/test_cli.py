@@ -1,14 +1,20 @@
 """CLI behavior through main(): artifacts, exit codes, reproducible reruns."""
 
 import json
+import threading
+import time
+import types
 
 import pytest
 
 from stratinv import causal_graph as cg
+from stratinv import chat
+from stratinv.chat import ChatTurnRequest
 from stratinv.cli import main
 from stratinv.fixtures import chain_fixture
 from stratinv.metrics import LabeledRecord, dump_records, load_records
-from stratinv.ooc import TaskConfig, dump_task
+from stratinv.mock import MockStructuredLm
+from stratinv.ooc import TaskConfig, dump_task, load_task
 from stratinv.reports import ReportRow, load_rows, write_rows_json
 from stratinv.scm import dump_scm
 
@@ -311,3 +317,133 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "stratinv" in capsys.readouterr().out
+
+
+class MockSession:
+    """requests.Session stand-in answering from the mock, tracking overlap."""
+
+    lock = threading.Lock()
+    in_flight = 0
+    peak = 0
+    mock = None
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        cls = type(self)
+        with cls.lock:
+            cls.in_flight += 1
+            cls.peak = max(cls.peak, cls.in_flight)
+        try:
+            request = ChatTurnRequest(
+                messages=tuple((m["role"], m["content"]) for m in json["messages"]),
+                temperature=json["temperature"], seed=json.get("seed"),
+                model=json["model"],
+            )
+            time.sleep(0.001)
+            text = cls.mock.complete(request)
+        finally:
+            with cls.lock:
+                cls.in_flight -= 1
+        return types.SimpleNamespace(
+            status_code=200, headers={},
+            json=lambda: {"choices": [{"message": {"content": text}}]},
+        )
+
+    def close(self):
+        pass
+
+
+OOC_OUTPUTS = ("records_standard.jsonl", "records_ooc.jsonl", "traces.jsonl")
+
+
+def test_ooc_run_http_fan_out_matches_serial_and_mock(tmp_path, monkeypatch):
+    records = write_toy_records(tmp_path / "records.jsonl")
+    outs = {}
+    for label, client, max_in_flight in (
+        ("mock", "mock", 4), ("http1", "http", 1), ("http4", "http", 4),
+    ):
+        task = write_task(tmp_path / f"{label}.json", m=3,
+                          transform_temperature=0.7, max_in_flight=max_in_flight)
+        MockSession.mock = MockStructuredLm.for_task(load_task(task))
+        MockSession.peak = 0
+        monkeypatch.setattr(chat.requests, "Session", MockSession)
+        out = tmp_path / label
+        argv = ["ooc-run", "--task", str(task), "--records", str(records),
+                "--client", client, "--seeds", "2", "--seed", "3",
+                "--out-dir", str(out)]
+        if client == "http":
+            argv += ["--endpoint", "http://unit.test"]
+        assert main(argv) == 0
+        if client == "http":
+            assert 1 <= MockSession.peak <= max_in_flight
+        rows = json.loads((out / "rows.json").read_text())
+        for row in rows:
+            del row["manifest"]  # the task files differ in max_in_flight
+        outs[label] = [(out / name).read_bytes() for name in OOC_OUTPUTS] + [rows]
+    assert MockSession.peak > 1
+    assert outs["http1"] == outs["http4"] == outs["mock"]
+
+
+def test_ooc_run_on_the_mock_starts_no_thread(tmp_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError("thread started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    task = write_task(tmp_path / "task.json", m=3)
+    records = write_toy_records(tmp_path / "records.jsonl")
+    assert main(["ooc-run", "--task", str(task), "--records", str(records),
+                 "--out-dir", str(tmp_path / "out")]) == 0
+
+
+def test_ooc_run_standard_arm_failure_drops_the_record_only(tmp_path, capsys):
+    # the mock cannot answer for male topic-1 notes, in either arm
+    task = write_task(
+        tmp_path / "task.json",
+        mock={"label_rules": [
+            {"if": {"ctx": "male", "topic": "1"}, "label": "maybe"},
+            {"read": "topic"},
+        ]},
+    )
+    records = write_toy_records(tmp_path / "records.jsonl")
+    out = tmp_path / "out"
+    code = main(["ooc-run", "--task", str(task), "--records", str(records),
+                 "--seed", "1", "--out-dir", str(out)])
+    assert code == 0
+    std = load_records(out / "records_standard.jsonl")
+    ooc = load_records(out / "records_ooc.jsonl")
+    assert len(std) == 6
+    assert {r.record_id for r in std} == {"r0", "r1", "r4", "r5", "r6", "r7"}
+    rates = {
+        r.method: r.value for r in load_rows(out / "rows.json")
+        if r.metric == "failure_rate"
+    }
+    assert rates == {"standard": 0.25, "ooc": (8 - len(ooc)) / 8}
+    stdout = capsys.readouterr().out
+    assert "failed r2: standard label: could not parse 'maybe'" in stdout
+    assert "failed r3: standard label:" in stdout
+
+
+def test_ooc_run_without_failures_has_no_failure_rate_rows(tmp_path):
+    task = write_task(tmp_path / "task.json")
+    records = write_toy_records(tmp_path / "records.jsonl")
+    out = tmp_path / "out"
+    assert main(["ooc-run", "--task", str(task), "--records", str(records),
+                 "--out-dir", str(out)]) == 0
+    assert all(r.metric != "failure_rate" for r in load_rows(out / "rows.json"))
+
+
+def test_ooc_run_rows_stay_comparable_when_a_context_fails(tmp_path):
+    # every male note fails the standard arm, so only female notes survive it
+    task = write_task(
+        tmp_path / "task.json",
+        mock={"label_rules": [
+            {"if": {"ctx": "male"}, "label": "maybe"}, {"read": "topic"},
+        ]},
+    )
+    records = write_toy_records(tmp_path / "records.jsonl")
+    out = tmp_path / "out"
+    assert main(["ooc-run", "--task", str(task), "--records", str(records),
+                 "--out-dir", str(out)]) == 0
+    rows = load_rows(out / "rows.json")
+    assert {r.z_pair for r in rows} == {"female|male"}
+    assert main(["report", "--rows", str(out / "rows.json"),
+                 "--out-dir", str(tmp_path / "report")]) == 0

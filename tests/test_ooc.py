@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from stratinv.chat import ChatClient
 from stratinv.errors import (
@@ -31,6 +33,7 @@ from stratinv.ooc import (
     load_task,
     obfuscate,
     ooc_predict,
+    ooc_predict_many,
     parse_choice,
     predict_label,
     predict_stratifier,
@@ -130,8 +133,12 @@ def test_parse_choice():
     assert parse_choice("NON TOXIC", options) == "non-toxic"
     assert parse_choice("I think it is toxic", options) == "toxic"
     assert parse_choice("looks non toxic to me", ("non-toxic", "toxic")) == "non-toxic"
-    # embedded answers resolve in option order; bare answers never do
-    assert parse_choice("the answer is non-toxic", options) == "toxic"
+    # a mention inside a longer option's mention is not a second match
+    assert parse_choice("the answer is non-toxic", options) == "non-toxic"
+    assert parse_choice("The comment is non-toxic.", options) == "non-toxic"
+    # answers naming two options are ambiguous; bare answers never match
+    assert parse_choice("toxic, not non-toxic", options) is None
+    assert parse_choice("I would say no, not yes", ("yes", "no")) is None
     assert parse_choice("no idea", options) is None
 
 
@@ -244,9 +251,11 @@ class FlakyClient(ChatClient):
 
 
 def test_ooc_predict_drops_failed_replicates():
-    cfg = toy_task(m=3)
-    # 3 calls per replicate; killing call 4 loses replicate 1 only
-    client = FlakyClient(MockStructuredLm.for_task(cfg), {4})
+    # seeded replicates send distinct requests, so each stage batch holds
+    # one call per replicate: obfuscate is calls 1-3, add 4-6, label 7-9,
+    # and killing call 5 loses replicate 1 only
+    cfg = toy_task(m=3, transform_temperature=0.7)
+    client = FlakyClient(MockStructuredLm.for_task(cfg), {5})
     out = ooc_predict(
         cfg, client, "ctx=male topic=0 pad=0", rng=np.random.default_rng(0)
     )
@@ -352,3 +361,141 @@ def test_safety_prompt_placement():
     assert prepended.effective_prompt() == f"{text4} {prepended.standard_prompt}"
     with pytest.raises(ValueError, match="unknown safety prompt"):
         builtin_task("discrimination_race", safety_prompt="zen")
+
+
+# --- staged dispatch ---------------------------------------------------------
+
+
+class BatchLog(ChatClient):
+    """Forwards to ``inner`` and keeps every batch it was handed."""
+
+    def __init__(self, inner, fail=lambda request: False):
+        self.inner = inner
+        self.fail = fail
+        self.batches = []
+
+    def complete(self, request):
+        if self.fail(request):
+            raise ServiceError("scripted outage")
+        return self.inner.complete(request)
+
+    def complete_many(self, requests):
+        self.batches.append(list(requests))
+        return super().complete_many(requests)
+
+
+def test_duplicate_requests_in_a_stage_reach_the_client_once():
+    cfg = toy_task(m=3)  # zero temperature: replicates repeat requests
+    client = BatchLog(MockStructuredLm.for_task(cfg))
+    x = "ctx=male topic=1 pad=0 routine note"
+    inputs = [(x, None, np.random.default_rng(0)), (x, None, np.random.default_rng(0))]
+    outcomes = ooc_predict_many(cfg, client, inputs, standard=True)
+    for batch in client.batches:
+        assert len(batch) == len(set(batch))
+    # 20 logical calls: standard, then obfuscate/add/label per stage; the
+    # inputs repeat each other and replicates 1 and 2 repeat each other
+    assert [len(b) for b in client.batches] == [1, 2, 2, 2]
+    (std_a, res_a), (std_b, res_b) = outcomes
+    assert std_a == std_b == "1"
+    assert res_a == res_b == ooc_predict(cfg, MockStructuredLm.for_task(cfg), x,
+                                         rng=np.random.default_rng(0))
+
+
+def test_batch_matches_one_input_at_a_time():
+    cfg = stratified_task(m=3, transform_temperature=0.7)
+    mock = MockStructuredLm.for_task(cfg)
+    texts = [f"ctx={z} kind={k} topic={t} pad=0 n{i}"
+             for i, (z, k, t) in enumerate([("male", "amb", 1), ("female", "clear", 0),
+                                           ("male", "clear", 1), ("female", "amb", 0)])]
+    strata = ["amb", None, "clear", None]
+    batch = ooc_predict_many(
+        cfg, mock,
+        [(x, s, np.random.default_rng([4, i])) for i, (x, s) in enumerate(zip(texts, strata))],
+        standard=True,
+    )
+    for i, (x, s) in enumerate(zip(texts, strata)):
+        assert batch[i][0] == predict_label(cfg, mock, x)
+        assert batch[i][1] == ooc_predict(cfg, mock, x, s=s, rng=np.random.default_rng([4, i]))
+
+
+def test_failed_replicate_leaves_later_draws_unchanged():
+    cfg = toy_task(m=3, transform_temperature=0.7)
+    x = "ctx=male topic=1 pad=0 routine note"
+    clean = BatchLog(MockStructuredLm.for_task(cfg))
+    base = ooc_predict(cfg, clean, x, rng=np.random.default_rng(11))
+    first_obfuscate = clean.batches[0][0]
+    flaky = BatchLog(MockStructuredLm.for_task(cfg), lambda r: r == first_obfuscate)
+    out = ooc_predict(cfg, flaky, x, rng=np.random.default_rng(11))
+    assert out.failures == 1
+    assert [r.j for r in out.replicates] == [1, 2]
+    # same instruction, context and (through the seeded pad) seed as before
+    assert out.replicates == base.replicates[1:]
+    assert [r.seed for r in flaky.batches[2]] == [r.seed for r in clean.batches[2][1:]]
+
+
+def test_stratum_prediction_failure_fails_the_record_only():
+    cfg = stratified_task(m=1)
+    client = MockStructuredLm.for_task(cfg)
+    outcomes = ooc_predict_many(
+        cfg, client,
+        [("ctx=male topic=1 pad=0", None, np.random.default_rng(0)),  # no kind
+         ("ctx=male kind=amb topic=1 pad=0", None, np.random.default_rng(0))],
+        standard=True,
+    )
+    (std0, res0), (std1, res1) = outcomes
+    assert std0 == std1 == "1"
+    assert isinstance(res0, OocFailed) and "stratum prediction failed" in str(res0)
+    assert isinstance(res0.__cause__, UnparsableAnswer)
+    assert res1.stratum == "amb" and res1.stratum_source == "predicted"
+    with pytest.raises(OocFailed, match="stratum prediction failed"):
+        ooc_predict(cfg, client, "ctx=male topic=1", rng=np.random.default_rng(0))
+
+
+def test_single_call_plan_order():
+    # single-call draws the context first, then the instruction and seed
+    cfg = toy_task(m=1, transform_temperature=0.7)
+    client = BatchLog(MockStructuredLm.for_task(cfg))
+    out = ooc_predict(cfg, client, "ctx=male topic=1", rng=np.random.default_rng(3),
+                      single_call=True)
+    rng = np.random.default_rng(3)
+    z_plus = cfg.contexts[int(rng.integers(2))]
+    rng.integers(1)
+    seed = int(rng.integers(1 << 31))
+    assert out.replicates[0].z_plus == z_plus
+    assert client.batches[0][0].seed == seed  # stage 1 is empty here
+
+
+# --- answer parsing properties -----------------------------------------------
+
+_WORDS = st.text(alphabet="abcdefgh", min_size=2, max_size=6)
+_FILLER = st.lists(st.sampled_from(["so", "well", "i", "think", "the", "it", "is"]),
+                   max_size=4)
+
+
+@st.composite
+def nested_options(draw):
+    """Options where one is a word-prefix or suffix of another, plus others."""
+    base = draw(_WORDS)
+    extra = draw(st.lists(_WORDS, min_size=1, max_size=2))
+    longer = " ".join([base, "or", *extra]) if draw(st.booleans()) else " ".join([*extra, base])
+    others = draw(st.lists(_WORDS, max_size=2))
+    options = list(dict.fromkeys([base, longer, *others]))
+    return draw(st.permutations(options))
+
+
+@given(options=nested_options(), before=_FILLER, after=_FILLER, data=st.data())
+def test_parse_choice_one_mention_never_flips(options, before, after, data):
+    choice = data.draw(st.sampled_from(options))
+    tokens = set(" ".join(options).split())
+    if tokens & set(before + after):
+        return
+    answer = " ".join(before + [choice.upper() if data.draw(st.booleans()) else choice]
+                      + after) + data.draw(st.sampled_from(["", ".", "!"]))
+    assert parse_choice(answer, options) == choice
+
+
+@given(options=nested_options(), data=st.data())
+def test_parse_choice_two_mentions_are_ambiguous(options, data):
+    a, b = data.draw(st.permutations(options))[:2]
+    answer = f"{a}, not {b}"
+    assert parse_choice(answer, options) is None
