@@ -429,11 +429,20 @@ def cmd_ooc_run(args) -> int:
                 traces = trace_sink
             method = "single_call" if args.single_call else "ooc"
             arms = (("standard", standard_records), (method, ooc_records))
+            first_error = failed[0][1] if failed else "none recorded"
             for tag, recs in arms:
                 if not recs:
                     raise StratinvError(
                         f"every record failed the {tag} arm; "
-                        f"first error: {failed[0][1] if failed else 'none recorded'}"
+                        f"first error: {first_error}"
+                    )
+                # An arm that lost a context reads as unbiased, so refuse it.
+                lost = {r.z for r in records} - {r.z for r in recs}
+                if lost and {"si_bias", "permutation"} & set(metrics):
+                    raise StratinvError(
+                        f"the {tag} arm lost every record with context "
+                        f"{', '.join(sorted(map(str, lost)))}, so its bias "
+                        f"is not measurable; first error: {first_error}"
                     )
             if r == 0:
                 dump_records(standard_records, out / "records_standard.jsonl")

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import warnings
+from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -78,45 +79,23 @@ def dump_records(records: Iterable[LabeledRecord], path) -> None:
             fh.write(json.dumps(asdict(r), sort_keys=True) + "\n")
 
 
-# --- contingency -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ContingencyCube:
-    """Counts over (stratum, context, prediction); the metric sufficient stat."""
-
-    counts: Mapping[tuple, int]
-    strata: tuple
-    contexts: tuple
-    labels: tuple
-
-    def cell_total(self, s, z) -> int:
-        return sum(self.counts.get((s, z, y), 0) for y in self.labels)
-
-    def rate(self, s, z, y) -> float:
-        total = self.cell_total(s, z)
-        if total == 0:
-            raise EmptyCell(f"no records with stratum={s!r}, context={z!r}")
-        return self.counts.get((s, z, y), 0) / total
-
-
-def build_contingency(records: Sequence[LabeledRecord]) -> ContingencyCube:
-    if not records:
-        raise MissingLabels("no records")
-    for r in records:
-        if r.y_hat is None:
-            raise MissingLabels(f"record {r.record_id!r} has no prediction")
-    counts: dict[tuple, int] = {}
-    strata = list(dict.fromkeys(r.s for r in records))
-    contexts = list(dict.fromkeys(r.z for r in records))
-    labels = list(dict.fromkeys(r.y_hat for r in records))
-    for r in records:
-        key = (r.s, r.z, r.y_hat)
-        counts[key] = counts.get(key, 0) + 1
-    return ContingencyCube(counts, tuple(strata), tuple(contexts), tuple(labels))
-
-
 # --- the bias statistic ------------------------------------------------------
+
+
+def _codes(values: Iterable, n: int) -> tuple[list, np.ndarray]:
+    """Distinct values in first-seen order, and each value's index in them."""
+    index: dict[Any, int] = {}
+    codes = np.fromiter(
+        (index.setdefault(v, len(index)) for v in values), dtype=np.intp, count=n
+    )
+    return list(index), codes
+
+
+def _context_gaps(counts: np.ndarray) -> np.ndarray:
+    """Per stratum of (..., S, Z, Y) counts, the largest spread over contexts
+    of P(yhat = y | s, z); max - min is the largest pairwise |difference|."""
+    rates = counts / counts.sum(axis=-1, keepdims=True)
+    return (rates.max(axis=-2) - rates.min(axis=-2)).max(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -125,6 +104,44 @@ class SiBiasReport:
     per_stratum: tuple[tuple[Any, float], ...]
     n: int
     caveat: str = ADJUSTMENT_CAVEAT
+
+
+def _bias_table(records: Sequence[LabeledRecord], strict_binary: bool = False):
+    """Prediction counts over (stratum, context, label), each axis in
+    first-seen order, and the bias statistic they determine."""
+    if not records:
+        raise MissingLabels("no records")
+    for r in records:
+        if r.y_hat is None:
+            raise MissingLabels(f"record {r.record_id!r} has no prediction")
+    n = len(records)
+    strata, cells = _codes((r.s for r in records), n)
+    contexts, zi = _codes((r.z for r in records), n)
+    labels, yi = _codes((r.y_hat for r in records), n)
+    if strict_binary and len(labels) > 2:
+        raise NonBinaryLabel(
+            f"strict binary mode with labels {sorted(map(str, labels))}"
+        )
+    n_s, n_z, n_y = len(strata), len(contexts), len(labels)
+    # in place, so that few record-length arrays are alive at once
+    cells *= n_z
+    cells += zi
+    # Checked before the dense table, which is huge when most cells are empty.
+    # At most n cells hold records, so the first empty (s-major) one is <= n.
+    sizes = np.bincount(np.minimum(cells, n), minlength=min(n_s * n_z, n + 1))
+    empty = np.flatnonzero(sizes[: n_s * n_z] == 0)
+    if empty.size:
+        first = empty[0]
+        raise EmptyCell(
+            f"no records with stratum={strata[first // n_z]!r}, "
+            f"context={contexts[first % n_z]!r}"
+        )
+    cells *= n_y
+    cells += yi
+    counts = np.bincount(cells, minlength=n_s * n_z * n_y).reshape(n_s, n_z, n_y)
+    per_stratum = tuple(zip(strata, _context_gaps(counts).tolist()))
+    value = max(g for _, g in per_stratum)
+    return counts, SiBiasReport(value, per_stratum, n)
 
 
 def si_bias(
@@ -138,24 +155,7 @@ def si_bias(
     populated (EmptyCell otherwise); a dataset with a single context has
     statistic 0 by convention.
     """
-    cube = build_contingency(records)
-    if strict_binary and len(cube.labels) > 2:
-        raise NonBinaryLabel(
-            f"strict binary mode with labels {sorted(map(str, cube.labels))}"
-        )
-    for s in cube.strata:
-        for z in cube.contexts:
-            if cube.cell_total(s, z) == 0:
-                raise EmptyCell(f"no records with stratum={s!r}, context={z!r}")
-    per_stratum = []
-    for s in cube.strata:
-        gap = 0.0
-        for z1, z2 in itertools.combinations(cube.contexts, 2):
-            for y in cube.labels:
-                gap = max(gap, abs(cube.rate(s, z1, y) - cube.rate(s, z2, y)))
-        per_stratum.append((s, gap))
-    value = max((g for _, g in per_stratum), default=0.0)
-    return SiBiasReport(value, tuple(per_stratum), len(records))
+    return _bias_table(records, strict_binary)[1]
 
 
 # --- exact checks against a model --------------------------------------------
@@ -323,24 +323,35 @@ class TestReport:
     caveat: str = ADJUSTMENT_CAVEAT
 
 
-def _encode(records: Sequence[LabeledRecord]):
-    strata = list(dict.fromkeys(r.s for r in records))
-    contexts = list(dict.fromkeys(r.z for r in records))
-    labels = list(dict.fromkeys(r.y_hat for r in records))
-    si = np.array([strata.index(r.s) for r in records])
-    zi = np.array([contexts.index(r.z) for r in records])
-    yi = np.array([labels.index(r.y_hat) for r in records])
-    return strata, contexts, labels, si, zi, yi
+# Cells (permutations x strata x contexts x labels) per batch: enough to spread
+# numpy's per-call cost over many tables, few enough to stay under a megabyte.
+PERMUTATION_BATCH_CELLS = 1 << 16
 
 
-def _gap_statistic(si, zi, yi, n_s, n_z, n_y) -> float:
-    flat = (si * n_z + zi) * n_y + yi
-    counts = np.bincount(flat, minlength=n_s * n_z * n_y).reshape(n_s, n_z, n_y)
-    totals = counts.sum(axis=2, keepdims=True)
-    with np.errstate(invalid="ignore"):
-        rates = np.where(totals > 0, counts / np.maximum(totals, 1), np.nan)
-    gaps = np.nanmax(rates, axis=1) - np.nanmin(rates, axis=1)  # (s, y)
-    return float(np.nanmax(gaps))
+def _random_tables(
+    context_totals: np.ndarray, label_totals: np.ndarray, size: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """``size`` random (S, Z, Y) tables, stratum s's uniform over the record
+    shufflings with context totals ``context_totals[s]`` and label totals
+    ``label_totals[s]``. Each context's row takes hypergeometric draws from the
+    labels still unplaced (Patefield, AS 159, 1981), vectorised over the batch
+    and the strata."""
+    n_s, n_z = context_totals.shape
+    n_y = label_totals.shape[1]
+    tables = np.empty((size, n_s, n_z, n_y), dtype=np.int64)
+    unplaced = np.repeat(label_totals[None], size, axis=0)
+    for z in range(n_z - 1):
+        need = np.repeat(context_totals[None, :, z], size, axis=0)
+        rest = unplaced.sum(axis=2)
+        for y in range(n_y - 1):
+            rest -= unplaced[..., y]
+            tables[..., z, y] = rng.hypergeometric(unplaced[..., y], rest, need)
+            need -= tables[..., z, y]
+        tables[..., z, n_y - 1] = need
+        unplaced -= tables[..., z, :]
+    tables[..., n_z - 1, :] = unplaced
+    return tables
 
 
 def ci_permutation_test(
@@ -350,58 +361,35 @@ def ci_permutation_test(
 ) -> TestReport:
     """Permutation test of prediction ⟂ context within strata.
 
-    The context labels are shuffled independently inside each stratum, which
-    realizes the null of conditional independence; the statistic is the
-    max-gap bias. The p-value uses the add-one estimator
-    (1 + #{permuted >= observed}) / (1 + permutations) and is therefore
-    never zero and conservative under ties. Completeness (rejecting exactly
-    when stratified invariance fails) additionally needs the stratifier to
-    be an adjustment set; see the report caveat.
+    The null shuffles the context labels independently inside each stratum,
+    which realizes conditional independence; the statistic is the max-gap
+    bias. A shuffle matters only through the count table it leaves, so each
+    permutation is drawn directly as a random table with the stratum's
+    observed context and label totals: exactly the shuffle's law, at a cost
+    that does not grow with the number of records. The p-value uses the
+    add-one estimator (1 + #{permuted >= observed}) / (1 + permutations) and
+    is therefore never zero and conservative under ties. Completeness
+    (rejecting exactly when stratified invariance fails) additionally needs
+    the stratifier to be an adjustment set; see the report caveat.
     """
     if permutations < 1:
         raise ValueError("permutations must be >= 1")
     if rng is None or isinstance(rng, int):
         rng = np.random.default_rng(rng)
-    observed_report = si_bias(records)  # validates cells; gives per_stratum
-    strata, contexts, labels, si, zi, yi = _encode(records)
-    n_s, n_z, n_y = len(strata), len(contexts), len(labels)
-    obs = _gap_statistic(si, zi, yi, n_s, n_z, n_y)
-    stratum_index = [np.nonzero(si == k)[0] for k in range(n_s)]
+    counts, observed = _bias_table(records)
+    context_totals, label_totals = counts.sum(axis=2), counts.sum(axis=1)
+    batch = max(1, PERMUTATION_BATCH_CELLS // counts.size)
     exceed = 0
-    for _ in range(permutations):
-        perm_z = zi.copy()
-        for idx in stratum_index:
-            perm_z[idx] = zi[idx][rng.permutation(len(idx))]
-        stat = _gap_statistic(si, perm_z, yi, n_s, n_z, n_y)
-        if stat >= obs - 1e-12:
-            exceed += 1
+    for done in range(0, permutations, batch):
+        size = min(batch, permutations - done)
+        tables = _random_tables(context_totals, label_totals, size, rng)
+        stats = _context_gaps(tables).max(axis=1)
+        exceed += int(np.count_nonzero(stats >= observed.value - 1e-12))
     p = (1 + exceed) / (1 + permutations)
-    return TestReport(obs, p, permutations, observed_report.per_stratum)
+    return TestReport(observed.value, p, permutations, observed.per_stratum)
 
 
 # --- estimation, positivity, accuracy ----------------------------------------
-
-
-def estimate_potential_conditional(
-    records: Sequence[LabeledRecord],
-) -> dict[tuple, dict[Any, float]]:
-    """Empirical P(yhat = y | s, z) over the observed (s, z) grid.
-
-    Under an adjustment-set stratifier this estimates the potential
-    prediction law P(yhat(z) = y | s); without that premise it is just the
-    observational conditional.
-    """
-    cube = build_contingency(records)
-    out: dict[tuple, dict[Any, float]] = {}
-    for s in cube.strata:
-        for z in cube.contexts:
-            total = cube.cell_total(s, z)
-            if total == 0:
-                raise EmptyCell(f"no records with stratum={s!r}, context={z!r}")
-            out[(s, z)] = {
-                y: cube.counts.get((s, z, y), 0) / total for y in cube.labels
-            }
-    return out
 
 
 @dataclass(frozen=True)
@@ -466,16 +454,17 @@ def macro_f1(
             raise MissingLabels(
                 f"record {r.record_id!r} lacks a label or a prediction"
             )
-    classes = (
-        list(labels)
-        if labels is not None
-        else list(dict.fromkeys([r.y for r in records] + [r.y_hat for r in records]))
-    )
+    pairs = Counter((r.y, r.y_hat) for r in records)
+    actual, predicted = Counter(), Counter()  # in first-seen order, like pairs
+    for (y, y_hat), k in pairs.items():
+        actual[y] += k
+        predicted[y_hat] += k
+    classes = list(labels) if labels is not None else list({**actual, **predicted})
     scores = []
     for c in classes:
-        tp = sum(1 for r in records if r.y == c and r.y_hat == c)
-        fp = sum(1 for r in records if r.y != c and r.y_hat == c)
-        fn = sum(1 for r in records if r.y == c and r.y_hat != c)
+        tp = pairs[(c, c)]
+        fp = predicted[c] - tp
+        fn = actual[c] - tp
         if tp + fp + fn == 0:
             scores.append(1.0)
         else:

@@ -432,7 +432,8 @@ def test_ooc_run_without_failures_has_no_failure_rate_rows(tmp_path):
 
 
 def test_ooc_run_rows_stay_comparable_when_a_context_fails(tmp_path):
-    # every male note fails the standard arm, so only female notes survive it
+    # every male note fails the standard arm, so only female notes survive it;
+    # macro_f1 alone, since a bias metric refuses such an arm
     task = write_task(
         tmp_path / "task.json",
         mock={"label_rules": [
@@ -442,8 +443,29 @@ def test_ooc_run_rows_stay_comparable_when_a_context_fails(tmp_path):
     records = write_toy_records(tmp_path / "records.jsonl")
     out = tmp_path / "out"
     assert main(["ooc-run", "--task", str(task), "--records", str(records),
-                 "--out-dir", str(out)]) == 0
+                 "--metrics", "macro_f1", "--out-dir", str(out)]) == 0
     rows = load_rows(out / "rows.json")
     assert {r.z_pair for r in rows} == {"female|male"}
     assert main(["report", "--rows", str(out / "rows.json"),
                  "--out-dir", str(tmp_path / "report")]) == 0
+
+
+@pytest.mark.parametrize("metric", ["si_bias", "permutation"])
+def test_ooc_run_refuses_an_arm_that_lost_a_context(tmp_path, capsys, metric):
+    # the mock cannot answer any male note, so the standard arm holds only
+    # female notes and would read as unbiased
+    task = write_task(
+        tmp_path / "task.json",
+        mock={"label_rules": [
+            {"if": {"ctx": "male"}, "label": "maybe"}, {"read": "topic"},
+        ]},
+    )
+    records = write_toy_records(tmp_path / "records.jsonl")
+    code = main(["ooc-run", "--task", str(task), "--records", str(records),
+                 "--metrics", f"{metric},macro_f1", "--permutations", "9",
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "the standard arm lost every record with context male" in err
+    assert "could not parse 'maybe'" in err
+    assert not (tmp_path / "out" / "rows.json").exists()

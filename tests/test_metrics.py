@@ -1,13 +1,19 @@
 """Metric oracles: hand-computed rates, exact laws, calibration behavior."""
 
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stratinv.errors import BalanceError, EmptyCell, MissingLabels, NonBinaryLabel
 from stratinv.metrics import (
     LabeledRecord,
+    SiBiasReport,
+    _bias_table,
+    _random_tables,
     balanced_subsample,
     check_counterfactual_invariance_exact,
     check_positivity,
@@ -274,3 +280,183 @@ def test_si_bias_bounded_and_symmetric(flips):
         for r in records
     ]
     assert si_bias(mirrored).value == pytest.approx(value)
+
+
+# --- reference implementations -----------------------------------------------
+#
+# The loop versions the count-table engine replaced. The engine must agree with
+# them exactly: same floats, same per-stratum order, same errors.
+
+
+def reference_si_bias(records, *, strict_binary=False):
+    if not records:
+        raise MissingLabels("no records")
+    for r in records:
+        if r.y_hat is None:
+            raise MissingLabels(f"record {r.record_id!r} has no prediction")
+    counts = {}
+    strata = list(dict.fromkeys(r.s for r in records))
+    contexts = list(dict.fromkeys(r.z for r in records))
+    labels = list(dict.fromkeys(r.y_hat for r in records))
+    for r in records:
+        key = (r.s, r.z, r.y_hat)
+        counts[key] = counts.get(key, 0) + 1
+    if strict_binary and len(labels) > 2:
+        raise NonBinaryLabel(
+            f"strict binary mode with labels {sorted(map(str, labels))}"
+        )
+
+    def total(s, z):
+        return sum(counts.get((s, z, y), 0) for y in labels)
+
+    for s in strata:
+        for z in contexts:
+            if total(s, z) == 0:
+                raise EmptyCell(f"no records with stratum={s!r}, context={z!r}")
+    per_stratum = []
+    for s in strata:
+        gap = 0.0
+        for z1, z2 in itertools.combinations(contexts, 2):
+            for y in labels:
+                r1 = counts.get((s, z1, y), 0) / total(s, z1)
+                r2 = counts.get((s, z2, y), 0) / total(s, z2)
+                gap = max(gap, abs(r1 - r2))
+        per_stratum.append((s, gap))
+    value = max((g for _, g in per_stratum), default=0.0)
+    return SiBiasReport(value, tuple(per_stratum), len(records))
+
+
+def reference_macro_f1(records, labels=None):
+    classes = (
+        list(labels)
+        if labels is not None
+        else list(dict.fromkeys([r.y for r in records] + [r.y_hat for r in records]))
+    )
+    scores = []
+    for c in classes:
+        tp = sum(1 for r in records if r.y == c and r.y_hat == c)
+        fp = sum(1 for r in records if r.y != c and r.y_hat == c)
+        fn = sum(1 for r in records if r.y == c and r.y_hat != c)
+        if tp + fp + fn == 0:
+            scores.append(1.0)
+        else:
+            scores.append(2 * tp / (2 * tp + fp + fn))
+    return float(np.mean(scores))
+
+
+def reference_permuted_tables(records):
+    """Exact law of each stratum's (context x label) table under the shuffle.
+
+    Every permutation of a stratum's contexts is applied record by record and
+    counted with one bincount, as the per-record permutation loop did.
+    """
+    strata = list(dict.fromkeys(r.s for r in records))
+    contexts = list(dict.fromkeys(r.z for r in records))
+    labels = list(dict.fromkeys(r.y_hat for r in records))
+    laws = []
+    for s in strata:
+        zi = [contexts.index(r.z) for r in records if r.s == s]
+        yi = np.array([labels.index(r.y_hat) for r in records if r.s == s])
+        law = Counter()
+        perms = list(itertools.permutations(zi))
+        for perm in perms:
+            flat = np.array(perm) * len(labels) + yi
+            cell = np.bincount(flat, minlength=len(contexts) * len(labels))
+            law[tuple(cell.tolist())] += 1 / len(perms)
+        laws.append(law)
+    return laws
+
+
+_cells = st.lists(
+    st.tuples(
+        st.sampled_from([None, "s0", "s1", 2]),
+        st.sampled_from(["za", "zb", "zc"]),
+        st.sampled_from(["0", "1", "2", None]),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells=_cells, strict=st.booleans())
+# 3/5 rounds differently from 3 * (1/5), so the rates must be divided alike
+@example(cells=[("s", "za", "1")] * 3 + [("s", "za", "0")] * 2 + [("s", "zb", "0")],
+         strict=False)
+def test_si_bias_matches_the_loop_reference(cells, strict):
+    records = [rec(i, s, z, y_hat) for i, (s, z, y_hat) in enumerate(cells)]
+    try:
+        expected = reference_si_bias(records, strict_binary=strict)
+    except (MissingLabels, NonBinaryLabel, EmptyCell) as exc:
+        with pytest.raises(type(exc)) as got:
+            si_bias(records, strict_binary=strict)
+        assert str(got.value) == str(exc)
+        return
+    report = si_bias(records, strict_binary=strict)
+    assert repr(report.value) == repr(expected.value)
+    assert repr(report.per_stratum) == repr(expected.per_stratum)
+    assert report.n == expected.n
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pairs=st.lists(
+        st.tuples(st.sampled_from(["a", "b", "c"]), st.sampled_from(["a", "b", "d"])),
+        min_size=1, max_size=30,
+    ),
+    labels=st.none() | st.lists(st.sampled_from(["a", "b", "c", "d", "e"]),
+                                min_size=1, max_size=5, unique=True),
+)
+def test_macro_f1_matches_the_loop_reference(pairs, labels):
+    records = [rec(i, "s", "z", y_hat, y=y) for i, (y, y_hat) in enumerate(pairs)]
+    assert repr(macro_f1(records, labels)) == repr(
+        reference_macro_f1(records, labels)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.tuples(
+        st.integers(1, 3), st.integers(1, 4), st.integers(1, 4), st.integers(1, 5)
+    ),
+    data=st.data(),
+)
+def test_random_tables_keep_every_stratum_margin(shape, data):
+    n_s, n_z, n_y, size = shape
+    flat = data.draw(st.lists(st.integers(0, 6), min_size=n_s * n_z * n_y,
+                              max_size=n_s * n_z * n_y))
+    counts = np.array(flat, dtype=np.int64).reshape(n_s, n_z, n_y)
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    tables = _random_tables(
+        counts.sum(axis=2), counts.sum(axis=1), size, np.random.default_rng(seed)
+    )
+    assert tables.shape == (size, n_s, n_z, n_y)
+    assert (tables >= 0).all()
+    assert (tables.sum(axis=3) == counts.sum(axis=2)).all()
+    assert (tables.sum(axis=2) == counts.sum(axis=1)).all()
+
+
+def test_random_tables_follow_the_exact_permutation_law():
+    # two strata small enough to enumerate every within-stratum permutation
+    records = [
+        rec(i, "s0", z, y_hat)
+        for i, (z, y_hat) in enumerate(
+            zip(["za", "za", "za", "zb", "zb", "zc"], ["0", "0", "1", "1", "2", "2"])
+        )
+    ] + [
+        rec(10 + i, "s1", z, y_hat)
+        for i, (z, y_hat) in enumerate(
+            zip(["za", "zb", "zb", "zc", "zc"], ["0", "1", "1", "1", "0"])
+        )
+    ]
+    laws = reference_permuted_tables(records)
+    counts, _report = _bias_table(records)
+    draws = 20_000
+    tables = _random_tables(
+        counts.sum(axis=2), counts.sum(axis=1), draws, np.random.default_rng(20)
+    )
+    for k, law in enumerate(laws):
+        seen = Counter(tuple(t.ravel().tolist()) for t in tables[:, k])
+        assert set(seen) <= set(law)
+        for table, p in law.items():
+            se = np.sqrt(p * (1 - p) / draws)
+            assert abs(seen[table] / draws - p) <= 5 * se, (k, table)
