@@ -13,7 +13,6 @@ from .augment import (
     Aggregator,
     AugmentedPredictor,
     AugmentResult,
-    ConditionalSampler,
     ContextRecoverer,
     IdentitySampler,
     ReplicateTrace,
@@ -22,7 +21,6 @@ from .augment import (
     augmented_kernel,
     exact_augmented_distribution,
     hoeffding_envelope,
-    max_context_deviation,
 )
 from .causal_graph import (
     LATENT,
@@ -78,6 +76,7 @@ from .metrics import (
     exact_prediction_law,
     load_records,
     macro_f1,
+    max_context_deviation,
     potential_prediction_map,
     si_bias,
 )
@@ -107,13 +106,11 @@ from .scm import (
     World,
     dump_scm,
     enumerate_joint,
-    exact_recoverer,
     load_scm,
     observed,
     potential,
     sample_world,
     scm_from_tables,
-    true_conditional_sampler,
 )
 from .structured import StructuredText, is_structured, parse_structured
 

@@ -13,13 +13,14 @@ form so the constancy can be asserted to machine precision.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from .errors import AmbiguousContext, SamplerFailure
 from .scm import AMBIGUOUS, DiscreteScm
-from . import metrics as metrics_mod
+# max_context_deviation lives with the exact checks and is public here too
+from .metrics import exact_prediction_law, max_context_deviation  # noqa: F401
 
 
 class ContextRecoverer:
@@ -30,16 +31,6 @@ class ContextRecoverer:
 
     def recover(self, x, s):
         return self._fn(x, s)
-
-
-class ConditionalSampler:
-    """Wraps a draw(x, s, z_plus, rng) -> x_plus callable."""
-
-    def __init__(self, fn: Callable[[Any, Any, Any, np.random.Generator], Any]):
-        self._fn = fn
-
-    def draw(self, x, s, z_plus, rng):
-        return self._fn(x, s, z_plus, rng)
 
 
 class IdentitySampler:
@@ -209,27 +200,7 @@ def exact_augmented_distribution(
     result is a {(z, s): {label: prob}} table; under the exact sampler and a
     recoverable context it is constant in z for every s.
     """
-    return metrics_mod.exact_prediction_law(model, augmented_kernel(ap))
-
-
-def max_context_deviation(table: Mapping[tuple, Mapping[Any, float]]) -> float:
-    """Largest |P(y|z1,s) - P(y|z2,s)| across the table; 0 means invariant."""
-    strata = {s for (_z, s) in table}
-    zs = list(dict.fromkeys(z for (z, _s) in table))
-    labels = {y for law in table.values() for y in law}
-    dev = 0.0
-    for s in strata:
-        for i, z1 in enumerate(zs):
-            for z2 in zs[i + 1 :]:
-                for y in labels:
-                    dev = max(
-                        dev,
-                        abs(
-                            table[(z1, s)].get(y, 0.0)
-                            - table[(z2, s)].get(y, 0.0)
-                        ),
-                    )
-    return dev
+    return exact_prediction_law(model, augmented_kernel(ap))
 
 
 def hoeffding_envelope(n: int, n_strata: int, n_contexts: int) -> float:

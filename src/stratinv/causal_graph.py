@@ -126,20 +126,6 @@ class CausalDag:
             raise GraphError("graph has a directed cycle")
         return order
 
-    def topological_order(self) -> list[str]:
-        """Deterministic topological order (declaration order as tie-break)."""
-        remaining = {n for n, _ in self.nodes}
-        placed: list[str] = []
-        while remaining:
-            for n, _ in self.nodes:
-                if n in remaining and self.parents(n) <= set(placed):
-                    placed.append(n)
-                    remaining.discard(n)
-                    break
-            else:  # pragma: no cover - __post_init__ already rejects cycles
-                raise GraphError("graph has a directed cycle")
-        return placed
-
     def drop_edges(self, removed: Iterable[tuple[str, str]]) -> "CausalDag":
         gone = set(removed)
         return CausalDag(self.nodes, tuple(e for e in self.edges if e not in gone))
@@ -249,9 +235,6 @@ class AdjustmentReport:
     valid: bool
     reasons: tuple[str, ...]
     open_path_names: tuple[str, ...]
-
-    def explanation(self) -> str:
-        return "; ".join(self.reasons)
 
 
 def _forbidden_for(g: CausalDag, treatment: str, outcome: str) -> frozenset[str]:

@@ -1,10 +1,10 @@
-"""Synthetic model families, base predictors and task set-ups for tests and demos.
+"""Synthetic model families and base predictors for tests and demos.
 
 Everything here is deterministic given a seed.  The families cover the shapes
 the verification suite needs: randomized small models for exact-law checks,
 full-support models for sampled checks, structure/stratifier pairs whose
-adjustment status is known, a three-factor chain for the stratification ladder,
-and a structured text task driving the mock chat service end to end.
+adjustment status is known, and a three-factor chain for the stratification
+ladder.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ import numpy as np
 
 from . import causal_graph as cg
 from .errors import ZeroMassStratum
-from .mock import LabelRule
-from .ooc import TaskConfig
 from .scm import (
     DiscreteScm,
     FiniteDomain,
@@ -219,7 +217,7 @@ def _has_full_support(scm: DiscreteScm) -> bool:
     try:
         for s in stratum_values(scm):
             for z in scm.z_domain.values:
-                conditional_world_table(scm, stratum=s, z=z)
+                conditional_world_table(scm, s, z)
     except ZeroMassStratum:
         return False
     return True
@@ -518,98 +516,3 @@ def chain_fixture(level: int) -> DiscreteScm:
         x_table, y_table, s_table, y_values=(0, 1),
         s_values=tuple(sorted(set(s_table.values()))),
     )
-
-
-# ---------------------------------------------------------------------------
-# Mock chat task
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OocFixture:
-    scm: DiscreteScm
-    task: TaskConfig
-
-
-def ooc_fixture(
-    data_contexts: tuple[str, str] = ("a", "b"),
-    sampled_contexts: tuple[str, ...] = ("unknown", "removed"),
-) -> OocFixture:
-    """Structured notes task where the plain predictor reads the context.
-
-    Notes carry a context token, an ambiguity flag, the topic bit, and a
-    stratum token combining flag and topic.  The mock reads the topic on
-    clear notes; on ambiguous notes it answers from the context when it
-    recognizes it and answers 0 otherwise.  With the default disjoint
-    sampled contexts, every rewritten note falls out of the
-    context-reading branch: context-driven errors (half the ambiguous
-    notes, all on one side) become context-free errors (the ambiguous-1
-    notes), equal in number but balanced across contexts.  Passing
-    ``sampled_contexts`` equal to ``data_contexts`` instead reproduces
-    plain context resampling, which the augmentation module can replay
-    exactly; multi-letter context words like ``za`` avoid collisions with
-    the rewrite-instruction wording the mock scans.
-    """
-    flags = ("amb", "clear")
-    bits = ("0", "1")
-    u_domains = (FiniteDomain("u1", flags), FiniteDomain("u2", bits))
-    u_grid = list(itertools.product(flags, bits))
-    contexts = tuple(data_contexts)
-    p_u = _uniform_p_u(u_grid)
-    p_z = {(): {contexts[0]: 0.5, contexts[1]: 0.5}}
-    x_table: dict[str, str] = {}
-    y_table: dict[str, str] = {}
-    s_table: dict[str, str] = {}
-    for z in contexts:
-        for flag, bit in u_grid:
-            x_table[_tkey(z, flag, bit)] = (
-                f"ctx={z} s={flag}{bit} kind={flag} topic={bit} "
-                "pad=0 clinic note"
-            )
-            y_table[_tkey(z, flag, bit)] = bit
-            s_table[_tkey(z, flag, bit, bit)] = f"{flag}{bit}"
-    scm = scm_from_tables(
-        u_domains, FiniteDomain("z", contexts), p_u, (), p_z,
-        x_table, y_table, s_table, y_values=("0", "1"),
-        s_values=("amb0", "amb1", "clear0", "clear1"),
-    )
-    task = TaskConfig(
-        name="structured-notes",
-        contexts=tuple(sampled_contexts),
-        z_description="The channel marker token at the front of the note",
-        s_description="A synthetic clinic note of kind {S_lm}",
-        labels=("0", "1"),
-        standard_prompt=(
-            "You will be provided with a synthetic clinic note, and your task "
-            "is to classify whether its topic indicator is 1 or 0."
-        ),
-        strata=("amb0", "amb1", "clear0", "clear1"),
-        stratifier_question="Which kind of note is this?",
-        m=3,
-        mock={
-            "label_rules": [
-                {"if": {"ctx": contexts[0], "kind": "amb"}, "label": "1"},
-                {"if": {"ctx": contexts[1], "kind": "amb"}, "label": "0"},
-                {"if": {"kind": "amb"}, "label": "0"},
-                {"read": "topic"},
-            ],
-        },
-    )
-    return OocFixture(scm, task)
-
-
-def mock_label_fn(task: TaskConfig) -> Callable:
-    """The mock service's label decision table as a plain x-only predictor.
-
-    Lets the augmentation module replay exactly what the chat pipeline's
-    final prediction call would answer on any rewritten text.
-    """
-    rules = tuple(LabelRule.from_dict(d) for d in task.mock["label_rules"])
-
-    def fn(x) -> str:
-        st = parse_structured(x)
-        for rule in rules:
-            if rule.matches(st):
-                return rule.answer(st)
-        return "unknown"
-
-    return fn

@@ -188,11 +188,10 @@ def exact_prediction_law(
     predictors enter through their conditional law, which is exactly the
     seed-stream lifting of a stochastic predictor.
     """
-    worlds = scm_mod.enumerate_joint(model)
+    index = model.index
     s_mass: dict[Any, float] = {}
     by_stratum: dict[Any, list[tuple[scm_mod.World, float]]] = {}
-    for w, m in worlds:
-        s_obs = scm_mod.observed(model, w)[2]
+    for (w, m), s_obs in zip(index.worlds, index.strata):
         s_mass[s_obs] = s_mass.get(s_obs, 0.0) + m
         by_stratum.setdefault(s_obs, []).append((w, m))
     table: dict[tuple, dict[Any, float]] = {}
@@ -222,16 +221,28 @@ def check_stratified_invariance_exact(
                 f"strata {skipped!r} have zero mass and were skipped",
                 stacklevel=2,
             )
-    deviation = 0.0
-    labels = {y for law in table.values() for y in law}
-    for s in strata:
-        for z1, z2 in itertools.combinations(model.z_domain.values, 2):
-            for y in labels:
-                gap = abs(
-                    table[(z1, s)].get(y, 0.0) - table[(z2, s)].get(y, 0.0)
-                )
-                deviation = max(deviation, gap)
+    deviation = max_context_deviation(table)
     return InvarianceReport(deviation <= tol, deviation, tol, table, skipped)
+
+
+def max_context_deviation(table: Mapping[tuple, Mapping[Any, float]]) -> float:
+    """Largest |P(y|z1,s) - P(y|z2,s)| across the table; 0 means invariant."""
+    strata = {s for (_z, s) in table}
+    zs = list(dict.fromkeys(z for (z, _s) in table))
+    labels = {y for law in table.values() for y in law}
+    dev = 0.0
+    for s in strata:
+        for i, z1 in enumerate(zs):
+            for z2 in zs[i + 1 :]:
+                for y in labels:
+                    dev = max(
+                        dev,
+                        abs(
+                            table[(z1, s)].get(y, 0.0)
+                            - table[(z2, s)].get(y, 0.0)
+                        ),
+                    )
+    return dev
 
 
 @dataclass(frozen=True)
@@ -254,8 +265,8 @@ def check_counterfactual_invariance_exact(
     agree_mass = 0.0
     total = 0.0
     zs = model.z_domain.values
-    for w, m in scm_mod.enumerate_joint(model):
-        s_obs = scm_mod.observed(model, w)[2]
+    index = model.index
+    for (w, m), s_obs in zip(index.worlds, index.strata):
         labels = [predictor(model.x_fn(z, w.u), s_obs) for z in zs]
         total += m
         if all(lab == labels[0] for lab in labels):
@@ -410,8 +421,8 @@ def check_positivity(source, z_values: Sequence | None = None) -> PositivityRepo
         zs = list(z_values) if z_values is not None else list(source.z_domain.values)
         mass: dict[tuple, float] = {}
         s_total: dict[Any, float] = {}
-        for w, m in scm_mod.enumerate_joint(source):
-            s_obs = scm_mod.observed(source, w)[2]
+        index = source.index
+        for (w, m), s_obs in zip(index.worlds, index.strata):
             mass[(s_obs, w.z)] = mass.get((s_obs, w.z), 0.0) + m
             s_total[s_obs] = s_total.get(s_obs, 0.0) + m
         strata = list(s_total)
@@ -486,9 +497,11 @@ def balanced_subsample(
     """
     if rng is None or isinstance(rng, int):
         rng = np.random.default_rng(rng)
-    records = list(records)
-    strata = list(dict.fromkeys(r.s for r in records))
-    contexts = list(dict.fromkeys(r.z for r in records))
+    cells: dict[tuple, list[LabeledRecord]] = {}
+    for r in records:
+        cells.setdefault((r.s, r.z), []).append(r)
+    strata = list(dict.fromkeys(s for s, _z in cells))
+    contexts = list(dict.fromkeys(z for _s, z in cells))
     per_cell = n // (len(strata) * len(contexts))
     if per_cell < 1:
         raise BalanceError(
@@ -498,7 +511,7 @@ def balanced_subsample(
     out: list[LabeledRecord] = []
     for s in strata:
         for z in contexts:
-            cell = [r for r in records if r.s == s and r.z == z]
+            cell = cells.get((s, z), [])
             if len(cell) < per_cell:
                 raise BalanceError(
                     f"cell (s={s!r}, z={z!r}) has {len(cell)} records, "

@@ -254,36 +254,6 @@ def render_template(body: str, values: Mapping[str, str]) -> str:
     return _PLACEHOLDER_RE.sub(_sub, body)
 
 
-@dataclass(frozen=True)
-class PromptTemplate:
-    """A named template body tagged with the pipeline role it serves."""
-
-    name: str
-    body: str
-    role: str  # obfuscate | add | rewrite | predict_label | predict_stratifier
-
-    def render(self, values: Mapping[str, str]) -> str:
-        return render_template(self.body, values)
-
-
-@dataclass(frozen=True)
-class PromptPool:
-    """Instruction alternatives for one role; sampled uniformly at use time."""
-
-    role: str
-    prompts: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.prompts:
-            raise TemplateError(f"empty prompt pool for role {self.role!r}")
-
-    def __len__(self) -> int:
-        return len(self.prompts)
-
-    def draw(self, rng: np.random.Generator) -> str:
-        return self.prompts[int(rng.integers(len(self.prompts)))]
-
-
 # ---------------------------------------------------------------------------
 # Task configuration
 # ---------------------------------------------------------------------------
@@ -356,10 +326,6 @@ class TaskConfig:
     @property
     def z_domain(self) -> FiniteDomain:
         return FiniteDomain("context", self.contexts)
-
-    @property
-    def label_domain(self) -> FiniteDomain:
-        return FiniteDomain("label", self.labels)
 
     @property
     def requires_stratum(self) -> bool:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping
 
@@ -153,6 +153,11 @@ class DiscreteScm:
             n *= len(d)
         return n
 
+    @cached_property
+    def index(self) -> "WorldIndex":
+        """The model's enumeration index; see WorldIndex."""
+        return WorldIndex(self)
+
 
 def _check_rows(rows: Mapping[tuple, Mapping[Any, float]], what: str) -> None:
     for key, row in rows.items():
@@ -167,36 +172,93 @@ def _check_rows(rows: Mapping[tuple, Mapping[Any, float]], what: str) -> None:
             )
 
 
-# --- enumeration and potentials --------------------------------------------
+# --- the enumeration index and potentials -----------------------------------
 
 
-@lru_cache(maxsize=None)
-def enumerate_joint(
-    scm: DiscreteScm, cap: int = ENUMERATION_CAP
-) -> tuple[tuple[World, float], ...]:
-    """All positive-mass worlds with their exact probabilities.
+class WorldIndex:
+    """One model's worlds and the maps every exact consumer reads.
 
-    Raises EnumerationTooLarge before materializing anything if the world
-    count |Z| * prod |Ui| exceeds the cap.
+    Each part is built on first use and kept with the model (``scm.index``),
+    so the worlds are walked once however many recoverers, samplers and
+    checks read them, and the index goes when the model does.
     """
-    if scm.n_worlds() > cap:
-        raise EnumerationTooLarge(
-            f"{scm.n_worlds()} worlds exceed the cap of {cap}"
-        )
-    out = []
-    for u in itertools.product(*(d.values for d in scm.u_domains)):
-        pu = scm.p_u[u]
-        if pu == 0.0:
-            continue
-        row = scm.z_row(u)
-        for z in scm.z_domain.values:
-            mass = pu * row[z]
-            if mass > 0.0:
-                out.append((World(u=u, z=z), mass))
-    total = sum(m for _, m in out)
-    if abs(total - 1.0) > 1e-9:
-        raise DomainMismatch(f"joint mass sums to {total!r}")
-    return tuple(out)
+
+    def __init__(self, scm: DiscreteScm):
+        self._scm = scm
+
+    @cached_property
+    def worlds(self) -> tuple[tuple[World, float], ...]:
+        """All positive-mass worlds with their exact probabilities.
+
+        Raises EnumerationTooLarge before materializing anything if the world
+        count |Z| * prod |Ui| exceeds ENUMERATION_CAP.
+        """
+        scm = self._scm
+        if scm.n_worlds() > ENUMERATION_CAP:
+            raise EnumerationTooLarge(
+                f"{scm.n_worlds()} worlds exceed the cap of {ENUMERATION_CAP}"
+            )
+        out = []
+        for u in itertools.product(*(d.values for d in scm.u_domains)):
+            pu = scm.p_u[u]
+            if pu == 0.0:
+                continue
+            row = scm.z_row(u)
+            for z in scm.z_domain.values:
+                mass = pu * row[z]
+                if mass > 0.0:
+                    out.append((World(u=u, z=z), mass))
+        total = sum(m for _, m in out)
+        if abs(total - 1.0) > 1e-9:
+            raise DomainMismatch(f"joint mass sums to {total!r}")
+        return tuple(out)
+
+    @cached_property
+    def strata(self) -> tuple:
+        """The observed stratum of each world, in world order."""
+        return tuple(observed(self._scm, w)[2] for w, _ in self.worlds)
+
+    @cached_property
+    def evidence(self) -> dict[tuple, list[int]]:
+        """(x at z, observed s, z) -> positions of the worlds showing it."""
+        x_fn, zs = self._scm.x_fn, self._scm.z_domain.values
+        out: dict[tuple, list[int]] = {}
+        for i, ((w, _mass), s_obs) in enumerate(zip(self.worlds, self.strata)):
+            for z in zs:
+                out.setdefault((x_fn(z, w.u), s_obs, z), []).append(i)
+        return out
+
+    def consistent_contexts(self, x, s) -> list:
+        """Contexts z, in domain order, under which some world shows x and s."""
+        evidence = self.evidence
+        return [z for z in self._scm.z_domain.values if (x, s, z) in evidence]
+
+    @cached_property
+    def groups(self) -> dict[tuple, tuple[tuple[World, ...], np.ndarray]]:
+        """(observed s, z) -> its worlds and their normalized masses."""
+        members: dict[tuple, tuple[list, list]] = {}
+        for (w, mass), s_obs in zip(self.worlds, self.strata):
+            worlds, masses = members.setdefault((s_obs, w.z), ([], []))
+            worlds.append(w)
+            masses.append(mass)
+        out = {}
+        for key, (worlds, masses) in members.items():
+            p = np.array(masses, dtype=float)
+            out[key] = (tuple(worlds), p / p.sum())
+        return out
+
+    @cached_property
+    def u_table(self) -> tuple[list[tuple], np.ndarray]:
+        """Every factor tuple and its normalized probability, for sampling;
+        needs no enumeration, so models beyond the cap can still be sampled."""
+        us = list(itertools.product(*(d.values for d in self._scm.u_domains)))
+        pu = np.array([self._scm.p_u[u] for u in us], dtype=float)
+        return us, pu / pu.sum()
+
+
+def enumerate_joint(scm: DiscreteScm) -> tuple[tuple[World, float], ...]:
+    """All positive-mass worlds with their exact probabilities."""
+    return scm.index.worlds
 
 
 def potential(scm: DiscreteScm, world: World, z_star: Any) -> tuple:
@@ -221,20 +283,11 @@ def observed(scm: DiscreteScm, world: World) -> tuple:
     return potential(scm, world, world.z)
 
 
-def label_values(scm: DiscreteScm) -> tuple:
-    """Label domain: declared order, or first-seen enumeration order."""
-    if scm.y_values is not None:
-        return tuple(scm.y_values)
-    seen = list(dict.fromkeys(observed(scm, w)[1] for w, _ in enumerate_joint(scm)))
-    return tuple(seen)
-
-
 def stratum_values(scm: DiscreteScm) -> tuple:
     """Stratum domain: declared order, or first-seen enumeration order."""
     if scm.s_values is not None:
         return tuple(scm.s_values)
-    seen = list(dict.fromkeys(observed(scm, w)[2] for w, _ in enumerate_joint(scm)))
-    return tuple(seen)
+    return tuple(dict.fromkeys(scm.index.strata))
 
 
 # --- sampling ---------------------------------------------------------------
@@ -242,7 +295,7 @@ def stratum_values(scm: DiscreteScm) -> tuple:
 
 def sample_world(scm: DiscreteScm, rng: np.random.Generator) -> World:
     """Draw one world: u ~ p_u, then z from its conditional row."""
-    us, pu = _u_arrays(scm)
+    us, pu = scm.index.u_table
     u = us[rng.choice(len(us), p=pu)]
     row = scm.z_row(u)
     zs = scm.z_domain.values
@@ -251,35 +304,18 @@ def sample_world(scm: DiscreteScm, rng: np.random.Generator) -> World:
     return World(u=u, z=z)
 
 
-@lru_cache(maxsize=None)
-def _u_arrays(scm: DiscreteScm):
-    us = list(itertools.product(*(d.values for d in scm.u_domains)))
-    pu = np.array([scm.p_u[u] for u in us], dtype=float)
-    return us, pu / pu.sum()
-
-
-_ANY = object()
-
-
-@lru_cache(maxsize=None)
-def conditional_world_table(scm: DiscreteScm, stratum=_ANY, z=_ANY):
+def conditional_world_table(scm: DiscreteScm, stratum, z):
     """Worlds and normalized masses matching the observed (s, z) evidence."""
-    worlds, probs = [], []
-    for w, mass in enumerate_joint(scm):
-        if z is not _ANY and w.z != z:
-            continue
-        if stratum is not _ANY and observed(scm, w)[2] != stratum:
-            continue
-        worlds.append(w)
-        probs.append(mass)
-    if not worlds:
-        raise ZeroMassStratum(f"no world with stratum={stratum!r}, z={z!r}")
-    p = np.array(probs, dtype=float)
-    return tuple(worlds), p / p.sum()
+    try:
+        return scm.index.groups[(stratum, z)]
+    except KeyError:
+        raise ZeroMassStratum(
+            f"no world with stratum={stratum!r}, z={z!r}"
+        ) from None
 
 
 def sample_world_conditional(
-    scm: DiscreteScm, rng: np.random.Generator, stratum=_ANY, z=_ANY
+    scm: DiscreteScm, rng: np.random.Generator, stratum, z
 ) -> World:
     worlds, probs = conditional_world_table(scm, stratum, z)
     return worlds[rng.choice(len(worlds), p=probs)]
@@ -298,18 +334,11 @@ class ExactRecoverer:
     """
 
     def __init__(self, scm: DiscreteScm):
-        self._index: dict[tuple, set] = {}
-        for w, _mass in enumerate_joint(scm):
-            s_obs = observed(scm, w)[2]
-            for z in scm.z_domain.values:
-                x_pot = scm.x_fn(z, w.u)
-                self._index.setdefault((x_pot, s_obs), set()).add(z)
+        self._index = scm.index
 
     def recover(self, x, s):
-        candidates = self._index.get((x, s), set())
-        if len(candidates) == 1:
-            return next(iter(candidates))
-        return AMBIGUOUS
+        found = self._index.consistent_contexts(x, s)
+        return found[0] if len(found) == 1 else AMBIGUOUS
 
     def __call__(self, x, s):
         return self.recover(x, s)
@@ -326,20 +355,11 @@ class ExactConditionalSampler:
 
     def __init__(self, scm: DiscreteScm):
         self.scm = scm
-        self._worlds = enumerate_joint(scm)
-        self._s_obs = [observed(scm, w)[2] for w, _ in self._worlds]
-        # (x at z, observed s, z) -> world indices
-        self._evidence: dict[tuple, list[int]] = {}
-        for i, (w, _mass) in enumerate(self._worlds):
-            for z in scm.z_domain.values:
-                key = (scm.x_fn(z, w.u), self._s_obs[i], z)
-                self._evidence.setdefault(key, []).append(i)
+        self._index = scm.index
         self._tables: dict[tuple, tuple[tuple, np.ndarray]] = {}
 
     def recover(self, x, s):
-        found = [
-            z for z in self.scm.z_domain.values if (x, s, z) in self._evidence
-        ]
+        found = self._index.consistent_contexts(x, s)
         if not found:
             raise InconsistentEvidence(f"no world consistent with x={x!r}, s={s!r}")
         if len(found) > 1:
@@ -356,11 +376,11 @@ class ExactConditionalSampler:
         if z_plus not in self.scm.z_domain:
             raise DomainMismatch(f"context {z_plus!r} outside the domain")
         z0 = self.recover(x, s)
-        idx = self._evidence[(x, s, z0)]
+        worlds = self._index.worlds
         mass: dict[Any, float] = {}
         total = 0.0
-        for i in idx:
-            w, m = self._worlds[i]
+        for i in self._index.evidence[(x, s, z0)]:
+            w, m = worlds[i]
             xp = self.scm.x_fn(z_plus, w.u)
             mass[xp] = mass.get(xp, 0.0) + m
             total += m
@@ -372,16 +392,6 @@ class ExactConditionalSampler:
     def draw(self, x, s, z_plus, rng: np.random.Generator):
         values, probs = self.conditional_table(x, s, z_plus)
         return values[rng.choice(len(values), p=probs)]
-
-
-def true_conditional_sampler(scm: DiscreteScm) -> ExactConditionalSampler:
-    """The exact conditional input sampler for a fixture model."""
-    return ExactConditionalSampler(scm)
-
-
-def exact_recoverer(scm: DiscreteScm) -> ExactRecoverer:
-    """The enumeration-backed context recoverer for a fixture model."""
-    return ExactRecoverer(scm)
 
 
 # --- table-backed construction and JSON io ----------------------------------

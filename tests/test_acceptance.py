@@ -57,12 +57,12 @@ from stratinv.ooc import (
     render_transform_prompt,
 )
 from stratinv.scm import (
+    ExactConditionalSampler,
+    ExactRecoverer,
     enumerate_joint,
-    exact_recoverer,
     observed,
     sample_world_conditional,
     stratum_values,
-    true_conditional_sampler,
 )
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -78,8 +78,8 @@ def _verdict(capsys, criterion: int, ok: bool, detail: str) -> None:
 
 def _exact_ap(scm, base, **kw) -> AugmentedPredictor:
     return AugmentedPredictor(
-        recoverer=exact_recoverer(scm),
-        sampler=true_conditional_sampler(scm),
+        recoverer=ExactRecoverer(scm),
+        sampler=ExactConditionalSampler(scm),
         base=base,
         contexts=tuple(scm.z_domain.values),
         **kw,
@@ -146,7 +146,7 @@ def test_criterion_2_sampled_bias_stays_inside_envelope(capsys):
     # context-reading base fully exposed, far outside the envelope
     control_scm = sampled_fixture_suite()[0].scm
     control = AugmentedPredictor(
-        recoverer=exact_recoverer(control_scm),
+        recoverer=ExactRecoverer(control_scm),
         sampler=IdentitySampler(),
         base=ctx_reader,
         contexts=tuple(control_scm.z_domain.values),

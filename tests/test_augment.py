@@ -19,14 +19,14 @@ from stratinv.augment import (
 )
 from stratinv.errors import AmbiguousContext, SamplerFailure
 from stratinv.fixtures import chain_fixture, ctx_reader, r_reader, u1_reader
-from stratinv.scm import AMBIGUOUS, exact_recoverer, true_conditional_sampler
+from stratinv.scm import AMBIGUOUS, ExactConditionalSampler, ExactRecoverer
 from tests_support import tiny_confounded
 
 
 def exact_ap(scm, base, **kw):
     return AugmentedPredictor(
-        recoverer=exact_recoverer(scm),
-        sampler=true_conditional_sampler(scm),
+        recoverer=ExactRecoverer(scm),
+        sampler=ExactConditionalSampler(scm),
         base=base,
         contexts=tuple(scm.z_domain.values),
         **kw,
@@ -58,7 +58,7 @@ def test_augment_predict_replays_exactly():
 def test_identity_sampler_passes_input_through():
     scm = tiny_confounded()
     ap = AugmentedPredictor(
-        recoverer=exact_recoverer(scm),
+        recoverer=ExactRecoverer(scm),
         sampler=IdentitySampler(),
         base=ctx_reader,
         contexts=("za", "zb"),
@@ -121,7 +121,7 @@ def test_augmented_kernel_matches_sampled_frequencies():
 def test_augmented_kernel_requires_exact_sampler():
     scm = tiny_confounded()
     ap = AugmentedPredictor(
-        recoverer=exact_recoverer(scm),
+        recoverer=ExactRecoverer(scm),
         sampler=IdentitySampler(),
         base=ctx_reader,
         contexts=("za", "zb"),
@@ -151,7 +151,7 @@ def test_exact_distribution_even_for_context_reader():
 
 def test_sampler_failures_drop_replicates():
     scm = tiny_confounded()
-    inner = true_conditional_sampler(scm)
+    inner = ExactConditionalSampler(scm)
 
     class Flaky:
         def draw(self, x, s, z_plus, rng):
@@ -160,7 +160,7 @@ def test_sampler_failures_drop_replicates():
             return inner.draw(x, s, z_plus, rng)
 
     ap = AugmentedPredictor(
-        recoverer=exact_recoverer(scm),
+        recoverer=ExactRecoverer(scm),
         sampler=Flaky(),
         base=u1_reader,
         contexts=("za", "zb"),
@@ -180,7 +180,7 @@ def test_all_failures_reraise():
             raise RuntimeError("down")
 
     ap = AugmentedPredictor(
-        recoverer=exact_recoverer(scm),
+        recoverer=ExactRecoverer(scm),
         sampler=Broken(),
         base=u1_reader,
         contexts=("za", "zb"),
@@ -194,7 +194,7 @@ def test_ambiguous_context_fails_the_call():
     scm = tiny_confounded()
     ap = AugmentedPredictor(
         recoverer=ContextRecoverer(lambda x, s: AMBIGUOUS),
-        sampler=true_conditional_sampler(scm),
+        sampler=ExactConditionalSampler(scm),
         base=u1_reader,
         contexts=("za", "zb"),
     )

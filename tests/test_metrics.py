@@ -344,6 +344,31 @@ def reference_macro_f1(records, labels=None):
     return float(np.mean(scores))
 
 
+def reference_balanced_subsample(records, n, rng):
+    """The per-cell scan: every record is visited once per (s, z) cell."""
+    records = list(records)
+    strata = list(dict.fromkeys(r.s for r in records))
+    contexts = list(dict.fromkeys(r.z for r in records))
+    per_cell = n // (len(strata) * len(contexts))
+    if per_cell < 1:
+        raise BalanceError(
+            f"n={n} gives an empty per-cell quota for "
+            f"{len(strata)}x{len(contexts)} cells"
+        )
+    out = []
+    for s in strata:
+        for z in contexts:
+            cell = [r for r in records if r.s == s and r.z == z]
+            if len(cell) < per_cell:
+                raise BalanceError(
+                    f"cell (s={s!r}, z={z!r}) has {len(cell)} records, "
+                    f"needs {per_cell}"
+                )
+            picked = rng.choice(len(cell), size=per_cell, replace=False)
+            out.extend(cell[i] for i in sorted(picked))
+    return out
+
+
 def reference_permuted_tables(records):
     """Exact law of each stratum's (context x label) table under the shuffle.
 
@@ -411,6 +436,30 @@ def test_macro_f1_matches_the_loop_reference(pairs, labels):
     assert repr(macro_f1(records, labels)) == repr(
         reference_macro_f1(records, labels)
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    cells=st.lists(
+        st.tuples(st.sampled_from([None, "s0", "s1", 2]), st.sampled_from(["za", "zb", 1])),
+        max_size=40,
+    ),
+    n=st.integers(0, 24),
+    seed=st.integers(0, 2**16),
+)
+def test_balanced_subsample_matches_the_loop_reference(cells, n, seed):
+    records = [rec(i, s, z, "1") for i, (s, z) in enumerate(cells)]
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    try:
+        expected = reference_balanced_subsample(records, n, reference_rng)
+    except (BalanceError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)) as got:
+            balanced_subsample(records, n, rng)
+        assert str(got.value) == str(exc)
+        return
+    out = balanced_subsample(records, n, rng)
+    assert [r.record_id for r in out] == [r.record_id for r in expected]
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 @settings(max_examples=200, deadline=None)

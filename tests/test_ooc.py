@@ -24,8 +24,8 @@ from stratinv.ooc import (
     PROXY_CAVEAT,
     REWRITE_PROMPTS,
     SAFETY_PROMPTS,
-    PromptPool,
     TaskConfig,
+    _draw_instruction,
     add_context,
     builtin_task,
     builtin_task_names,
@@ -109,17 +109,24 @@ def test_unknown_braces_survive_and_values_are_literal():
 
 
 def test_prompt_pool_uniform_draws():
-    pool = PromptPool("add", ("p0", "p1", "p2"))
+    pool = ("p0", "p1", "p2")
+    cfg = toy_task(add_prompts=pool)
     rng = np.random.default_rng(0)
     n = 10_000
-    counts = {p: 0 for p in pool.prompts}
+    counts = {p: 0 for p in pool}
     for _ in range(n):
-        counts[pool.draw(rng)] += 1
+        instruction, seed = _draw_instruction(cfg, cfg.add_prompts, rng)
+        counts[instruction] += 1
+        assert seed is None  # no request seed at temperature 0
     sigma = (2 / 9 / n) ** 0.5
     for c in counts.values():
         assert abs(c / n - 1 / 3) <= 3 * sigma
-    with pytest.raises(TemplateError):
-        PromptPool("add", ())
+
+
+@pytest.mark.parametrize("pool", ["obfuscate_prompts", "add_prompts", "rewrite_prompts"])
+def test_task_rejects_an_empty_prompt_pool(pool):
+    with pytest.raises(ValueError, match=f"{pool} must be nonempty"):
+        toy_task(**{pool: ()})
 
 
 # --- answer parsing ----------------------------------------------------------

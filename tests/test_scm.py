@@ -1,16 +1,24 @@
 """Exact enumeration, recovery and conditional sampling on tiny hand models."""
 
+import dataclasses
+import gc
 import json
+import re
+import weakref
 
 import numpy as np
 import pytest
 
+from stratinv import scm as scm_mod
 from stratinv.errors import (
     AmbiguousContext,
     DomainMismatch,
+    EnumerationTooLarge,
     InconsistentEvidence,
     ZeroMassStratum,
 )
+from stratinv.fixtures import ctx_reader, fixture_suite, random_fixture_scm
+from stratinv.metrics import exact_prediction_law
 from stratinv.scm import (
     AMBIGUOUS,
     DiscreteScm,
@@ -186,8 +194,6 @@ def test_conditional_sampler_ambiguous_context():
 
 
 def test_scm_json_round_trip(tmp_path):
-    from stratinv.fixtures import random_fixture_scm
-
     scm = random_fixture_scm(seed=5, n_contexts=2, n_factors=2, s_mode="u1")
     path = tmp_path / "scm.json"
     path.write_text(json.dumps(dump_scm(scm)))
@@ -218,3 +224,76 @@ def test_missing_table_entry_named(tmp_path):
     del doc["y_table"]["zb|1"]
     with pytest.raises(DomainMismatch, match="y_table.*zb|1"):
         load_scm(doc)
+
+
+def test_enumeration_cap_is_read_at_call_time(monkeypatch):
+    scm = random_fixture_scm(seed=7, n_contexts=3, n_factors=2, s_mode="y")
+    monkeypatch.setattr(scm_mod, "ENUMERATION_CAP", scm.n_worlds() - 1)
+    with pytest.raises(EnumerationTooLarge, match=f"{scm.n_worlds()} worlds"):
+        enumerate_joint(scm)
+    # sampling needs no enumeration, so it still works beyond the cap
+    assert sample_world(scm, np.random.default_rng(0)).z in scm.z_domain
+    monkeypatch.setattr(scm_mod, "ENUMERATION_CAP", scm.n_worlds())
+    assert len(enumerate_joint(scm)) == scm.n_worlds()
+
+
+def test_exact_consumers_do_not_keep_models_alive():
+    scm = random_fixture_scm(seed=8, n_contexts=2, n_factors=2, s_mode="u1")
+    rng = np.random.default_rng(0)
+    w, _mass = enumerate_joint(scm)[0]
+    x, _y, s = observed(scm, w)
+    sample_world(scm, rng)
+    sample_world_conditional(scm, rng, stratum=s, z=w.z)
+    assert ExactRecoverer(scm).recover(x, s) == w.z
+    ExactConditionalSampler(scm).draw(x, s, w.z, rng)
+    exact_prediction_law(scm, lambda x, s: ctx_reader(x))
+    ref = weakref.ref(scm)
+    del scm
+    gc.collect()
+    assert ref() is None
+
+
+def reference_recoverer(scm):
+    """The set-based recovery index the model's enumeration index replaced."""
+    index = {}
+    for w, _mass in enumerate_joint(scm):
+        s_obs = observed(scm, w)[2]
+        for z in scm.z_domain.values:
+            index.setdefault((scm.x_fn(z, w.u), s_obs), set()).add(z)
+
+    def recover(x, s):
+        candidates = index.get((x, s), set())
+        return next(iter(candidates)) if len(candidates) == 1 else AMBIGUOUS
+
+    return recover
+
+
+def _blind(scm):
+    """The same model with the context token dropped from every input."""
+    x_fn = scm.x_fn
+    return dataclasses.replace(
+        scm, x_fn=lambda z, u: re.sub(r"ctx=\S+ ?", "", x_fn(z, u))
+    )
+
+
+def _shown(z):
+    return "<AMBIGUOUS>" if z is AMBIGUOUS else repr(z)
+
+
+def test_recoverer_matches_the_set_index_reference():
+    outcomes = set()
+    for fx in fixture_suite(24):
+        for scm in (fx.scm, _blind(fx.scm)):
+            inputs = {
+                scm.x_fn(z, w.u) for w, _ in enumerate_joint(scm)
+                for z in scm.z_domain.values
+            }
+            reference, recoverer = reference_recoverer(scm), ExactRecoverer(scm)
+            # every pair, including inconsistent ones that recover to nothing
+            for x in sorted(inputs):
+                for s in stratum_values(scm):
+                    got = _shown(recoverer.recover(x, s))
+                    assert got == _shown(reference(x, s)), (fx.name, x, s)
+                    outcomes.add((scm is fx.scm, got == "<AMBIGUOUS>"))
+    # recovered and ambiguous pairs occur both with and without the ctx token
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
