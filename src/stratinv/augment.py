@@ -166,6 +166,7 @@ def augmented_kernel(ap: AugmentedPredictor) -> Callable[[Any, Any], dict]:
     fresh context is marginalized with the predictor's weights (uniform by
     default). This is the law of the Def-3 augmented prediction; aggregation
     over replicates does not change it, since replicates are exchangeable.
+    The kernel calls the base predictor once per distinct input it sees.
     """
     table_fn = getattr(ap.sampler, "conditional_table", None)
     if table_fn is None:
@@ -178,12 +179,16 @@ def augmented_kernel(ap: AugmentedPredictor) -> Callable[[Any, Any], dict]:
         total = float(sum(ap.context_weights))
         weights = [w / total for w in ap.context_weights]
 
+    labels: dict[Any, Any] = {}
+
     def kernel(x, s) -> dict:
         law: dict[Any, float] = {}
         for z_plus, w in zip(ap.contexts, weights):
             values, probs = table_fn(x, s, z_plus)
             for xp, p in zip(values, probs):
-                y = ap.base(xp)
+                if xp not in labels:
+                    labels[xp] = ap.base(xp)
+                y = labels[xp]
                 law[y] = law.get(y, 0.0) + w * float(p)
         return law
 

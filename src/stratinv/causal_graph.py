@@ -2,10 +2,17 @@
 
 Nodes carry a mark: "observed", "latent" (cannot be conditioned on) or
 "selected" (a selection node, permanently conditioned on, which keeps the
-collider it sits on open for every query). d-separation enumerates simple
-paths and evaluates the blocking rule per path, because verdicts here must
-come with the concrete open path that produced them; graphs in this domain
-are small enough that enumeration is the simple and auditable choice.
+collider it sits on open for every query).
+
+Verdicts use Bayes-ball reachability (Shachter, UAI 1998; Koller & Friedman,
+Alg. 3.1): a search over (node, direction) states that is linear in the size
+of the graph, so `d_separated`, the validity test in `is_adjustment_set` and
+every candidate of `minimal_adjustment_sets` cost O(V + E) however many paths
+the graph has. A rejection still names the concrete open paths behind it:
+`open_paths` walks simple paths depth-first over the sorted adjacency and
+drops a prefix at its first blocked triple. Blocking is local to a triple, so
+the walk yields exactly the open paths in the order of a full simple-path
+enumeration, and it runs only when reachability says there is one.
 
 The adjustment check certifies a candidate stratification for a
 (treatment, outcome) pair:
@@ -42,36 +49,54 @@ _MARKS = (OBSERVED, LATENT, SELECTED)
 
 @dataclass(frozen=True, eq=False)
 class CausalDag:
+    """Marked DAG; the mark, parent, child and sorted adjacency maps are
+    built once at construction and shared by every query on the graph."""
+
     nodes: tuple[tuple[str, str], ...]  # (name, mark)
     edges: tuple[tuple[str, str], ...]  # (parent, child)
 
     def __post_init__(self):
-        names = [n for n, _ in self.nodes]
-        if len(set(names)) != len(names):
+        marks = dict(self.nodes)
+        if len(marks) != len(self.nodes):
             raise GraphError("duplicate node names")
-        for _, mark in self.nodes:
+        for mark in marks.values():
             if mark not in _MARKS:
                 raise GraphError(f"unknown node mark {mark!r}")
-        name_set = set(names)
+        parents: dict[str, set[str]] = {n: set() for n in marks}
+        children: dict[str, set[str]] = {n: set() for n in marks}
         for a, b in self.edges:
-            if a not in name_set or b not in name_set:
+            if a not in marks or b not in marks:
                 raise UnknownNode(f"edge ({a!r}, {b!r}) references unknown node")
             if a == b:
                 raise GraphError(f"self-loop on {a!r}")
+            parents[b].add(a)
+            children[a].add(b)
         if len(set(self.edges)) != len(self.edges):
             raise GraphError("duplicate edges")
-        self._toposort()  # rejects cycles
+        object.__setattr__(self, "_marks", marks)
+        object.__setattr__(
+            self, "_parents", {n: frozenset(v) for n, v in parents.items()}
+        )
+        object.__setattr__(
+            self, "_children", {n: frozenset(v) for n, v in children.items()}
+        )
+        object.__setattr__(
+            self,
+            "_adjacent",
+            {n: tuple(sorted(parents[n] | children[n])) for n in marks},
+        )
+        self._check_acyclic()
 
     # -- basic structure
 
     def mark(self, name: str) -> str:
-        for n, m in self.nodes:
-            if n == name:
-                return m
-        raise UnknownNode(f"node {name!r} not in graph")
+        try:
+            return self._marks[name]
+        except KeyError:
+            raise UnknownNode(f"node {name!r} not in graph") from None
 
     def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.nodes)
+        return tuple(self._marks)
 
     def selected_nodes(self) -> frozenset[str]:
         return frozenset(n for n, m in self.nodes if m == SELECTED)
@@ -79,56 +104,44 @@ class CausalDag:
     def observed_nodes(self) -> frozenset[str]:
         return frozenset(n for n, m in self.nodes if m == OBSERVED)
 
-    def parents(self, name: str) -> frozenset[str]:
-        self.mark(name)
-        return frozenset(a for a, b in self.edges if b == name)
-
     def children(self, name: str) -> frozenset[str]:
         self.mark(name)
-        return frozenset(b for a, b in self.edges if a == name)
-
-    def descendants(self, name: str) -> frozenset[str]:
-        """Strict descendants (the node itself excluded)."""
-        out: set[str] = set()
-        frontier = list(self.children(name))
-        while frontier:
-            v = frontier.pop()
-            if v not in out:
-                out.add(v)
-                frontier.extend(self.children(v))
-        return frozenset(out)
+        return self._children[name]
 
     def ancestors(self, name: str) -> frozenset[str]:
-        out: set[str] = set()
-        frontier = list(self.parents(name))
-        while frontier:
-            v = frontier.pop()
-            if v not in out:
-                out.add(v)
-                frontier.extend(self.parents(v))
-        return frozenset(out)
+        """Strict ancestors (the node itself excluded)."""
+        self.mark(name)
+        return _upward_closure(self, self._parents[name])
 
-    def _toposort(self) -> list[str]:
-        indeg = {n: 0 for n, _ in self.nodes}
-        for _, b in self.edges:
-            indeg[b] += 1
+    def _check_acyclic(self) -> None:
+        indeg = {n: len(p) for n, p in self._parents.items()}
         ready = [n for n, d in indeg.items() if d == 0]
-        order = []
+        seen = 0
         while ready:
             v = ready.pop()
-            order.append(v)
-            for a, b in self.edges:
-                if a == v:
-                    indeg[b] -= 1
-                    if indeg[b] == 0:
-                        ready.append(b)
-        if len(order) != len(self.nodes):
+            seen += 1
+            for c in self._children[v]:
+                indeg[c] -= 1
+                if indeg[c] == 0:
+                    ready.append(c)
+        if seen != len(indeg):
             raise GraphError("graph has a directed cycle")
-        return order
 
     def drop_edges(self, removed: Iterable[tuple[str, str]]) -> "CausalDag":
         gone = set(removed)
         return CausalDag(self.nodes, tuple(e for e in self.edges if e not in gone))
+
+
+def _upward_closure(g: CausalDag, start: Iterable[str]) -> frozenset[str]:
+    """The start nodes and every ancestor of one of them."""
+    out: set[str] = set()
+    frontier = list(start)
+    while frontier:
+        v = frontier.pop()
+        if v not in out:
+            out.add(v)
+            frontier.extend(g._parents[v])
+    return frozenset(out)
 
 
 def dag(nodes: Mapping[str, str] | Iterable, edges: Iterable[tuple[str, str]]) -> CausalDag:
@@ -142,52 +155,94 @@ def dag(nodes: Mapping[str, str] | Iterable, edges: Iterable[tuple[str, str]]) -
     return CausalDag(node_tuple, tuple(tuple(e) for e in edges))
 
 
-# --- d-separation by path enumeration ---------------------------------------
+# --- d-separation: reachability verdicts, pruned path walk -------------------
+
+_END = object()
 
 
-def _simple_paths(g: CausalDag, a: str, b: str):
-    """All simple paths a..b over the skeleton, as node sequences."""
-    adjacency: dict[str, set[str]] = {n: set() for n in g.names()}
-    for p, c in g.edges:
-        adjacency[p].add(c)
-        adjacency[c].add(p)
-
-    def walk(path: list[str]):
-        last = path[-1]
-        if last == b:
-            yield tuple(path)
-            return
-        for nxt in sorted(adjacency[last]):
-            if nxt not in path:
-                path.append(nxt)
-                yield from walk(path)
-                path.pop()
-
-    yield from walk([a])
+def _conditioning(g: CausalDag, a: str, b: str, given: Iterable[str]) -> frozenset[str]:
+    """Validate a query; the conditioning set with the selection nodes added."""
+    g.mark(a)
+    g.mark(b)
+    if a == b:
+        raise GraphError("d-separation query needs two distinct nodes")
+    cond = set(given)
+    for v in cond:
+        if g.mark(v) == LATENT:
+            raise GraphError(f"cannot condition on latent node {v!r}")
+    if a in cond or b in cond:
+        raise GraphError("conditioning set may not contain the query nodes")
+    return frozenset(cond | g.selected_nodes())
 
 
-def _path_blocked(g: CausalDag, path: tuple[str, ...], cond: frozenset[str]) -> bool:
-    edge_set = set(g.edges)
-    for i in range(1, len(path) - 1):
-        prev, v, nxt = path[i - 1], path[i], path[i + 1]
-        into_left = (prev, v) in edge_set
-        into_right = (nxt, v) in edge_set
-        if into_left and into_right:  # collider
-            opened = v in cond or bool(g.descendants(v) & cond)
-            if not opened:
-                return True
-        else:  # chain or fork
-            if v in cond:
-                return True
+def _connected(g: CausalDag, a: str, b: str, cond: frozenset[str]) -> bool:
+    """Bayes-ball: does an active trail join a and b given cond?
+
+    A state is (node, arrived from a child). A non-conditioned node passes
+    the ball on to its children, and to its parents when the ball came up
+    from a child; a collider passes it back up to its parents when it is in
+    cond or an ancestor of a cond node. The source passes in every direction.
+    """
+    opens = _upward_closure(g, cond)
+    parents, children = g._parents, g._children
+    stack = [(p, True) for p in parents[a]] + [(c, False) for c in children[a]]
+    seen: set[tuple[str, bool]] = set()
+    while stack:
+        state = stack.pop()
+        if state in seen:
+            continue
+        seen.add(state)
+        v, up = state
+        if v == b:
+            return True
+        if v not in cond:
+            stack.extend((c, False) for c in children[v])
+            if up:
+                stack.extend((p, True) for p in parents[v])
+        if not up and v in opens:
+            stack.extend((p, True) for p in parents[v])
     return False
+
+
+def _open_walk(g: CausalDag, a: str, b: str, cond: frozenset[str]):
+    """Open simple paths a..b, depth-first over the sorted adjacency.
+
+    A prefix is extended from its last node v to a neighbour only if the
+    triple (previous, v, neighbour) is open: a collider must be in cond or
+    an ancestor of it, any other middle node must be outside cond.
+    """
+    opens = _upward_closure(g, cond)
+    parents, adjacent = g._parents, g._adjacent
+    path, on_path = [a], {a}
+    pending = [iter(adjacent[a])]
+    while pending:
+        nxt = next(pending[-1], _END)
+        if nxt is _END:
+            pending.pop()
+            on_path.discard(path.pop())
+            continue
+        if nxt in on_path:
+            continue
+        if len(path) > 1:
+            prev, v = path[-2], path[-1]
+            if prev in parents[v] and nxt in parents[v]:  # collider at v
+                if v not in opens:
+                    continue
+            elif v in cond:
+                continue
+        if nxt == b:
+            yield (*path, b)
+            continue
+        path.append(nxt)
+        on_path.add(nxt)
+        pending.append(iter(adjacent[nxt]))
 
 
 def format_path(g: CausalDag, path: tuple[str, ...]) -> str:
     """Render a path with edge orientations, e.g. ``Z <- L -> Y -> X``."""
-    edge_set = set(g.edges)
     bits = [path[0]]
     for a, b in zip(path, path[1:]):
-        bits.append("->" if (a, b) in edge_set else "<-")
+        bits.append("->" if b in g._children.get(a, ()) else "<-")
         bits.append(b)
     return " ".join(bits)
 
@@ -200,28 +255,17 @@ def open_paths(
     Selection nodes are always part of the conditioning set. Conditioning on
     a latent node is rejected; querying latent endpoints is allowed (latent
     confounders are ordinary nodes, they just cannot be conditioned on).
+    Paths come in depth-first order over sorted neighbours.
     """
-    g.mark(a)
-    g.mark(b)
-    if a == b:
-        raise GraphError("d-separation query needs two distinct nodes")
-    cond = set(given)
-    for v in cond:
-        if g.mark(v) == LATENT:
-            raise GraphError(f"cannot condition on latent node {v!r}")
-    if a in cond or b in cond:
-        raise GraphError("conditioning set may not contain the query nodes")
-    cond |= g.selected_nodes()
-    return [
-        p
-        for p in _simple_paths(g, a, b)
-        if not _path_blocked(g, p, frozenset(cond))
-    ]
+    cond = _conditioning(g, a, b, given)
+    if not _connected(g, a, b, cond):
+        return []
+    return list(_open_walk(g, a, b, cond))
 
 
 def d_separated(g: CausalDag, a: str, b: str, given: Iterable[str] = ()) -> bool:
     """True when every path between a and b is blocked by given + selected."""
-    return not open_paths(g, a, b, given)
+    return not _connected(g, a, b, _conditioning(g, a, b, given))
 
 
 # --- adjustment sets ---------------------------------------------------------
@@ -245,7 +289,7 @@ def _forbidden_for(g: CausalDag, treatment: str, outcome: str) -> frozenset[str]
         v = frontier.pop()
         if v not in out:
             out.add(v)
-            frontier.extend(c for c in g.children(v) if c != outcome)
+            frontier.extend(c for c in g._children[v] if c != outcome)
     return frozenset(out)
 
 
@@ -312,8 +356,14 @@ def minimal_adjustment_sets(
 
     Candidates are drawn from observed nodes other than the treatment and
     outcome; selection nodes are never candidates (they are already
-    conditioned on by definition).
+    conditioned on by definition). Each candidate costs one reachability
+    check on the causal cut, which is built once.
     """
+    if max_size < 0:
+        raise ValueError(f"max_size must be at least 0, got {max_size}")
+    forbidden = _forbidden_for(g, treatment, outcome)
+    cut = _causal_cut(g, treatment, outcome)
+    selected = _conditioning(cut, treatment, outcome, ())
     pool = sorted(g.observed_nodes() - {treatment, outcome})
     valid: list[frozenset[str]] = []
     for size in range(0, max_size + 1):
@@ -321,7 +371,9 @@ def minimal_adjustment_sets(
             cand = frozenset(combo)
             if any(prev < cand for prev in valid):
                 continue
-            if is_adjustment_set(g, treatment, outcome, cand).valid:
+            if not cand & forbidden and not _connected(
+                cut, treatment, outcome, cand | selected
+            ):
                 valid.append(cand)
     return sorted(valid, key=lambda c: (len(c), sorted(c)))
 

@@ -204,6 +204,8 @@ def _format_set(names) -> str:
 
 
 def cmd_check_adjustment(args) -> int:
+    if args.max_size < 0:
+        raise StratinvError(f"--max-size must be at least 0, got {args.max_size}")
     graph_path = _config_path(args, "graph", "a graph file")
     g = cg.load_dag(graph_path)
     candidate = tuple(
@@ -575,7 +577,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--minimal", action="store_true",
         help="also search for inclusion-minimal valid sets",
     )
-    p.add_argument("--max-size", type=int, default=3)
+    p.add_argument(
+        "--max-size", type=int, default=3,
+        help="largest set size the minimal search tries (at least 0)",
+    )
     p.set_defaults(func=cmd_check_adjustment)
 
     p = sub.add_parser(

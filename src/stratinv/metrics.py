@@ -186,24 +186,30 @@ def exact_prediction_law(
 
     The predictor may return a label or a {label: prob} kernel; randomized
     predictors enter through their conditional law, which is exactly the
-    seed-stream lifting of a stochastic predictor.
+    seed-stream lifting of a stochastic predictor. It is called once per
+    distinct (potential input, stratum) pair, and its outputs are kept only
+    while their stratum is being summed.
     """
     index = model.index
+    zs = model.z_domain.values
     s_mass: dict[Any, float] = {}
-    by_stratum: dict[Any, list[tuple[scm_mod.World, float]]] = {}
-    for (w, m), s_obs in zip(index.worlds, index.strata):
+    by_stratum: dict[Any, list[tuple[tuple, float]]] = {}
+    for xs, (_w, m), s_obs in zip(index.potentials, index.worlds, index.strata):
         s_mass[s_obs] = s_mass.get(s_obs, 0.0) + m
-        by_stratum.setdefault(s_obs, []).append((w, m))
-    table: dict[tuple, dict[Any, float]] = {}
-    for z in model.z_domain.values:
-        for s, members in by_stratum.items():
+        by_stratum.setdefault(s_obs, []).append((xs, m))
+    laws: dict[tuple, dict[Any, float]] = {}
+    for s, members in by_stratum.items():
+        kernels: dict[Any, Mapping[Any, float]] = {}
+        for k, z in enumerate(zs):
             law: dict[Any, float] = {}
-            for w, m in members:
-                x_pot = model.x_fn(z, w.u)
-                for y, p in _as_kernel(predictor, x_pot, s).items():
+            for xs, m in members:
+                kernel = kernels.get(xs[k])
+                if kernel is None:
+                    kernel = kernels[xs[k]] = _as_kernel(predictor, xs[k], s)
+                for y, p in kernel.items():
                     law[y] = law.get(y, 0.0) + p * m / s_mass[s]
-            table[(z, s)] = law
-    return table
+            laws[(z, s)] = law
+    return {(z, s): laws[(z, s)] for z in zs for s in by_stratum}
 
 
 def check_stratified_invariance_exact(
@@ -266,8 +272,8 @@ def check_counterfactual_invariance_exact(
     total = 0.0
     zs = model.z_domain.values
     index = model.index
-    for (w, m), s_obs in zip(index.worlds, index.strata):
-        labels = [predictor(model.x_fn(z, w.u), s_obs) for z in zs]
+    for xs, (w, m), s_obs in zip(index.potentials, index.worlds, index.strata):
+        labels = [predictor(x, s_obs) for x in xs]
         total += m
         if all(lab == labels[0] for lab in labels):
             agree_mass += m

@@ -219,13 +219,19 @@ class WorldIndex:
         return tuple(observed(self._scm, w)[2] for w, _ in self.worlds)
 
     @cached_property
+    def potentials(self) -> tuple[tuple, ...]:
+        """Each world's potential inputs, x at every context in domain order."""
+        x_fn, zs = self._scm.x_fn, self._scm.z_domain.values
+        return tuple(tuple(x_fn(z, w.u) for z in zs) for w, _ in self.worlds)
+
+    @cached_property
     def evidence(self) -> dict[tuple, list[int]]:
         """(x at z, observed s, z) -> positions of the worlds showing it."""
-        x_fn, zs = self._scm.x_fn, self._scm.z_domain.values
+        zs = self._scm.z_domain.values
         out: dict[tuple, list[int]] = {}
-        for i, ((w, _mass), s_obs) in enumerate(zip(self.worlds, self.strata)):
-            for z in zs:
-                out.setdefault((x_fn(z, w.u), s_obs, z), []).append(i)
+        for i, (xs, s_obs) in enumerate(zip(self.potentials, self.strata)):
+            for z, x in zip(zs, xs):
+                out.setdefault((x, s_obs, z), []).append(i)
         return out
 
     def consistent_contexts(self, x, s) -> list:
@@ -350,7 +356,9 @@ class ExactConditionalSampler:
     Given evidence (x, s), the unique consistent context z is recovered, the
     posterior over worlds w with x_fn(z, u_w) = x and observed stratum s is
     formed, and X(z+) = x_fn(z+, u_w) is pushed through it. ``draw`` samples
-    from that conditional; ``conditional_table`` exposes it for analytic use.
+    from that conditional and keeps each table it draws from;
+    ``conditional_table`` computes it afresh for analytic use, which asks for
+    each table once.
     """
 
     def __init__(self, scm: DiscreteScm):
@@ -370,27 +378,27 @@ class ExactConditionalSampler:
 
     def conditional_table(self, x, s, z_plus):
         """Support and probabilities of X(z+) given the evidence."""
-        key = (x, s, z_plus)
-        if key in self._tables:
-            return self._tables[key]
         if z_plus not in self.scm.z_domain:
             raise DomainMismatch(f"context {z_plus!r} outside the domain")
         z0 = self.recover(x, s)
-        worlds = self._index.worlds
+        k = self.scm.z_domain.values.index(z_plus)
+        worlds, potentials = self._index.worlds, self._index.potentials
         mass: dict[Any, float] = {}
         total = 0.0
         for i in self._index.evidence[(x, s, z0)]:
-            w, m = worlds[i]
-            xp = self.scm.x_fn(z_plus, w.u)
+            m = worlds[i][1]
+            xp = potentials[i][k]
             mass[xp] = mass.get(xp, 0.0) + m
             total += m
         values = tuple(mass)
         probs = np.array([mass[v] for v in values], dtype=float) / total
-        self._tables[key] = (values, probs)
         return values, probs
 
     def draw(self, x, s, z_plus, rng: np.random.Generator):
-        values, probs = self.conditional_table(x, s, z_plus)
+        key = (x, s, z_plus)
+        if key not in self._tables:
+            self._tables[key] = self.conditional_table(x, s, z_plus)
+        values, probs = self._tables[key]
         return values[rng.choice(len(values), p=probs)]
 
 

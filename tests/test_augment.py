@@ -1,6 +1,7 @@
 """Augmented-predictor behavior: traces, aggregation, exact vs sampled laws."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,8 +19,23 @@ from stratinv.augment import (
     max_context_deviation,
 )
 from stratinv.errors import AmbiguousContext, SamplerFailure
-from stratinv.fixtures import chain_fixture, ctx_reader, r_reader, u1_reader
-from stratinv.scm import AMBIGUOUS, ExactConditionalSampler, ExactRecoverer
+from stratinv.fixtures import (
+    chain_fixture,
+    ctx_reader,
+    fixture_suite,
+    metric_predictor,
+    parity_reader,
+    r_reader,
+    u1_reader,
+)
+from stratinv.metrics import exact_prediction_law
+from stratinv.scm import (
+    AMBIGUOUS,
+    ExactConditionalSampler,
+    ExactRecoverer,
+    enumerate_joint,
+    observed,
+)
 from tests_support import tiny_confounded
 
 
@@ -209,3 +225,112 @@ def test_hoeffding_envelope_formula():
     assert hoeffding_envelope(400, 2, 3) == pytest.approx(
         hoeffding_envelope(100, 2, 3) / 2
     )
+
+
+# --- the per-(world, z) exact law, kept as the oracle -----------------------
+
+
+def reference_prediction_law(model, predictor):
+    """Calls the predictor for every world and intervention, in world order."""
+    s_mass, by_stratum = {}, {}
+    for w, m in enumerate_joint(model):
+        s_obs = observed(model, w)[2]
+        s_mass[s_obs] = s_mass.get(s_obs, 0.0) + m
+        by_stratum.setdefault(s_obs, []).append((w, m))
+    table = {}
+    for z in model.z_domain.values:
+        for s, members in by_stratum.items():
+            law = {}
+            for w, m in members:
+                out = predictor(model.x_fn(z, w.u), s)
+                kernel = out if isinstance(out, dict) else {out: 1.0}
+                for y, p in kernel.items():
+                    law[y] = law.get(y, 0.0) + p * m / s_mass[s]
+            table[(z, s)] = law
+    return table
+
+
+def reference_augmented_kernel(model, base):
+    """Uniform fresh context, conditional tables from a scan of the worlds,
+    and one base call per support point."""
+    zs = model.z_domain.values
+    worlds = [(w, m, observed(model, w)[2]) for w, m in enumerate_joint(model)]
+
+    def table(x, s, z_plus):
+        (z0,) = [
+            z for z in zs
+            if any(s_w == s and model.x_fn(z, w.u) == x for w, _m, s_w in worlds)
+        ]
+        mass, total = {}, 0.0
+        for w, m, s_w in worlds:
+            if s_w == s and model.x_fn(z0, w.u) == x:
+                xp = model.x_fn(z_plus, w.u)
+                mass[xp] = mass.get(xp, 0.0) + m
+                total += m
+        return tuple(mass), np.array(list(mass.values()), dtype=float) / total
+
+    def kernel(x, s):
+        law = {}
+        for z_plus in zs:
+            values, probs = table(x, s, z_plus)
+            for xp, p in zip(values, probs):
+                y = base(xp)
+                law[y] = law.get(y, 0.0) + (1.0 / len(zs)) * float(p)
+        return law
+
+    return kernel
+
+
+def hex_table(table):
+    return [
+        (key, [(y, float.hex(p)) for y, p in law.items()])
+        for key, law in table.items()
+    ]
+
+
+def mixed_kernel(x, s):
+    return {f"{ctx_reader(x)}|{s}": 1.0 / 3.0, f"p{parity_reader(x)}": 2.0 / 3.0}
+
+
+def test_exact_laws_match_the_per_world_loop_bit_for_bit():
+    readers = (ctx_reader, u1_reader, parity_reader)
+    for fx in fixture_suite(24):
+        model = fx.scm
+        for predictor in [*map(metric_predictor, readers), mixed_kernel]:
+            assert hex_table(exact_prediction_law(model, predictor)) == hex_table(
+                reference_prediction_law(model, predictor)
+            ), fx.name
+        for base in readers:
+            got = exact_augmented_distribution(model, exact_ap(model, base))
+            want = reference_prediction_law(
+                model, reference_augmented_kernel(model, base)
+            )
+            assert hex_table(got) == hex_table(want), fx.name
+
+
+def test_exact_law_calls_the_predictor_once_per_distinct_input():
+    for fx in fixture_suite(24):
+        model = fx.scm
+        pairs = {
+            (model.x_fn(z, w.u), observed(model, w)[2])
+            for w, _m in enumerate_joint(model)
+            for z in model.z_domain.values
+        }
+        calls = Counter()
+
+        def predictor(x, s):
+            calls[(x, s)] += 1
+            return u1_reader(x)
+
+        exact_prediction_law(model, predictor)
+        assert set(calls) == pairs and max(calls.values()) == 1, fx.name
+
+        inputs = {x for x, _s in pairs}
+        base_calls = Counter()
+
+        def base(x):
+            base_calls[x] += 1
+            return ctx_reader(x)
+
+        exact_augmented_distribution(model, exact_ap(model, base))
+        assert set(base_calls) == inputs and max(base_calls.values()) == 1, fx.name

@@ -8,6 +8,8 @@ import pytest
 from stratinv.causal_graph import (
     LATENT,
     OBSERVED,
+    SELECTED,
+    AdjustmentReport,
     CausalDag,
     anticausal_graph,
     causal_confounded_graph,
@@ -72,6 +74,236 @@ def oracle_backdoor(nodes, edges, marks, treatment, outcome, candidate):
         return False
     trimmed = [(a, b) for a, b in edges if a != treatment]
     return not bayes_ball_connected(nodes, trimmed, treatment, outcome, candidate)
+
+
+# --- the path enumerator, kept as the oracle for the pruned walk ------------
+
+
+def _simple_paths(g, a, b):
+    """All simple paths a..b over the skeleton, as node sequences."""
+    adjacency = {n: set() for n in g.names()}
+    for p, c in g.edges:
+        adjacency[p].add(c)
+        adjacency[c].add(p)
+
+    def walk(path):
+        last = path[-1]
+        if last == b:
+            yield tuple(path)
+            return
+        for nxt in sorted(adjacency[last]):
+            if nxt not in path:
+                path.append(nxt)
+                yield from walk(path)
+                path.pop()
+
+    yield from walk([a])
+
+
+def _descendants(g, name):
+    out = set()
+    frontier = [c for p, c in g.edges if p == name]
+    while frontier:
+        v = frontier.pop()
+        if v not in out:
+            out.add(v)
+            frontier += [c for p, c in g.edges if p == v]
+    return out
+
+
+def _path_blocked(g, path, cond):
+    edge_set = set(g.edges)
+    for i in range(1, len(path) - 1):
+        prev, v, nxt = path[i - 1], path[i], path[i + 1]
+        if (prev, v) in edge_set and (nxt, v) in edge_set:  # collider
+            if not (v in cond or _descendants(g, v) & cond):
+                return True
+        elif v in cond:  # chain or fork
+            return True
+    return False
+
+
+def oracle_open_paths(g, a, b, given=()):
+    cond = frozenset(given) | g.selected_nodes()
+    return [p for p in _simple_paths(g, a, b) if not _path_blocked(g, p, cond)]
+
+
+def _format(g, path):
+    bits = [path[0]]
+    for a, b in zip(path, path[1:]):
+        bits += ["->" if (a, b) in g.edges else "<-", b]
+    return " ".join(bits)
+
+
+def oracle_is_adjustment_set(g, treatment, outcome, candidate):
+    """The adjustment check over enumerated paths (forbidden nodes, causal cut)."""
+    cand = frozenset(candidate)
+    marks = dict(g.nodes)
+    if treatment in cand or outcome in cand:
+        reasons = ("candidate set may not contain the treatment or outcome",)
+        return AdjustmentReport(treatment, outcome, cand, False, reasons, ())
+    latent = sorted(v for v in cand if marks[v] == LATENT)
+    if latent:
+        reasons = (f"latent node(s) {latent} cannot be conditioned on",)
+        return AdjustmentReport(treatment, outcome, cand, False, reasons, ())
+    reasons = []
+    forbidden = set()
+    frontier = [c for p, c in g.edges if p == treatment and c != outcome]
+    while frontier:
+        v = frontier.pop()
+        if v not in forbidden:
+            forbidden.add(v)
+            frontier += [c for p, c in g.edges if p == v and c != outcome]
+    forbidden &= cand
+    for v in sorted(forbidden):
+        reasons.append(
+            f"{v} is a descendant of {treatment} off the causal pathway to "
+            f"{outcome}, so conditioning on it distorts the treatment's effect"
+        )
+    pathway = {outcome}
+    frontier = [outcome]
+    while frontier:
+        v = frontier.pop()
+        for p, c in g.edges:
+            if c == v and p not in pathway:
+                pathway.add(p)
+                frontier.append(p)
+    cut = CausalDag(
+        g.nodes, tuple(e for e in g.edges if not (e[0] == treatment and e[1] in pathway))
+    )
+    opened = oracle_open_paths(cut, treatment, outcome, cand)
+    names = tuple(_format(cut, p) for p in opened)
+    reasons += [f"open non-causal path: {text}" for text in names]
+    valid = not forbidden and not opened
+    if valid:
+        sel = sorted(g.selected_nodes())
+        detail = f" (selection nodes {sel} held conditioned)" if sel else ""
+        reasons.append(
+            f"every non-causal path between {treatment} and {outcome} is "
+            f"blocked by {sorted(cand) or '{}'}{detail}"
+        )
+    return AdjustmentReport(treatment, outcome, cand, valid, tuple(reasons), names)
+
+
+def oracle_minimal_adjustment_sets(g, treatment, outcome, max_size):
+    pool = sorted(g.observed_nodes() - {treatment, outcome})
+    valid = []
+    for size in range(0, max_size + 1):
+        for combo in itertools.combinations(pool, size):
+            cand = frozenset(combo)
+            if any(prev < cand for prev in valid):
+                continue
+            if oracle_is_adjustment_set(g, treatment, outcome, cand).valid:
+                valid.append(cand)
+    return sorted(valid, key=lambda c: (len(c), sorted(c)))
+
+
+def random_marked_dag(rng, max_nodes=9):
+    """A random DAG over 2..max_nodes nodes in shuffled topological order,
+    with observed, latent and selected marks."""
+    n = int(rng.integers(2, max_nodes + 1))
+    names = [f"N{i}" for i in rng.permutation(n)]
+    density = rng.uniform(0.15, 0.6)
+    edges = [
+        (names[i], names[j])
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < density
+    ]
+    marks = rng.choice([OBSERVED, LATENT, SELECTED], size=n, p=[0.6, 0.2, 0.2])
+    nodes = sorted(zip(names, (str(m) for m in marks)))
+    order = rng.permutation(len(edges))
+    return CausalDag(tuple(nodes), tuple(edges[i] for i in order))
+
+
+def test_pruned_walk_and_reachability_match_the_path_enumerator():
+    rng = np.random.default_rng(20_261_018)
+    queries = selected_endpoints = separated = 0
+    for _ in range(600):
+        g = random_marked_dag(rng)
+        names = sorted(g.names())
+        marks = dict(g.nodes)
+        for _ in range(3):
+            a, b = (str(v) for v in rng.choice(names, size=2, replace=False))
+            conditionable = [
+                v for v in names if v not in (a, b) and marks[v] != LATENT
+            ]
+            given = [v for v in conditionable if rng.random() < 0.3]
+            want = oracle_open_paths(g, a, b, given)
+            assert open_paths(g, a, b, given) == want, (g, a, b, given)
+            sep = d_separated(g, a, b, given)
+            assert sep == (not want), (g, a, b, given)
+            ball = bayes_ball_connected(
+                names, g.edges, a, b, set(given) | g.selected_nodes()
+            )
+            assert sep == (not ball), (g, a, b, given)
+            queries += 1
+            selected_endpoints += SELECTED in (marks[a], marks[b])
+            separated += sep
+    assert queries == 1800
+    assert selected_endpoints > 100 and 100 < separated < queries - 100
+
+
+def test_adjustment_verdicts_and_minimal_sets_match_the_path_enumerator():
+    rng = np.random.default_rng(20_261_019)
+    valid = 0
+    for _ in range(500):
+        g = random_marked_dag(rng)
+        names = sorted(g.names())
+        t, o = (str(v) for v in rng.choice(names, size=2, replace=False))
+        candidates = [()] + [
+            tuple(v for v in names if rng.random() < 0.3) for _ in range(3)
+        ]
+        for cand in candidates:
+            got = is_adjustment_set(g, t, o, cand)
+            assert got == oracle_is_adjustment_set(g, t, o, cand), (g, t, o, cand)
+            valid += got.valid
+        size = int(rng.integers(0, 4))
+        assert minimal_adjustment_sets(g, t, o, size) == oracle_minimal_adjustment_sets(
+            g, t, o, size
+        ), (g, t, o, size)
+    assert 200 < valid < 1800
+
+
+def layered_paths(source, sink, width=4, depth=10):
+    """Edges source -> ten complete layers of four nodes -> sink, and the
+    number of directed source..sink paths among them."""
+    layers = [[f"L{i}_{j}" for j in range(width)] for i in range(depth)]
+    edges = [(source, v) for v in layers[0]]
+    for upper, lower in zip(layers, layers[1:]):
+        edges += [(u, v) for u in upper for v in lower]
+    edges += [(v, sink) for v in layers[-1]]
+    count = {source: 1}
+    for node in [v for layer in layers for v in layer] + [sink]:
+        count[node] = sum(count.get(p, 0) for p, c in edges if c == node)
+    return list(itertools.chain(*layers)), edges, count[sink]
+
+
+def test_a_blocked_collider_cuts_off_a_million_paths():
+    # T's only neighbour is the unconditioned collider C of T -> C <- D
+    layer_nodes, edges, count = layered_paths("D", "X")
+    assert count >= 10**6
+    g = dag(["T", "C", "D", "X", *layer_nodes], [("T", "C"), ("D", "C"), *edges])
+    assert open_paths(g, "T", "X") == []
+    report = is_adjustment_set(g, "T", "X", ())
+    assert report.valid and report.open_path_names == ()
+    assert minimal_adjustment_sets(g, "T", "X") == [frozenset()]
+
+
+def test_paths_blocked_only_at_their_last_collider_are_never_walked():
+    # T <- D opens a million prefixes, each closed at the collider D..C <- X
+    layer_nodes, edges, count = layered_paths("D", "C")
+    assert count >= 10**6
+    g = dag(["T", "C", "D", "X", *layer_nodes], [("D", "T"), ("X", "C"), *edges])
+    assert open_paths(g, "T", "X") == []
+    assert d_separated(g, "T", "X")
+    assert is_adjustment_set(g, "T", "X", ()).valid
+    assert minimal_adjustment_sets(g, "T", "X") == [frozenset()]
+
+
+def test_minimal_sets_reject_a_negative_size():
+    with pytest.raises(ValueError, match="max_size"):
+        minimal_adjustment_sets(anticausal_graph(), "Z", "X", max_size=-1)
 
 
 def test_d_separated_hand_cases():

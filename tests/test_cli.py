@@ -150,6 +150,20 @@ def test_check_adjustment_unknown_node(tmp_path, capsys):
     assert "Bogus" in capsys.readouterr().err
 
 
+def test_check_adjustment_rejects_a_negative_max_size(tmp_path, capsys):
+    graph = write_graph(tmp_path / "g.json", cg.anticausal_graph())
+    out = tmp_path / "o"
+    code = main(
+        ["check-adjustment", "--graph", str(graph), "--treatment", "Z",
+         "--outcome", "X", "--minimal", "--max-size", "-1", "--out-dir", str(out)]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-size must be at least 0, got -1" in captured.err
+    assert not out.exists()
+
+
 # --- audit -------------------------------------------------------------------
 
 
