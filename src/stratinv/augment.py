@@ -162,16 +162,19 @@ def augment_predict(
 def augmented_kernel(ap: AugmentedPredictor) -> Callable[[Any, Any], dict]:
     """Per-replicate conditional law (x, s) -> {label: prob}, in closed form.
 
-    Requires a sampler exposing ``conditional_table`` (the exact one). The
-    fresh context is marginalized with the predictor's weights (uniform by
-    default). This is the law of the Def-3 augmented prediction; aggregation
-    over replicates does not change it, since replicates are exchangeable.
-    The kernel calls the base predictor once per distinct input it sees.
+    Requires a sampler exposing ``conditional_tables`` (the exact one), which
+    gives the tables of every fresh context from one walk over the evidence
+    pair's worlds. The fresh context is marginalized with the predictor's
+    weights (uniform by default), in the order of ``ap.contexts``. This is the
+    law of the Def-3 augmented prediction; aggregation over replicates does
+    not change it, since replicates are exchangeable. The kernel asks for the
+    tables once per call and calls the base predictor once per distinct input
+    it sees.
     """
-    table_fn = getattr(ap.sampler, "conditional_table", None)
-    if table_fn is None:
+    tables_fn = getattr(ap.sampler, "conditional_tables", None)
+    if tables_fn is None:
         raise ValueError(
-            "exact law needs a sampler with conditional_table (the exact sampler)"
+            "exact law needs a sampler with conditional_tables (the exact sampler)"
         )
     if ap.context_weights is None:
         weights = [1.0 / len(ap.contexts)] * len(ap.contexts)
@@ -182,14 +185,15 @@ def augmented_kernel(ap: AugmentedPredictor) -> Callable[[Any, Any], dict]:
     labels: dict[Any, Any] = {}
 
     def kernel(x, s) -> dict:
+        tables = tables_fn(x, s, ap.contexts)
         law: dict[Any, float] = {}
         for z_plus, w in zip(ap.contexts, weights):
-            values, probs = table_fn(x, s, z_plus)
-            for xp, p in zip(values, probs):
+            values, probs = tables[z_plus]
+            for xp, p in zip(values, probs.tolist()):
                 if xp not in labels:
                     labels[xp] = ap.base(xp)
                 y = labels[xp]
-                law[y] = law.get(y, 0.0) + w * float(p)
+                law[y] = law.get(y, 0.0) + w * p
         return law
 
     return kernel

@@ -155,15 +155,23 @@ def metric_rows(
             ).validate()
         )
 
+    test = None
     if "si_bias" in metrics:
-        rep = si_bias(records)
-        add("si_bias", rep.value, n=rep.n)
+        if "permutation" in metrics:
+            # The test's observed statistic is si_bias, from the same count
+            # table; si_bias and macro_f1 draw nothing, so the stream holds.
+            test = ci_permutation_test(records, permutations=permutations, rng=rng)
+            add("si_bias", test.statistic, n=len(records))
+        else:
+            rep = si_bias(records)
+            add("si_bias", rep.value, n=rep.n)
     if "macro_f1" in metrics:
         add("macro_f1", macro_f1(records), n=len(records))
     if "permutation" in metrics:
-        rep = ci_permutation_test(records, permutations=permutations, rng=rng)
-        add("perm_statistic", rep.statistic, n=len(records))
-        add("p_value", rep.p_value, n=len(records))
+        if test is None:
+            test = ci_permutation_test(records, permutations=permutations, rng=rng)
+        add("perm_statistic", test.statistic, n=len(records))
+        add("p_value", test.p_value, n=len(records))
     return rows
 
 
@@ -636,9 +644,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # One parser per process: parsing leaves no state in it, and building it
+    # costs more than most check-adjustment queries.
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except ServiceError as exc:

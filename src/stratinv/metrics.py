@@ -38,7 +38,7 @@ ADJUSTMENT_CAVEAT = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledRecord:
     """One dataset row: input, stratum, context, optional label/prediction."""
 

@@ -355,16 +355,17 @@ class ExactConditionalSampler:
 
     Given evidence (x, s), the unique consistent context z is recovered, the
     posterior over worlds w with x_fn(z, u_w) = x and observed stratum s is
-    formed, and X(z+) = x_fn(z+, u_w) is pushed through it. ``draw`` samples
-    from that conditional and keeps each table it draws from;
-    ``conditional_table`` computes it afresh for analytic use, which asks for
-    each table once.
+    formed, and X(z+) = x_fn(z+, u_w) is pushed through it.
+    ``conditional_tables`` builds the tables of several contexts from one walk
+    over the consistent worlds; ``conditional_table`` is its one-context case.
+    Both compute afresh, for analytic use; ``draw`` samples from the tables of
+    every context in the domain and keeps them per evidence pair.
     """
 
     def __init__(self, scm: DiscreteScm):
         self.scm = scm
         self._index = scm.index
-        self._tables: dict[tuple, tuple[tuple, np.ndarray]] = {}
+        self._tables: dict[tuple, dict[Any, tuple[tuple, np.ndarray]]] = {}
 
     def recover(self, x, s):
         found = self._index.consistent_contexts(x, s)
@@ -376,29 +377,45 @@ class ExactConditionalSampler:
             )
         return found[0]
 
-    def conditional_table(self, x, s, z_plus):
-        """Support and probabilities of X(z+) given the evidence."""
-        if z_plus not in self.scm.z_domain:
-            raise DomainMismatch(f"context {z_plus!r} outside the domain")
+    def _position(self, z_plus) -> int:
+        """Index of ``z_plus`` in the context domain; DomainMismatch outside it."""
+        try:
+            return self.scm.z_domain.values.index(z_plus)
+        except ValueError:
+            raise DomainMismatch(f"context {z_plus!r} outside the domain") from None
+
+    def conditional_tables(self, x, s, contexts=None) -> dict:
+        """{z+: (support, probabilities) of X(z+) given the evidence} for each
+        context in ``contexts`` (default: the domain), in that order."""
+        if contexts is None:
+            contexts = self.scm.z_domain.values
+        ks = [self._position(z_plus) for z_plus in contexts]
         z0 = self.recover(x, s)
-        k = self.scm.z_domain.values.index(z_plus)
         worlds, potentials = self._index.worlds, self._index.potentials
-        mass: dict[Any, float] = {}
+        masses: list[dict[Any, float]] = [{} for _ in ks]
         total = 0.0
         for i in self._index.evidence[(x, s, z0)]:
             m = worlds[i][1]
-            xp = potentials[i][k]
-            mass[xp] = mass.get(xp, 0.0) + m
+            xs = potentials[i]
+            for k, mass in zip(ks, masses):
+                xp = xs[k]
+                mass[xp] = mass.get(xp, 0.0) + m
             total += m
-        values = tuple(mass)
-        probs = np.array([mass[v] for v in values], dtype=float) / total
-        return values, probs
+        return {
+            z_plus: (tuple(mass), np.array([m / total for m in mass.values()]))
+            for z_plus, mass in zip(contexts, masses)
+        }
+
+    def conditional_table(self, x, s, z_plus):
+        """Support and probabilities of X(z+) given the evidence."""
+        return self.conditional_tables(x, s, (z_plus,))[z_plus]
 
     def draw(self, x, s, z_plus, rng: np.random.Generator):
-        key = (x, s, z_plus)
+        self._position(z_plus)
+        key = (x, s)
         if key not in self._tables:
-            self._tables[key] = self.conditional_table(x, s, z_plus)
-        values, probs = self._tables[key]
+            self._tables[key] = self.conditional_tables(x, s)
+        values, probs = self._tables[key][z_plus]
         return values[rng.choice(len(values), p=probs)]
 
 

@@ -1,21 +1,31 @@
 """CLI behavior through main(): artifacts, exit codes, reproducible reruns."""
 
+import hashlib
 import json
 import threading
 import time
 import types
 
+import numpy as np
 import pytest
 
 from stratinv import causal_graph as cg
 from stratinv import chat
+from stratinv import cli
 from stratinv.chat import ChatTurnRequest
 from stratinv.cli import main
 from stratinv.fixtures import chain_fixture
-from stratinv.metrics import LabeledRecord, dump_records, load_records
+from stratinv.metrics import (
+    LabeledRecord,
+    ci_permutation_test,
+    dump_records,
+    load_records,
+    macro_f1,
+    si_bias,
+)
 from stratinv.mock import MockStructuredLm
 from stratinv.ooc import TaskConfig, dump_task, load_task
-from stratinv.reports import ReportRow, load_rows, write_rows_json
+from stratinv.reports import ReportRow, load_rows, write_rows_csv, write_rows_json
 from stratinv.scm import dump_scm
 
 
@@ -231,6 +241,61 @@ def test_audit_infeasible_balance(tmp_path, capsys):
     assert "needs" in capsys.readouterr().err
 
 
+def skewed_records(path):
+    """600 records over four strata, three contexts and three labels, with the
+    prediction leaning slightly on the context in two strata."""
+    rng = np.random.default_rng(11)
+    records = []
+    for i in range(600):
+        s, z = f"s{i % 4}", ("za", "zb", "zc")[int(rng.integers(3))]
+        lean = 0.06 if z == "za" and s in ("s0", "s1") else 0.0
+        y_hat = str(int(rng.choice(3, p=[0.4 + lean, 0.4 - lean, 0.2])))
+        records.append(LabeledRecord(f"r{i}", x=f"x{i}", s=s, z=z, y="0", y_hat=y_hat))
+    dump_records(records, path)
+    return path
+
+
+# sha256 of rows.json and rows.csv from the audit below, as written when each
+# statistic built its own count table (package version pinned to 0.0.0).
+AUDIT_ROWS_SHA256 = {
+    "rows.json": "47702a214bb63819af02c7cad712eeb067799fdb26d2eb1f179905f1867024e0",
+    "rows.csv": "e4ae148ffa2843dcafa17debe8647e58b4e8ce48a872d3a0e7ec833351f79a16",
+}
+
+
+def test_audit_rows_keep_their_bytes_with_one_count_table(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "__version__", "0.0.0")
+    skewed_records(tmp_path / "records.jsonl")
+    code = main(["audit", "--records", "records.jsonl", "--seed", "5",
+                 "--metrics", "si_bias,macro_f1,permutation",
+                 "--permutations", "199", "--out-dir", "out"])
+    assert code == 0
+    got = {name: (tmp_path / "out" / name).read_bytes() for name in AUDIT_ROWS_SHA256}
+    assert {
+        name: hashlib.sha256(data).hexdigest() for name, data in got.items()
+    } == AUDIT_ROWS_SHA256
+    # the same rows from one call per statistic, with the same stream
+    records = load_records(tmp_path / "records.jsonl")
+    bias = si_bias(records)
+    test = ci_permutation_test(records, 199, np.random.default_rng(5))
+    digest = json.loads((tmp_path / "out" / "manifest.json").read_text())["digest"]
+    rows = [
+        ReportRow("records", "za|zb|zc", "standard", metric, value, n=n,
+                  manifest=digest)
+        for metric, value, n in [
+            ("si_bias", bias.value, bias.n),
+            ("macro_f1", macro_f1(records), len(records)),
+            ("perm_statistic", test.statistic, len(records)),
+            ("p_value", test.p_value, len(records)),
+        ]
+    ]
+    write_rows_json(rows, tmp_path / "want.json")
+    write_rows_csv(rows, tmp_path / "want.csv")
+    assert got["rows.json"] == (tmp_path / "want.json").read_bytes()
+    assert got["rows.csv"] == (tmp_path / "want.csv").read_bytes()
+
+
 # --- ooc-run -----------------------------------------------------------------
 
 
@@ -331,6 +396,80 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "stratinv" in capsys.readouterr().out
+
+
+# --- one parser per process --------------------------------------------------
+
+
+def _two_confounder_graph(path):
+    return write_graph(path, cg.dag(
+        ["Z", "X", "A", "B"],
+        [("A", "Z"), ("A", "X"), ("B", "Z"), ("B", "X"), ("Z", "X")],
+    ))
+
+
+def test_shared_parser_carries_nothing_between_calls(tmp_path, capsys, monkeypatch):
+    """Every call in one process gives what a call with a fresh parser gives:
+    no appended --candidate or --rows value, and no state left by a rejected
+    argv, reaches a later call."""
+    graph = _two_confounder_graph(tmp_path / "g.json")
+    rows_a, rows_b = tmp_path / "a.json", tmp_path / "b.json"
+    write_rows_json([
+        ReportRow("demo", "za|zb", "standard", "si_bias", 0.3, n=10),
+        ReportRow("demo", "za|zb", "ooc", "si_bias", 0.1, n=10),
+    ], rows_a)
+    write_rows_json([
+        ReportRow("other", "za|zb", "standard", "macro_f1", 0.9, n=12),
+        ReportRow("other", "za|zb", "ooc", "macro_f1", 0.7, n=12),
+    ], rows_b)
+    query = ["check-adjustment", "--graph", str(graph), "--treatment", "Z",
+             "--outcome", "X"]
+    calls = [
+        (query + ["--candidate", "A", "--candidate", "B"], "verdict.json"),
+        (query, "verdict.json"),
+        (["report", "--rows", str(rows_a)], "deltas.json"),
+        (["report", "--rows", str(rows_b)], "deltas.json"),
+        (["check-adjustment", "--graph", str(graph), "--treatment", "Z"], None),
+        (query + ["--candidate", "A,B", "--minimal"], "verdict.json"),
+    ]
+
+    def run(argv, out):
+        try:
+            code = main(argv + ["--out-dir", str(out)])
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out
+
+    shared = [run(argv, tmp_path / f"shared{i}") for i, (argv, _) in enumerate(calls)]
+    for i, (argv, artifact) in enumerate(calls):
+        monkeypatch.setattr(cli, "_parser", None)
+        alone = run(argv, tmp_path / f"alone{i}")
+        assert shared[i] == alone, argv
+        if artifact is not None:
+            assert (tmp_path / f"shared{i}" / artifact).read_bytes() == (
+                tmp_path / f"alone{i}" / artifact
+            ).read_bytes(), argv
+    assert [code for code, _ in shared] == [0, 0, 0, 0, 2, 0]
+    assert ": VALID" in shared[0][1] and ": INVALID" in shared[1][1]
+    assert "delta_si_bias" in shared[2][1] and "delta_si_bias" not in shared[3][1]
+
+
+def test_main_builds_the_parser_once(tmp_path, monkeypatch, capsys):
+    graph = _two_confounder_graph(tmp_path / "g.json")
+    built = []
+    real = cli.build_parser
+
+    def spy():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", spy)
+    for i in range(5):
+        assert main(["check-adjustment", "--graph", str(graph), "--treatment", "Z",
+                     "--outcome", "X", "--out-dir", str(tmp_path / f"o{i}")]) == 0
+    assert len(built) == 1
 
 
 class MockSession:

@@ -1,5 +1,6 @@
 """Metric oracles: hand-computed rates, exact laws, calibration behavior."""
 
+import dataclasses
 import itertools
 from collections import Counter
 
@@ -147,6 +148,23 @@ def test_records_jsonl_round_trip(tmp_path):
     dump_records(records, path)
     again = load_records(path)
     assert again == records
+
+
+def test_records_stay_frozen_hashable_and_dump_the_same_bytes(tmp_path):
+    a = rec(0, "s0", "za", "1", y="0", x="ctx=za u=1")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.y_hat = "0"
+    assert not hasattr(a, "__dict__")  # slots: no per-record attribute dict
+    again = rec(0, "s0", "za", "1", y="0", x="ctx=za u=1")
+    assert hash(a) == hash(again) and len({a, again}) == 1
+    path = tmp_path / "records.jsonl"
+    dump_records([a, LabeledRecord("r1", x={"k": [1, 2]}, s=None, z=3)], path)
+    assert path.read_bytes() == (
+        b'{"record_id": "r0", "s": "s0", "x": "ctx=za u=1", "y": "0", '
+        b'"y_hat": "1", "z": "za"}\n'
+        b'{"record_id": "r1", "s": null, "x": {"k": [1, 2]}, "y": null, '
+        b'"y_hat": null, "z": 3}\n'
+    )
 
 
 def test_exact_prediction_law_tiny_model():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from stratinv import scm as scm_mod
+from stratinv.augment import AugmentedPredictor, exact_augmented_distribution
 from stratinv.errors import (
     AmbiguousContext,
     DomainMismatch,
@@ -297,3 +298,122 @@ def test_recoverer_matches_the_set_index_reference():
                     outcomes.add((scm is fx.scm, got == "<AMBIGUOUS>"))
     # recovered and ambiguous pairs occur both with and without the ctx token
     assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+# --- one evidence pass per pair: the per-context walk as the oracle ----------
+
+
+def per_context_table(scm, x, s, z_plus):
+    """One context's conditional table from its own walk over the evidence
+    pair's worlds, as the sampler computed each table before it built every
+    context's table of a pair in one pass."""
+    if z_plus not in scm.z_domain:
+        raise DomainMismatch(f"context {z_plus!r} outside the domain")
+    z0 = ExactConditionalSampler(scm).recover(x, s)
+    k = scm.z_domain.values.index(z_plus)
+    index = scm.index
+    mass, total = {}, 0.0
+    for i in index.evidence[(x, s, z0)]:
+        m = index.worlds[i][1]
+        xp = index.potentials[i][k]
+        mass[xp] = mass.get(xp, 0.0) + m
+        total += m
+    values = tuple(mass)
+    return values, np.array([mass[v] for v in values], dtype=float) / total
+
+
+def per_context_kernel(scm, base, contexts):
+    """The augmented kernel over per-context tables, uniform fresh context."""
+    weights = [1.0 / len(contexts)] * len(contexts)
+    labels = {}
+
+    def kernel(x, s):
+        law = {}
+        for z_plus, w in zip(contexts, weights):
+            values, probs = per_context_table(scm, x, s, z_plus)
+            for xp, p in zip(values, probs):
+                if xp not in labels:
+                    labels[xp] = base(xp)
+                law[labels[xp]] = law.get(labels[xp], 0.0) + w * float(p)
+        return law
+
+    return kernel
+
+
+def _hexed(table):
+    values, probs = table
+    return values, [float(p).hex() for p in probs]
+
+
+def _hexed_law(law):
+    return [(key, [(y, p.hex()) for y, p in row.items()]) for key, row in law.items()]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (AmbiguousContext, InconsistentEvidence) as exc:
+        return type(exc).__name__
+
+
+def _one_pass_models():
+    for fx in fixture_suite(24):
+        yield fx.name, fx.scm
+        yield fx.name + "-blind", _blind(fx.scm)  # ambiguous evidence too
+    # the benchmark's certify models: three contexts, 4 to 10 binary factors
+    for i, k in enumerate(range(4, 11)):
+        yield f"bench-k{k}", random_fixture_scm([1, 59, i], n_contexts=3, n_factors=k)
+
+
+def test_one_pass_tables_match_the_per_context_walk():
+    for name, scm in _one_pass_models():
+        zs = scm.z_domain.values
+        sampler = ExactConditionalSampler(scm)
+        pairs = list(dict.fromkeys((x, s) for x, s, _z in scm.index.evidence))
+        rng_new, rng_old = np.random.default_rng(3), np.random.default_rng(3)
+        for x, s in pairs:
+            tables = _outcome(sampler.conditional_tables, x, s)
+            for z_plus in zs:
+                want = _outcome(per_context_table, scm, x, s, z_plus)
+                if isinstance(want, str):
+                    assert tables == want, (name, x, s)
+                    assert _outcome(sampler.conditional_table, x, s, z_plus) == want
+                    continue
+                assert _hexed(tables[z_plus]) == _hexed(want), (name, x, s, z_plus)
+                assert _hexed(sampler.conditional_table(x, s, z_plus)) == _hexed(want)
+                values, probs = want
+                assert sampler.draw(x, s, z_plus, rng_new) == values[
+                    rng_old.choice(len(values), p=probs)
+                ], (name, x, s, z_plus)
+        # the exact augmented law, over the domain and a reordered subset of it
+        for contexts in (zs, (zs[-1], zs[0])):
+            ap = AugmentedPredictor(
+                recoverer=ExactRecoverer(scm), sampler=ExactConditionalSampler(scm),
+                base=ctx_reader, contexts=contexts,
+            )
+            want = _outcome(
+                exact_prediction_law, scm, per_context_kernel(scm, ctx_reader, contexts)
+            )
+            got = _outcome(exact_augmented_distribution, scm, ap)
+            if isinstance(want, str):
+                assert got == want, (name, contexts)
+            else:
+                assert _hexed_law(got) == _hexed_law(want), (name, contexts)
+
+
+def test_one_pass_tables_refuse_a_context_outside_the_domain():
+    scm = random_fixture_scm([1, 59, 0], n_contexts=3, n_factors=4)
+    x, s, _z = next(iter(scm.index.evidence))
+    sampler = ExactConditionalSampler(scm)
+    with pytest.raises(DomainMismatch, match="'zq' outside the domain"):
+        sampler.conditional_table(x, s, "zq")
+    with pytest.raises(DomainMismatch, match="'zq' outside the domain"):
+        sampler.conditional_tables(x, s, ("za", "zq"))
+    with pytest.raises(DomainMismatch, match="'zq' outside the domain"):
+        sampler.draw(x, s, "zq", np.random.default_rng(0))
+    ap = AugmentedPredictor(
+        recoverer=ExactRecoverer(scm), sampler=sampler, base=ctx_reader,
+        contexts=("zb", "zq"),
+    )
+    with pytest.raises(DomainMismatch, match="'zq' outside the domain"):
+        exact_augmented_distribution(scm, ap)
