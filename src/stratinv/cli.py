@@ -155,21 +155,19 @@ def metric_rows(
             ).validate()
         )
 
-    test = None
+    # The test's observed statistic is si_bias, from the same count table;
+    # si_bias and macro_f1 draw nothing, so the stream is unchanged.
+    test = (
+        ci_permutation_test(records, permutations=permutations, rng=rng)
+        if "permutation" in metrics
+        else None
+    )
     if "si_bias" in metrics:
-        if "permutation" in metrics:
-            # The test's observed statistic is si_bias, from the same count
-            # table; si_bias and macro_f1 draw nothing, so the stream holds.
-            test = ci_permutation_test(records, permutations=permutations, rng=rng)
-            add("si_bias", test.statistic, n=len(records))
-        else:
-            rep = si_bias(records)
-            add("si_bias", rep.value, n=rep.n)
+        value = si_bias(records).value if test is None else test.statistic
+        add("si_bias", value, n=len(records))
     if "macro_f1" in metrics:
         add("macro_f1", macro_f1(records), n=len(records))
-    if "permutation" in metrics:
-        if test is None:
-            test = ci_permutation_test(records, permutations=permutations, rng=rng)
+    if test is not None:
         add("perm_statistic", test.statistic, n=len(records))
         add("p_value", test.p_value, n=len(records))
     return rows

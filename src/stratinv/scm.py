@@ -357,15 +357,15 @@ class ExactConditionalSampler:
     posterior over worlds w with x_fn(z, u_w) = x and observed stratum s is
     formed, and X(z+) = x_fn(z+, u_w) is pushed through it.
     ``conditional_tables`` builds the tables of several contexts from one walk
-    over the consistent worlds; ``conditional_table`` is its one-context case.
-    Both compute afresh, for analytic use; ``draw`` samples from the tables of
-    every context in the domain and keeps them per evidence pair.
+    over the consistent worlds, afresh, for analytic use;
+    ``conditional_table`` is its one-context case. ``draw`` samples from the
+    one-context table and keeps each table it draws from.
     """
 
     def __init__(self, scm: DiscreteScm):
         self.scm = scm
         self._index = scm.index
-        self._tables: dict[tuple, dict[Any, tuple[tuple, np.ndarray]]] = {}
+        self._tables: dict[tuple, tuple[tuple, np.ndarray]] = {}
 
     def recover(self, x, s):
         found = self._index.consistent_contexts(x, s)
@@ -377,19 +377,13 @@ class ExactConditionalSampler:
             )
         return found[0]
 
-    def _position(self, z_plus) -> int:
-        """Index of ``z_plus`` in the context domain; DomainMismatch outside it."""
-        try:
-            return self.scm.z_domain.values.index(z_plus)
-        except ValueError:
-            raise DomainMismatch(f"context {z_plus!r} outside the domain") from None
-
-    def conditional_tables(self, x, s, contexts=None) -> dict:
+    def conditional_tables(self, x, s, contexts) -> dict:
         """{z+: (support, probabilities) of X(z+) given the evidence} for each
-        context in ``contexts`` (default: the domain), in that order."""
-        if contexts is None:
-            contexts = self.scm.z_domain.values
-        ks = [self._position(z_plus) for z_plus in contexts]
+        context in ``contexts``, in that order."""
+        for z_plus in contexts:
+            if z_plus not in self.scm.z_domain:
+                raise DomainMismatch(f"context {z_plus!r} outside the domain")
+        ks = [self.scm.z_domain.values.index(z_plus) for z_plus in contexts]
         z0 = self.recover(x, s)
         worlds, potentials = self._index.worlds, self._index.potentials
         masses: list[dict[Any, float]] = [{} for _ in ks]
@@ -411,11 +405,10 @@ class ExactConditionalSampler:
         return self.conditional_tables(x, s, (z_plus,))[z_plus]
 
     def draw(self, x, s, z_plus, rng: np.random.Generator):
-        self._position(z_plus)
-        key = (x, s)
+        key = (x, s, z_plus)
         if key not in self._tables:
-            self._tables[key] = self.conditional_tables(x, s)
-        values, probs = self._tables[key][z_plus]
+            self._tables[key] = self.conditional_table(x, s, z_plus)
+        values, probs = self._tables[key]
         return values[rng.choice(len(values), p=probs)]
 
 

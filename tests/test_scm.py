@@ -372,7 +372,7 @@ def test_one_pass_tables_match_the_per_context_walk():
         pairs = list(dict.fromkeys((x, s) for x, s, _z in scm.index.evidence))
         rng_new, rng_old = np.random.default_rng(3), np.random.default_rng(3)
         for x, s in pairs:
-            tables = _outcome(sampler.conditional_tables, x, s)
+            tables = _outcome(sampler.conditional_tables, x, s, zs)
             for z_plus in zs:
                 want = _outcome(per_context_table, scm, x, s, z_plus)
                 if isinstance(want, str):
