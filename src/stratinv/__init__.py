@@ -13,7 +13,6 @@ from .augment import (
     Aggregator,
     AugmentedPredictor,
     AugmentResult,
-    ContextRecoverer,
     IdentitySampler,
     ReplicateTrace,
     augment_once,
@@ -83,19 +82,15 @@ from .metrics import (
 from .mock import MockStructuredLm
 from .ooc import (
     TaskConfig,
-    add_context,
     builtin_task,
     builtin_task_names,
     dump_task,
     load_task,
-    obfuscate,
     ooc_predict,
     ooc_predict_many,
     parse_choice,
     predict_label,
-    predict_stratifier,
     render_template,
-    rewrite_single_call,
 )
 from .scm import (
     AMBIGUOUS,

@@ -4,7 +4,7 @@ The augmented predictor wraps a base predictor h with three steps per
 replicate: recover the context z from the input and stratum, draw a fresh
 context z+ uniformly, draw a counterfactual input x+ from the conditional
 law of X(z+) given the evidence, and predict h(x+). Replicates are
-aggregated (majority by default). With the exact conditional sampler the
+aggregated by majority vote. With the exact conditional sampler the
 per-replicate prediction law is provably constant across contexts within
 every stratum; `exact_augmented_distribution` computes that law in closed
 form so the constancy can be asserted to machine precision.
@@ -23,16 +23,6 @@ from .scm import AMBIGUOUS, DiscreteScm
 from .metrics import exact_prediction_law, max_context_deviation  # noqa: F401
 
 
-class ContextRecoverer:
-    """Wraps a recover(x, s) -> z callable; AMBIGUOUS signals failure."""
-
-    def __init__(self, fn: Callable[[Any, Any], Any]):
-        self._fn = fn
-
-    def recover(self, x, s):
-        return self._fn(x, s)
-
-
 class IdentitySampler:
     """Returns the input unchanged; the do-nothing negative control."""
 
@@ -45,24 +35,14 @@ class Aggregator:
     """Combines replicate labels; majority with a deterministic tie-break.
 
     Ties go to the earliest label in ``label_order`` (the declared domain
-    order); labels outside it rank after, in first-seen order. ``delegate``
-    mode hands the replicate labels to an external decider callable, for
-    tasks whose answers are not a fixed label set.
+    order); labels outside it rank after, in first-seen order.
     """
 
-    kind: str = "majority"
     label_order: tuple = ()
-    decider: Callable[[Sequence], Any] | None = None
 
     def combine(self, labels: Sequence) -> Any:
         if not labels:
             raise ValueError("no labels to aggregate")
-        if self.kind == "delegate":
-            if self.decider is None:
-                raise ValueError("delegate aggregator needs a decider")
-            return self.decider(labels)
-        if self.kind != "majority":
-            raise ValueError(f"unknown aggregator kind {self.kind!r}")
         order = list(self.label_order)
         for lab in labels:
             if lab not in order:
@@ -92,9 +72,8 @@ class AugmentResult:
 class AugmentedPredictor:
     """Def-3 style wrapper around a base predictor.
 
-    ``contexts`` is the domain the fresh context is drawn from (uniformly;
-    ``context_weights`` enables a weighted variant and is None by default,
-    meaning uniform). ``m`` replicates are aggregated by ``aggregator``.
+    ``contexts`` is the domain the fresh context is drawn from, uniformly.
+    ``m`` replicates are aggregated by ``aggregator``.
     """
 
     recoverer: Any  # has .recover(x, s)
@@ -103,13 +82,9 @@ class AugmentedPredictor:
     contexts: tuple
     m: int = 1
     aggregator: Aggregator = field(default_factory=Aggregator)
-    context_weights: tuple | None = None
 
     def draw_context(self, rng: np.random.Generator):
-        if self.context_weights is None:
-            return self.contexts[rng.integers(len(self.contexts))]
-        w = np.asarray(self.context_weights, dtype=float)
-        return self.contexts[rng.choice(len(self.contexts), p=w / w.sum())]
+        return self.contexts[rng.integers(len(self.contexts))]
 
 
 def augment_once(
@@ -164,30 +139,25 @@ def augmented_kernel(ap: AugmentedPredictor) -> Callable[[Any, Any], dict]:
 
     Requires a sampler exposing ``conditional_tables`` (the exact one), which
     gives the tables of every fresh context from one walk over the evidence
-    pair's worlds. The fresh context is marginalized with the predictor's
-    weights (uniform by default), in the order of ``ap.contexts``. This is the
-    law of the Def-3 augmented prediction; aggregation over replicates does
-    not change it, since replicates are exchangeable. The kernel asks for the
-    tables once per call and calls the base predictor once per distinct input
-    it sees.
+    pair's worlds. The fresh context is marginalized uniformly, in the order
+    of ``ap.contexts``. This is the law of the Def-3 augmented prediction;
+    aggregation over replicates does not change it, since replicates are
+    exchangeable. The kernel asks for the tables once per call and calls the
+    base predictor once per distinct input it sees.
     """
     tables_fn = getattr(ap.sampler, "conditional_tables", None)
     if tables_fn is None:
         raise ValueError(
             "exact law needs a sampler with conditional_tables (the exact sampler)"
         )
-    if ap.context_weights is None:
-        weights = [1.0 / len(ap.contexts)] * len(ap.contexts)
-    else:
-        total = float(sum(ap.context_weights))
-        weights = [w / total for w in ap.context_weights]
+    w = 1.0 / len(ap.contexts)
 
     labels: dict[Any, Any] = {}
 
     def kernel(x, s) -> dict:
         tables = tables_fn(x, s, ap.contexts)
         law: dict[Any, float] = {}
-        for z_plus, w in zip(ap.contexts, weights):
+        for z_plus in ap.contexts:
             values, probs = tables[z_plus]
             for xp, p in zip(values, probs.tolist()):
                 if xp not in labels:

@@ -117,13 +117,6 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _config_path(args, alias: str, what: str) -> str:
-    value = getattr(args, alias, None) or args.config
-    if not value:
-        raise ValueError(f"need --config (or --{alias}) pointing at {what}")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # Shared metric-row builder (audit and ooc-run)
 # ---------------------------------------------------------------------------
@@ -184,8 +177,11 @@ def _print_rows(rows: Sequence[ReportRow]) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
-    scm_path = _config_path(args, "scm", "an SCM table file")
-    scm = load_scm(scm_path)
+    if not args.scm:
+        raise ValueError("need --scm pointing at an SCM table file")
+    if args.n < 0:
+        raise StratinvError(f"--n must be at least 0, got {args.n}")
+    scm = load_scm(args.scm)
     rng = np.random.default_rng(args.seed)
     records = []
     for i in range(args.n):
@@ -194,7 +190,7 @@ def cmd_simulate(args) -> int:
         records.append(LabeledRecord(f"r{i:06d}", x=x, s=s, z=world.z, y=y))
     out = _out_dir(args)
     manifest = build_manifest(
-        "simulate", {"scm": str(scm_path), "n": args.n}, args.seed, [scm_path]
+        "simulate", {"scm": str(args.scm), "n": args.n}, args.seed, [args.scm]
     )
     digest = write_manifest(manifest, out)
     dump_records(records, out / "records.jsonl")
@@ -212,8 +208,9 @@ def _format_set(names) -> str:
 def cmd_check_adjustment(args) -> int:
     if args.max_size < 0:
         raise StratinvError(f"--max-size must be at least 0, got {args.max_size}")
-    graph_path = _config_path(args, "graph", "a graph file")
-    g = cg.load_dag(graph_path)
+    if not args.graph:
+        raise ValueError("need --graph pointing at a graph file")
+    g = cg.load_dag(args.graph)
     candidate = tuple(
         name
         for chunk in (args.candidate or [])
@@ -244,13 +241,13 @@ def cmd_check_adjustment(args) -> int:
         manifest = build_manifest(
             "check-adjustment",
             {
-                "graph": str(graph_path),
+                "graph": str(args.graph),
                 "treatment": args.treatment,
                 "outcome": args.outcome,
                 "candidate": sorted(candidate),
             },
             args.seed,
-            [graph_path],
+            [args.graph],
         )
         digest = write_manifest(manifest, out)
         (out / "verdict.json").write_text(
@@ -287,7 +284,7 @@ def cmd_audit(args) -> int:
     records = load_records(args.records)
     metrics = _parse_metrics(args.metrics)
     rng = np.random.default_rng(args.seed)
-    if args.balance:
+    if args.balance is not None:
         records = balanced_subsample(records, args.balance, rng)
     out = _out_dir(args)
     manifest = build_manifest(
@@ -328,27 +325,13 @@ def _make_client(args, cfg: TaskConfig) -> ChatClient:
 
 
 def _trace_doc(record, result) -> dict:
+    # vars() of the frozen dataclasses gives asdict's keys without its deep copy
     return {
         "record_id": record.record_id,
         "s": record.s,
         "z": record.z,
-        "stratum": result.stratum,
-        "stratum_source": result.stratum_source,
-        "label": result.label,
-        "failures": result.failures,
-        "notes": list(result.notes),
-        "replicates": [
-            {
-                "j": rep.j,
-                "obfuscate_instruction": rep.obfuscate_instruction,
-                "x_minus": rep.x_minus,
-                "z_plus": rep.z_plus,
-                "add_instruction": rep.add_instruction,
-                "x_plus": rep.x_plus,
-                "label": rep.label,
-            }
-            for rep in result.replicates
-        ],
+        **vars(result),
+        "replicates": [vars(rep) for rep in result.replicates],
     }
 
 
@@ -396,15 +379,18 @@ def _ooc_pass(cfg, client, records, seed, r, single_call, trace_sink, failed_sin
 
 
 def cmd_ooc_run(args) -> int:
-    task_path = _config_path(args, "task", "a task file")
-    cfg = load_task(task_path)
+    if not args.task:
+        raise ValueError("need --task pointing at a task file")
+    if args.seeds < 1:
+        raise StratinvError(f"--seeds must be at least 1, got {args.seeds}")
+    cfg = load_task(args.task)
     records_all = load_records(args.records)
     metrics = _parse_metrics(args.metrics)
     out = _out_dir(args)
     manifest = build_manifest(
         "ooc-run",
         {
-            "task": str(task_path),
+            "task": str(args.task),
             "records": str(args.records),
             "client": args.client,
             "balance": args.balance,
@@ -413,20 +399,19 @@ def cmd_ooc_run(args) -> int:
             "single_call": bool(args.single_call),
         },
         args.seed,
-        [task_path, args.records],
+        [args.task, args.records],
     )
     digest = write_manifest(manifest, out)
 
-    per_seed: dict[tuple, list[float]] = {}
-    ordered_keys: list[tuple] = []
-    sizes: dict[tuple, int] = {}
+    # (dataset, z_pair, method, metric) -> each pass's (value, n), in row order
+    per_seed: dict[tuple, list[tuple[float, int]]] = {}
     failed: list[tuple[str, str]] = []
     traces: list[dict] | None = None
     with closing(_make_client(args, cfg)) as client:
         for r in range(args.seeds):
             pass_rng = np.random.default_rng([args.seed, r])
             records = records_all
-            if args.balance:
+            if args.balance is not None:
                 records = balanced_subsample(records_all, args.balance, pass_rng)
             trace_sink = [] if r == 0 else None
             standard_records, ooc_records = _ooc_pass(
@@ -471,16 +456,11 @@ def cmd_ooc_run(args) -> int:
                 ).validate())
                 for row in rows_r:
                     key = (row.dataset, row.z_pair, tag, row.metric)
-                    if key not in per_seed:
-                        per_seed[key] = []
-                        ordered_keys.append(key)
-                    per_seed[key].append(row.value)
-                    sizes[key] = row.n
+                    per_seed.setdefault(key, []).append((row.value, row.n))
 
     rows = []
-    for key in ordered_keys:
-        values = per_seed[key]
-        dataset, z_pair, method_tag, metric = key
+    for (dataset, z_pair, method_tag, metric), passes in per_seed.items():
+        values = [value for value, _n in passes]
         if metric == "failure_rate" and not failed:
             continue  # failure_rate rows appear only when something failed
         if len(values) > 1:
@@ -491,7 +471,7 @@ def cmd_ooc_run(args) -> int:
             ReportRow(
                 dataset=dataset, z_pair=z_pair, method=method_tag,
                 metric=metric, value=float(np.mean(values)),
-                dispersion=dispersion, n=sizes[key], manifest=digest,
+                dispersion=dispersion, n=passes[-1][1], manifest=digest,
             ).validate()
         )
     write_rows_json(rows, out / "rows.json")
@@ -552,10 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="base RNG seed")
     common.add_argument(
-        "--config", default=None,
-        help="main input file for the subcommand (scm / graph / task)",
-    )
-    common.add_argument(
         "--out-dir", default="out", help="directory for artifacts"
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -564,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate", parents=[common],
         help="sample labeled records from an SCM table file",
     )
-    p.add_argument("--scm", default=None, help="SCM table file (alias of --config)")
+    p.add_argument("--scm", default=None, help="SCM table file")
     p.add_argument("--n", type=int, default=1000, help="number of records")
     p.set_defaults(func=cmd_simulate)
 
@@ -572,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
         "check-adjustment", parents=[common],
         help="test a candidate adjustment set on a graph file",
     )
-    p.add_argument("--graph", default=None, help="graph file (alias of --config)")
+    p.add_argument("--graph", default=None, help="graph file")
     p.add_argument("--treatment", required=True)
     p.add_argument("--outcome", required=True)
     p.add_argument(
@@ -611,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
         "ooc-run", parents=[common],
         help="standard vs out-of-context predictions over a dataset",
     )
-    p.add_argument("--task", default=None, help="task file (alias of --config)")
+    p.add_argument("--task", default=None, help="task file")
     p.add_argument("--records", required=True, help="JSONL dataset")
     p.add_argument("--client", choices=("mock", "http"), default="mock")
     p.add_argument("--endpoint", default=None, help="service base URL for http")

@@ -43,8 +43,23 @@ def _random_row(rng: np.random.Generator, size: int) -> np.ndarray:
     return row / row.sum()
 
 
-def _uniform_p_u(u_grid) -> dict:
-    return {u: 1.0 / len(u_grid) for u in u_grid}
+def _binary_factors(count: int) -> tuple[FiniteDomain, ...]:
+    return tuple(FiniteDomain(f"u{i + 1}", (0, 1)) for i in range(count))
+
+
+def _random_p_u(rng: np.random.Generator, u_domains) -> dict:
+    u_grid = list(itertools.product(*(d.values for d in u_domains)))
+    return {u: float(p) for u, p in zip(u_grid, _random_row(rng, len(u_grid)))}
+
+
+def _random_p_z(rng: np.random.Generator, contexts, confounded: bool):
+    """(z_parents, p_z): the context caused by u1 when ``confounded``."""
+    parent_values = [(0,), (1,)] if confounded else [()]
+    p_z = {
+        v: dict(zip(contexts, map(float, _random_row(rng, len(contexts)))))
+        for v in parent_values
+    }
+    return ("u1",) if confounded else (), p_z
 
 
 def _stratum_entry(s_mode: str, u: tuple, y) -> str:
@@ -52,11 +67,35 @@ def _stratum_entry(s_mode: str, u: tuple, y) -> str:
         return "all"
     if s_mode == "u1":
         return str(u[0])
+    if s_mode == "u2":
+        return str(u[1])
     if s_mode == "y":
         return str(y)
     if s_mode == "pair":
         return f"{u[0]}{y}"
     raise ValueError(f"unknown s_mode {s_mode!r}")
+
+
+def _tabulate(u_domains, contexts, p_u, z_parents, p_z, cell) -> DiscreteScm:
+    """A table-backed model whose ``cell(z, u)`` gives (x, y, s).
+
+    Cells are visited z-major, then in factor-grid order, so a cell that
+    draws from a seeded stream always draws in the same sequence.
+    """
+    x_table: dict[str, str] = {}
+    y_table: dict[str, int] = {}
+    s_table: dict[str, str] = {}
+    for z in contexts:
+        for u in itertools.product(*(d.values for d in u_domains)):
+            x, y, s = cell(z, u)
+            x_table[_tkey(z, *u)] = x
+            y_table[_tkey(z, *u)] = y
+            s_table[_tkey(z, *u, y)] = s
+    return scm_from_tables(
+        u_domains, FiniteDomain("z", contexts), p_u, z_parents, p_z,
+        x_table, y_table, s_table, y_values=(0, 1),
+        s_values=tuple(sorted(set(s_table.values()))),
+    )
 
 
 def random_fixture_scm(
@@ -82,20 +121,9 @@ def random_fixture_scm(
     if confounded is None:
         confounded = bool(rng.integers(2))
     contexts = _CONTEXT_NAMES[:n_contexts]
-    u_domains = tuple(FiniteDomain(f"u{i + 1}", (0, 1)) for i in range(n_factors))
-    u_grid = list(itertools.product(*(d.values for d in u_domains)))
-    p_u = {
-        u: float(p) for u, p in zip(u_grid, _random_row(rng, len(u_grid)))
-    }
-    if confounded:
-        z_parents = ("u1",)
-        p_z = {
-            (v,): dict(zip(contexts, map(float, _random_row(rng, n_contexts))))
-            for v in (0, 1)
-        }
-    else:
-        z_parents = ()
-        p_z = {(): dict(zip(contexts, map(float, _random_row(rng, n_contexts))))}
+    u_domains = _binary_factors(n_factors)
+    p_u = _random_p_u(rng, u_domains)
+    z_parents, p_z = _random_p_z(rng, contexts, confounded)
 
     hidden = 0
     if n_factors >= 2 and rng.integers(2):
@@ -103,28 +131,19 @@ def random_fixture_scm(
     with_pad = bool(rng.integers(2))
     with_tail = bool(rng.integers(2))
 
-    x_table: dict[str, str] = {}
-    y_table: dict[str, int] = {}
-    s_table: dict[str, str] = {}
-    for z in contexts:
-        for u in u_grid:
-            parts = [f"ctx={z}"]
-            parts += [
-                f"u{i + 1}={u[i]}" for i in range(n_factors) if i + 1 != hidden
-            ]
-            parts.append(f"v={int(rng.integers(2))}")
-            if with_pad:
-                parts.append("pad=0")
-            x = " ".join(parts) + (" routine note" if with_tail else "")
-            y = int(rng.integers(2))
-            x_table[_tkey(z, *u)] = x
-            y_table[_tkey(z, *u)] = y
-            s_table[_tkey(z, *u, y)] = _stratum_entry(s_mode, u, y)
-    s_values = tuple(sorted(set(s_table.values())))
-    return scm_from_tables(
-        u_domains, FiniteDomain("z", contexts), p_u, z_parents, p_z,
-        x_table, y_table, s_table, y_values=(0, 1), s_values=s_values,
-    )
+    def cell(z, u):
+        parts = [f"ctx={z}"]
+        parts += [
+            f"u{i + 1}={u[i]}" for i in range(n_factors) if i + 1 != hidden
+        ]
+        parts.append(f"v={int(rng.integers(2))}")
+        if with_pad:
+            parts.append("pad=0")
+        x = " ".join(parts) + (" routine note" if with_tail else "")
+        y = int(rng.integers(2))
+        return x, y, _stratum_entry(s_mode, u, y)
+
+    return _tabulate(u_domains, contexts, p_u, z_parents, p_z, cell)
 
 
 # ---------------------------------------------------------------------------
@@ -263,34 +282,32 @@ def anticausal_fixture(seed, s_mode: str = "y") -> DiscreteScm:
     Stratifying by the label blocks the confounded path.
     """
     rng = np.random.default_rng(seed)
-    u_domains = (FiniteDomain("u1", (0, 1)), FiniteDomain("u2", (0, 1)))
-    u_grid = list(itertools.product((0, 1), (0, 1)))
+    u_domains = _binary_factors(2)
     contexts = ("za", "zb")
-    p_u = {u: float(p) for u, p in zip(u_grid, _random_row(rng, 4))}
-    p_z = {
-        (v,): dict(zip(contexts, map(float, _random_row(rng, 2))))
-        for v in (0, 1)
-    }
-    x_table: dict[str, str] = {}
-    y_table: dict[str, int] = {}
-    s_table: dict[str, str] = {}
-    cell_token: dict[tuple, int] = {}
-    for z in contexts:
-        for u in u_grid:
-            y = u[0]
-            cell = (z, y, u[1])
-            if cell not in cell_token:
-                cell_token[cell] = int(rng.integers(2))
-            x_table[_tkey(z, *u)] = (
-                f"ctx={z} ylab={y} u2={u[1]} v={cell_token[cell]}"
-            )
-            y_table[_tkey(z, *u)] = y
-            s_table[_tkey(z, *u, y)] = _stratum_entry(s_mode, u, y)
-    return scm_from_tables(
-        u_domains, FiniteDomain("z", contexts), p_u, ("u1",), p_z,
-        x_table, y_table, s_table, y_values=(0, 1),
-        s_values=tuple(sorted(set(s_table.values()))),
-    )
+    p_u = _random_p_u(rng, u_domains)
+    z_parents, p_z = _random_p_z(rng, contexts, confounded=True)
+
+    def cell(z, u):
+        y = u[0]
+        x = f"ctx={z} ylab={y} u2={u[1]} v={int(rng.integers(2))}"
+        return x, y, _stratum_entry(s_mode, u, y)
+
+    return _tabulate(u_domains, contexts, p_u, z_parents, p_z, cell)
+
+
+def _two_factor_fixture(seed, s_mode: str, y_mode: str, confounded: bool):
+    rng = np.random.default_rng(seed)
+    u_domains = _binary_factors(2)
+    contexts = ("za", "zb")
+    p_u = _random_p_u(rng, u_domains)
+    z_parents, p_z = _random_p_z(rng, contexts, confounded)
+
+    def cell(z, u):
+        y = int(rng.integers(2)) if y_mode == "random" else u[1]
+        x = f"ctx={z} u1={u[0]} u2={u[1]} v={int(rng.integers(2))}"
+        return x, y, _stratum_entry(s_mode, u, y)
+
+    return _tabulate(u_domains, contexts, p_u, z_parents, p_z, cell)
 
 
 def confounded_fixture(seed, s_mode: str = "const", y_mode: str = "random") -> DiscreteScm:
@@ -300,60 +317,12 @@ def confounded_fixture(seed, s_mode: str = "const", y_mode: str = "random") -> D
     copy of the second factor (useful when the label must be causally
     unrelated to the confounder).
     """
-    rng = np.random.default_rng(seed)
-    u_domains = (FiniteDomain("u1", (0, 1)), FiniteDomain("u2", (0, 1)))
-    u_grid = list(itertools.product((0, 1), (0, 1)))
-    contexts = ("za", "zb")
-    p_u = {u: float(p) for u, p in zip(u_grid, _random_row(rng, 4))}
-    p_z = {
-        (v,): dict(zip(contexts, map(float, _random_row(rng, 2))))
-        for v in (0, 1)
-    }
-    x_table: dict[str, str] = {}
-    y_table: dict[str, int] = {}
-    s_table: dict[str, str] = {}
-    for z in contexts:
-        for u in u_grid:
-            y = int(rng.integers(2)) if y_mode == "random" else u[1]
-            x_table[_tkey(z, *u)] = (
-                f"ctx={z} u1={u[0]} u2={u[1]} v={int(rng.integers(2))}"
-            )
-            y_table[_tkey(z, *u)] = y
-            if s_mode == "u2":
-                s_table[_tkey(z, *u, y)] = str(u[1])
-            else:
-                s_table[_tkey(z, *u, y)] = _stratum_entry(s_mode, u, y)
-    return scm_from_tables(
-        u_domains, FiniteDomain("z", contexts), p_u, ("u1",), p_z,
-        x_table, y_table, s_table, y_values=(0, 1),
-        s_values=tuple(sorted(set(s_table.values()))),
-    )
+    return _two_factor_fixture(seed, s_mode, y_mode, confounded=True)
 
 
 def exogenous_fixture(seed, s_mode: str = "const") -> DiscreteScm:
     """Context assigned independently of every exogenous factor."""
-    rng = np.random.default_rng(seed)
-    u_domains = (FiniteDomain("u1", (0, 1)), FiniteDomain("u2", (0, 1)))
-    u_grid = list(itertools.product((0, 1), (0, 1)))
-    contexts = ("za", "zb")
-    p_u = {u: float(p) for u, p in zip(u_grid, _random_row(rng, 4))}
-    p_z = {(): dict(zip(contexts, map(float, _random_row(rng, 2))))}
-    x_table: dict[str, str] = {}
-    y_table: dict[str, int] = {}
-    s_table: dict[str, str] = {}
-    for z in contexts:
-        for u in u_grid:
-            y = int(rng.integers(2))
-            x_table[_tkey(z, *u)] = (
-                f"ctx={z} u1={u[0]} u2={u[1]} v={int(rng.integers(2))}"
-            )
-            y_table[_tkey(z, *u)] = y
-            s_table[_tkey(z, *u, y)] = _stratum_entry(s_mode, u, y)
-    return scm_from_tables(
-        u_domains, FiniteDomain("z", contexts), p_u, (), p_z,
-        x_table, y_table, s_table, y_values=(0, 1),
-        s_values=tuple(sorted(set(s_table.values()))),
-    )
+    return _two_factor_fixture(seed, s_mode, "random", confounded=False)
 
 
 def direct_effect_fixture(seed) -> DiscreteScm:
@@ -362,24 +331,19 @@ def direct_effect_fixture(seed) -> DiscreteScm:
     Stratifying by the label is then conditioning on a treatment effect,
     which no valid adjustment set may do.
     """
-    rng = np.random.default_rng(seed)
-    scm_seedless = exogenous_fixture(seed, s_mode="y")
+    base = exogenous_fixture(seed, s_mode="y")
+    x_table = base.tables["x"]
     # Rebuild the label table forcing a z-dependence on the first profile.
-    y_table = dict(scm_seedless.tables["y"])
-    u_first = (0, 0)
-    y_table[_tkey("zb", *u_first)] = 1 - y_table[_tkey("za", *u_first)]
-    x_table = dict(scm_seedless.tables["x"])
-    s_table = {}
-    u_grid = list(itertools.product((0, 1), (0, 1)))
-    for z in ("za", "zb"):
-        for u in u_grid:
-            y = y_table[_tkey(z, *u)]
-            s_table[_tkey(z, *u, y)] = str(y)
-    del rng
-    return scm_from_tables(
-        scm_seedless.u_domains, scm_seedless.z_domain, scm_seedless.p_u,
-        scm_seedless.z_parents, scm_seedless.p_z_given_parents,
-        x_table, y_table, s_table, y_values=(0, 1), s_values=("0", "1"),
+    y_table = dict(base.tables["y"])
+    y_table[_tkey("zb", 0, 0)] = 1 - y_table[_tkey("za", 0, 0)]
+
+    def cell(z, u):
+        y = y_table[_tkey(z, *u)]
+        return x_table[_tkey(z, *u)], y, str(y)
+
+    return _tabulate(
+        base.u_domains, base.z_domain.values, base.p_u, base.z_parents,
+        base.p_z_given_parents, cell,
     )
 
 
@@ -495,24 +459,14 @@ def chain_fixture(level: int) -> DiscreteScm:
     """
     if not 0 <= level <= 3:
         raise ValueError("level must be in 0..3")
-    u_domains = tuple(FiniteDomain(f"u{i + 1}", (0, 1)) for i in range(3))
-    u_grid = list(itertools.product((0, 1), (0, 1), (0, 1)))
-    contexts = ("za", "zb")
-    p_u = _uniform_p_u(u_grid)
-    p_z = {(): {"za": 0.5, "zb": 0.5}}
-    x_table: dict[str, str] = {}
-    y_table: dict[str, int] = {}
-    s_table: dict[str, str] = {}
-    for z in contexts:
-        for u in u_grid:
-            revealed = u[0] if z == "za" else u[1]
-            x_table[_tkey(z, *u)] = f"ctx={z} r={revealed}"
-            y = u[0]
-            y_table[_tkey(z, *u)] = y
-            s = "all" if level == 0 else "".join(str(b) for b in u[:level])
-            s_table[_tkey(z, *u, y)] = s
-    return scm_from_tables(
-        u_domains, FiniteDomain("z", contexts), p_u, (), p_z,
-        x_table, y_table, s_table, y_values=(0, 1),
-        s_values=tuple(sorted(set(s_table.values()))),
+    u_domains = _binary_factors(3)
+    p_u = {u: 1.0 / 8 for u in itertools.product((0, 1), repeat=3)}
+
+    def cell(z, u):
+        revealed = u[0] if z == "za" else u[1]
+        s = "all" if level == 0 else "".join(str(b) for b in u[:level])
+        return f"ctx={z} r={revealed}", u[0], s
+
+    return _tabulate(
+        u_domains, ("za", "zb"), p_u, (), {(): {"za": 0.5, "zb": 0.5}}, cell
     )

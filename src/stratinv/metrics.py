@@ -51,7 +51,11 @@ class LabeledRecord:
 
 
 def load_records(path) -> list[LabeledRecord]:
-    """Read a JSON-lines dataset."""
+    """Read a JSON-lines dataset.
+
+    The fields that metrics group and count by (s, z, y, y_hat) must be
+    scalars; a list or an object there raises ValueError naming the record.
+    """
     out = []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -59,16 +63,26 @@ def load_records(path) -> list[LabeledRecord]:
             if not line:
                 continue
             doc = json.loads(line)
-            out.append(
-                LabeledRecord(
-                    record_id=doc["record_id"],
-                    x=doc["x"],
-                    s=doc.get("s"),
-                    z=doc.get("z"),
-                    y=doc.get("y"),
-                    y_hat=doc.get("y_hat"),
-                )
+            record = LabeledRecord(
+                record_id=doc["record_id"],
+                x=doc["x"],
+                s=doc.get("s"),
+                z=doc.get("z"),
+                y=doc.get("y"),
+                y_hat=doc.get("y_hat"),
             )
+            try:
+                hash((record.s, record.z, record.y, record.y_hat))
+            except TypeError:
+                name = next(
+                    f for f in ("s", "z", "y", "y_hat")
+                    if isinstance(doc.get(f), (list, dict))
+                )
+                raise ValueError(
+                    f"record {record.record_id!r}: field {name!r} must be a "
+                    f"scalar, got {doc[name]!r}"
+                ) from None
+            out.append(record)
     return out
 
 
@@ -506,6 +520,8 @@ def balanced_subsample(
     cells: dict[tuple, list[LabeledRecord]] = {}
     for r in records:
         cells.setdefault((r.s, r.z), []).append(r)
+    if not cells:
+        raise BalanceError(f"no records to draw a balanced subsample of {n} from")
     strata = list(dict.fromkeys(s for s, _z in cells))
     contexts = list(dict.fromkeys(z for _s, z in cells))
     per_cell = n // (len(strata) * len(contexts))

@@ -21,13 +21,11 @@ import numpy as np
 from .augment import Aggregator
 from .chat import ChatClient, ChatTurnRequest
 from .errors import (
-    DomainMismatch,
     OocFailed,
     ServiceError,
     TemplateError,
     UnparsableAnswer,
 )
-from .scm import FiniteDomain
 
 # ---------------------------------------------------------------------------
 # Template bodies.  The obfuscation and addition templates differ deliberately
@@ -324,10 +322,6 @@ class TaskConfig:
                 raise ValueError("duplicate stratum values")
 
     @property
-    def z_domain(self) -> FiniteDomain:
-        return FiniteDomain("context", self.contexts)
-
-    @property
     def requires_stratum(self) -> bool:
         """True when the secret-information text expects a stratum value."""
         return STRATUM_SLOT in self.s_description
@@ -534,22 +528,14 @@ def render_transform_prompt(
     return render_template(body, values)
 
 
-def _draw_seed(rng: np.random.Generator) -> int:
-    return int(rng.integers(1 << 31))
-
-
 def _draw_instruction(
     cfg: TaskConfig, pool: tuple[str, ...], rng: np.random.Generator
 ) -> tuple[str, int | None]:
     # RNG order per call is fixed: instruction index first, then (only when the
     # temperature is positive) a request seed.  Replays depend on it.
     instruction = pool[int(rng.integers(len(pool)))]
-    seed = _draw_seed(rng) if cfg.transform_temperature > 0 else None
+    seed = int(rng.integers(1 << 31)) if cfg.transform_temperature > 0 else None
     return instruction, seed
-
-
-def _draw_context(cfg: TaskConfig, rng: np.random.Generator) -> str:
-    return cfg.contexts[int(rng.integers(len(cfg.contexts)))]
 
 
 def _dispatch(
@@ -581,76 +567,6 @@ def _transform_request(
         temperature=cfg.transform_temperature,
         seed=seed,
         model=cfg.model,
-    )
-
-
-@dataclass(frozen=True)
-class TransformStep:
-    """One rewrite call: the sampled instruction and what came back."""
-
-    text: str
-    instruction: str
-    rendered_prompt: str
-
-
-def _transform(
-    cfg: TaskConfig,
-    client: ChatClient,
-    body: str,
-    pool: tuple[str, ...],
-    x: str,
-    stratum,
-    z_plus,
-    rng: np.random.Generator,
-) -> TransformStep:
-    instruction, seed = _draw_instruction(cfg, pool, rng)
-    prompt = render_transform_prompt(body, instruction, cfg, x, stratum, z_plus)
-    text = _unwrap(_dispatch(client, [_transform_request(cfg, prompt, seed)])[0])
-    return TransformStep(text=text, instruction=instruction, rendered_prompt=prompt)
-
-
-def obfuscate(
-    cfg: TaskConfig, client: ChatClient, x: str, s, rng: np.random.Generator
-) -> TransformStep:
-    """Remove every context mention from ``x`` while preserving the rest."""
-    return _transform(
-        cfg, client, cfg.obfuscate_template, cfg.obfuscate_prompts, x, s, None, rng
-    )
-
-
-def add_context(
-    cfg: TaskConfig,
-    client: ChatClient,
-    x_minus: str,
-    z_plus,
-    s,
-    rng: np.random.Generator,
-) -> TransformStep:
-    """Write the context value ``z_plus`` into an obfuscated text."""
-    if z_plus not in cfg.z_domain:
-        raise DomainMismatch(
-            f"context {z_plus!r} not in domain {list(cfg.contexts)}"
-        )
-    return _transform(
-        cfg, client, cfg.add_template, cfg.add_prompts, x_minus, s, z_plus, rng
-    )
-
-
-def rewrite_single_call(
-    cfg: TaskConfig,
-    client: ChatClient,
-    x: str,
-    z_plus,
-    s,
-    rng: np.random.Generator,
-) -> TransformStep:
-    """Ablation-only variant collapsing removal and addition into one call."""
-    if z_plus not in cfg.z_domain:
-        raise DomainMismatch(
-            f"context {z_plus!r} not in domain {list(cfg.contexts)}"
-        )
-    return _transform(
-        cfg, client, cfg.rewrite_template, cfg.rewrite_prompts, x, s, z_plus, rng
     )
 
 
@@ -781,17 +697,6 @@ def predict_label(cfg: TaskConfig, client: ChatClient, x: str):
     return _unwrap(_predict_many(cfg, client, [_label_job(cfg, x)])[0])
 
 
-def predict_stratifier(cfg: TaskConfig, client: ChatClient, x: str):
-    """Predict a stratum proxy for ``x``; None when the task has no strata.
-
-    Downstream invariance statements are then conditional on this predicted
-    proxy rather than the underlying stratum; reports must carry that caveat.
-    """
-    if not cfg.requires_stratum:
-        return None
-    return _unwrap(_predict_many(cfg, client, [_stratifier_job(cfg, x)])[0])
-
-
 PROXY_CAVEAT = (
     "stratum was predicted from the input; invariance claims are conditional "
     "on this proxy, not the underlying stratum"
@@ -896,7 +801,7 @@ def ooc_predict_many(
             draws = []
             for _body, pool, writes_context in steps:
                 if writes_context:
-                    z_plus = _draw_context(cfg, rng)
+                    z_plus = cfg.contexts[int(rng.integers(len(cfg.contexts)))]
                 draws.append(_draw_instruction(cfg, pool, rng))
             chains.append(_Chain(i, j, z_plus, draws, [x]))
 
@@ -935,7 +840,7 @@ def ooc_predict_many(
     for c, label in _settle(live, labels):
         c.label = label
 
-    aggregator = Aggregator(kind="majority", label_order=cfg.labels)
+    aggregator = Aggregator(label_order=cfg.labels)
     outcomes = []
     for i in range(n):
         own = chains[i * cfg.m:(i + 1) * cfg.m]

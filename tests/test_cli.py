@@ -121,9 +121,20 @@ def test_simulate_malformed_scm_names_the_table(tmp_path, capsys):
     assert "y_table" in err and key in err
 
 
+def test_simulate_rejects_a_negative_n(tmp_path, capsys):
+    scm_path = write_scm(tmp_path / "scm.json", chain_fixture(0))
+    out = tmp_path / "out"
+    code = main(
+        ["simulate", "--scm", str(scm_path), "--n", "-3", "--out-dir", str(out)]
+    )
+    assert code == 2
+    assert "--n must be at least 0, got -3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_requires_a_config(tmp_path, capsys):
     assert main(["simulate", "--out-dir", str(tmp_path)]) == 2
-    assert "need --config" in capsys.readouterr().err
+    assert "need --scm" in capsys.readouterr().err
 
 
 # --- check-adjustment --------------------------------------------------------
@@ -240,6 +251,46 @@ def test_audit_infeasible_balance(tmp_path, capsys):
     assert "needs" in capsys.readouterr().err
 
 
+def _balance_argv(command, tmp_path, records, balance):
+    argv = [command, "--records", str(records), "--balance", balance,
+            "--out-dir", str(tmp_path / "o")]
+    if command == "ooc-run":
+        argv += ["--task", str(write_task(tmp_path / "task.json"))]
+    return argv
+
+
+@pytest.mark.parametrize("command", ["audit", "ooc-run"])
+def test_balance_on_an_empty_dataset_is_refused(tmp_path, capsys, command):
+    empty = tmp_path / "records.jsonl"
+    empty.write_text("")
+    assert main(_balance_argv(command, tmp_path, empty, "10")) == 2
+    assert "no records to draw a balanced subsample of 10" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["audit", "ooc-run"])
+def test_balance_zero_is_refused(tmp_path, capsys, command):
+    records = write_toy_records(tmp_path / "records.jsonl")
+    assert main(_balance_argv(command, tmp_path, records, "0")) == 2
+    assert "n=0 gives an empty per-cell quota" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["s", "z", "y", "y_hat"])
+@pytest.mark.parametrize("value", [["a"], {"k": 1}])
+def test_audit_names_a_record_with_a_list_or_object_field(
+    tmp_path, capsys, field, value
+):
+    path = biased_records(tmp_path / "records.jsonl")
+    lines = path.read_text().splitlines()
+    doc = json.loads(lines[2])
+    doc[field] = value
+    lines[2] = json.dumps(doc)
+    path.write_text("\n".join(lines) + "\n")
+    code = main(["audit", "--records", str(path), "--out-dir", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"record 'r2': field {field!r} must be a scalar" in err
+
+
 def skewed_records(path):
     """600 records over four strata, three contexts and three labels, with the
     prediction leaning slightly on the context in two strata."""
@@ -339,6 +390,19 @@ def test_ooc_run_rerun_hits_cache_and_matches_bytes(tmp_path):
         a = (tmp_path / "a" / name).read_bytes()
         b = (tmp_path / "b" / name).read_bytes()
         assert a == b, f"{name} differs between identical runs"
+
+
+def test_ooc_run_rejects_zero_seeds(tmp_path, capsys):
+    task = write_task(tmp_path / "task.json")
+    records = write_toy_records(tmp_path / "records.jsonl")
+    out = tmp_path / "out"
+    code = main(
+        ["ooc-run", "--task", str(task), "--records", str(records),
+         "--seeds", "0", "--out-dir", str(out)]
+    )
+    assert code == 2
+    assert "--seeds must be at least 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_ooc_run_http_requires_endpoint(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """The public surface carries no dead names."""
 
+import ast
 import re
 import types
 from pathlib import Path
@@ -28,3 +29,28 @@ def test_every_export_is_referenced():
         if not any(word.search(line) and not definition.match(line) for line in lines):
             unused.append(name)
     assert unused == []
+
+
+def _imports_fixtures(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(a.name == "stratinv.fixtures" for a in node.names)
+    if not isinstance(node, ast.ImportFrom):
+        return False
+    module = ("." * node.level) + (node.module or "")
+    if module in (".fixtures", "stratinv.fixtures"):
+        return True
+    return module in (".", "stratinv") and any(a.name == "fixtures" for a in node.names)
+
+
+def test_no_package_module_imports_the_fixtures():
+    """The fixtures serve tests and benchmarks; the package never needs them."""
+    offenders = [
+        path.name
+        for path in (ROOT / "src" / "stratinv").glob("*.py")
+        if path.name != "fixtures.py"
+        and any(
+            _imports_fixtures(node)
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        )
+    ]
+    assert offenders == []

@@ -130,6 +130,14 @@ def test_balanced_subsample_counts_and_error():
         balanced_subsample(records, 100, rng=0)
 
 
+def test_balanced_subsample_refuses_no_records_and_a_zero_size():
+    with pytest.raises(BalanceError, match="no records"):
+        balanced_subsample([], 10, rng=0)
+    records = block(0, "s0", "za", "1", 3) + block(100, "s0", "zb", "1", 3)
+    with pytest.raises(BalanceError, match="empty per-cell quota"):
+        balanced_subsample(records, 0, rng=0)
+
+
 def test_balanced_subsample_is_seed_deterministic():
     records = block(0, "s0", "za", "1", 30) + block(100, "s0", "zb", "1", 30)
     a = balanced_subsample(records, 20, rng=5)
@@ -365,6 +373,8 @@ def reference_macro_f1(records, labels=None):
 def reference_balanced_subsample(records, n, rng):
     """The per-cell scan: every record is visited once per (s, z) cell."""
     records = list(records)
+    if not records:
+        raise BalanceError(f"no records to draw a balanced subsample of {n} from")
     strata = list(dict.fromkeys(r.s for r in records))
     contexts = list(dict.fromkeys(r.z for r in records))
     per_cell = n // (len(strata) * len(contexts))
@@ -470,7 +480,7 @@ def test_balanced_subsample_matches_the_loop_reference(cells, n, seed):
     rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     try:
         expected = reference_balanced_subsample(records, n, reference_rng)
-    except (BalanceError, ZeroDivisionError) as exc:
+    except BalanceError as exc:
         with pytest.raises(type(exc)) as got:
             balanced_subsample(records, n, rng)
         assert str(got.value) == str(exc)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from stratinv.chat import ChatClient
 from stratinv.errors import (
-    DomainMismatch,
     OocFailed,
     ServiceError,
     TemplateError,
@@ -26,20 +25,16 @@ from stratinv.ooc import (
     SAFETY_PROMPTS,
     TaskConfig,
     _draw_instruction,
-    add_context,
     builtin_task,
     builtin_task_names,
     dump_task,
     load_task,
-    obfuscate,
     ooc_predict,
     ooc_predict_many,
     parse_choice,
     predict_label,
-    predict_stratifier,
     render_template,
     render_transform_prompt,
-    rewrite_single_call,
     task_from_dict,
     task_to_dict,
 )
@@ -185,40 +180,30 @@ def test_predict_label_gives_up():
 
 
 def test_mock_round_trip_is_byte_exact_at_zero_temperature():
-    cfg = toy_task()
+    cfg = toy_task(m=4)
     client = MockStructuredLm.for_task(cfg)
-    rng = np.random.default_rng(3)
     x = "ctx=male topic=1 pad=0 routine note"
-    removed = obfuscate(cfg, client, x, None, rng)
-    assert removed.text == "topic=1 pad=0 routine note"
-    added = add_context(cfg, client, removed.text, "male", None, rng)
-    assert added.text == x
+    out = ooc_predict(cfg, client, x, rng=np.random.default_rng(3))
+    for r in out.replicates:
+        assert r.x_minus == "topic=1 pad=0 routine note"
+        assert r.x_plus == x.replace("ctx=male", f"ctx={r.z_plus}")
+    # the round trip back to the original context restores x byte for byte
+    assert any(r.z_plus == "male" and r.x_plus == x for r in out.replicates)
 
 
 def test_pad_varies_only_at_positive_temperature():
     x = "ctx=male topic=1 pad=0 routine note"
-    cold = obfuscate(
-        toy_task(), MockStructuredLm.for_task(toy_task()), x, None,
-        np.random.default_rng(1),
-    )
-    assert "pad=0" in cold.text
-    hot_cfg = toy_task(transform_temperature=0.7)
+    cold = ooc_predict(
+        toy_task(m=1), MockStructuredLm.for_task(toy_task()), x,
+        rng=np.random.default_rng(1),
+    ).replicates[0]
+    assert "pad=0" in cold.x_minus
+    hot_cfg = toy_task(m=1, transform_temperature=0.7)
     client = MockStructuredLm.for_task(hot_cfg)
-    hot = obfuscate(hot_cfg, client, x, None, np.random.default_rng(1))
-    again = obfuscate(hot_cfg, client, x, None, np.random.default_rng(1))
-    assert "pad=0" not in hot.text and " pad=r" in f" {hot.text}"
-    assert hot.text == again.text
-
-
-def test_add_context_checks_domain():
-    cfg = toy_task()
-    client = MockStructuredLm.for_task(cfg)
-    with pytest.raises(DomainMismatch, match="neutral"):
-        add_context(cfg, client, "topic=1", "neutral", None, np.random.default_rng(0))
-    with pytest.raises(DomainMismatch):
-        rewrite_single_call(
-            cfg, client, "topic=1", "neutral", None, np.random.default_rng(0)
-        )
+    hot = ooc_predict(hot_cfg, client, x, rng=np.random.default_rng(1)).replicates[0]
+    again = ooc_predict(hot_cfg, client, x, rng=np.random.default_rng(1)).replicates[0]
+    assert "pad=0" not in hot.x_minus and " pad=r" in f" {hot.x_minus}"
+    assert hot.x_minus == again.x_minus
 
 
 # --- the replicate pipeline --------------------------------------------------
@@ -302,12 +287,11 @@ def test_ooc_predict_stratum_sources():
 def test_predict_stratifier_paths():
     cfg = stratified_task()
     client = MockStructuredLm.for_task(cfg)
-    assert predict_stratifier(cfg, client, "kind=clear topic=0") == "clear"
-    assert predict_stratifier(toy_task(), client, "anything") is None
+    rng = np.random.default_rng(0)
+    assert ooc_predict(cfg, client, "kind=clear topic=0", rng=rng).stratum == "clear"
+    assert ooc_predict(toy_task(), client, "topic=0", rng=rng).stratum is None
     missing = stratified_task(strata=())
     with pytest.raises(TemplateError, match="no stratum values"):
-        predict_stratifier(missing, client, "kind=clear")
-    with pytest.raises(TemplateError):
         ooc_predict(missing, client, "kind=clear", rng=np.random.default_rng(0))
 
 
