@@ -17,10 +17,11 @@ import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from email.utils import parsedate_to_datetime
+from functools import partial
+from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from pathlib import Path
 from typing import Sequence
-
-import requests
+from urllib.parse import urlsplit
 
 from .errors import ServiceError
 
@@ -78,9 +79,8 @@ def _text_or_error(complete, request: ChatTurnRequest) -> str | ServiceError:
         return exc
 
 
-def _retry_after(resp) -> float | None:
-    """Seconds a 429 response asks the client to wait, or None."""
-    value = resp.headers.get("Retry-After")
+def _retry_after(value: str | None) -> float | None:
+    """Seconds a 429 response's ``Retry-After`` value asks to wait, or None."""
     if value is None:
         return None
     try:
@@ -106,10 +106,10 @@ class HttpChatClient(ChatClient):
     ServiceError.
 
     ``complete_many`` keeps at most ``max_in_flight`` requests in flight,
-    on worker threads that live as long as the client and each keep their
-    own ``requests.Session``, so keep-alive connections carry over from one
-    batch to the next. With ``max_in_flight`` 1 it starts no thread. A
-    ``session`` passed in is shared by every thread.
+    on worker threads that live as long as the client and each keep one
+    keep-alive connection from one batch to the next; one the service closed
+    while idle is reopened without a wait or a retry. With ``max_in_flight``
+    1 it starts no thread.
     """
 
     max_backoff = 8.0  # seconds; cap on the jittered wait before a retry
@@ -122,30 +122,30 @@ class HttpChatClient(ChatClient):
         max_retries: int = 2,
         backoff: float = 0.5,
         max_in_flight: int = 1,
-        session=None,
     ):
         if max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
-        self.base_url = base_url.rstrip("/")
-        self.timeout = timeout
+        url = urlsplit(base_url)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"endpoint must be an http(s)://host URL, got {base_url!r}")
+        connection = HTTPSConnection if url.scheme == "https" else HTTPConnection
+        self._connect = partial(connection, url.hostname, url.port, timeout=timeout)
+        self._path = f"{url.path.rstrip('/')}/chat/completions"
         self.max_retries = max_retries
         self.backoff = backoff
         self.max_in_flight = max_in_flight
-        self.session = session
         self._local = threading.local()
-        self._sessions: list = []
+        self._connections: list[HTTPConnection] = []
         self._lock = threading.Lock()
         self._pool = None
 
-    def _session(self):
-        if self.session is not None:
-            return self.session
-        session = getattr(self._local, "session", None)
-        if session is None:
-            session = self._local.session = requests.Session()
+    def _connection(self) -> HTTPConnection:
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = self._connect()
             with self._lock:
-                self._sessions.append(session)
-        return session
+                self._connections.append(conn)
+        return conn
 
     def complete(self, request: ChatTurnRequest) -> str:
         payload = {
@@ -157,33 +157,43 @@ class HttpChatClient(ChatClient):
         }
         if request.seed is not None:
             payload["seed"] = request.seed
+        body = json.dumps(payload).encode("utf-8")
         headers = {"Content-Type": "application/json"}
         token = os.environ.get(TOKEN_ENV)
         if token:
             headers["Authorization"] = f"Bearer {token}"
-        url = f"{self.base_url}/chat/completions"
-        session = self._session()
         last = "no attempt made"
         for attempt in range(self.max_retries + 1):
             wait = None
+            conn = self._connection()
+            reused = conn.sock is not None
             try:
-                resp = session.post(
-                    url, json=payload, headers=headers, timeout=self.timeout
-                )
-            except requests.RequestException as exc:
+                try:
+                    conn.request("POST", self._path, body, headers)
+                    resp = conn.getresponse()
+                except (BrokenPipeError, ConnectionResetError):
+                    if not reused:
+                        raise
+                    # The service closed the idle keep-alive connection.
+                    conn.close()
+                    conn.request("POST", self._path, body, headers)
+                    resp = conn.getresponse()
+                data = resp.read()
+            except (OSError, HTTPException) as exc:
+                conn.close()  # a half-done exchange leaves it unusable
                 last = f"transport error: {exc}"
             else:
-                if resp.status_code == 200:
+                if resp.status == 200:
                     try:
-                        return resp.json()["choices"][0]["message"]["content"]
+                        return json.loads(data)["choices"][0]["message"]["content"]
                     except (KeyError, IndexError, TypeError, ValueError) as exc:
                         raise ServiceError(
                             f"malformed completion payload: {exc}"
                         ) from exc
-                last = f"HTTP {resp.status_code}: {resp.text[:200]}"
-                if resp.status_code == 429:
-                    wait = _retry_after(resp)
-                elif resp.status_code < 500:
+                last = f"HTTP {resp.status}: {data.decode('utf-8', 'replace')[:200]}"
+                if resp.status == 429:
+                    wait = _retry_after(resp.getheader("Retry-After"))
+                elif resp.status < 500:
                     raise ServiceError(last)
             if attempt < self.max_retries:
                 if wait is None:  # capped exponential backoff, full jitter
@@ -213,9 +223,10 @@ class HttpChatClient(ChatClient):
             self._pool.shutdown()
             self._pool = None
         with self._lock:
-            sessions, self._sessions = self._sessions, []
-        for session in sessions:
-            session.close()
+            connections, self._connections = self._connections, []
+            self._local = threading.local()  # so a later call opens a tracked one
+        for conn in connections:
+            conn.close()
 
 
 class CachingChatClient(ChatClient):

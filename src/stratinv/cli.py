@@ -386,7 +386,17 @@ def cmd_ooc_run(args) -> int:
     cfg = load_task(args.task)
     records_all = load_records(args.records)
     metrics = _parse_metrics(args.metrics)
-    out = _out_dir(args)
+    # Each pass draws its subsample and then its metric rows from one stream.
+    # Every draw is made here, so a short cell fails before any artifact.
+    pass_rngs = [np.random.default_rng([args.seed, r]) for r in range(args.seeds)]
+    if args.balance is None:
+        samples = [records_all] * args.seeds
+    else:
+        samples = [
+            balanced_subsample(records_all, args.balance, rng) for rng in pass_rngs
+        ]
+    if not records_all:
+        raise StratinvError(f"no records in {args.records}")
     manifest = build_manifest(
         "ooc-run",
         {
@@ -401,18 +411,15 @@ def cmd_ooc_run(args) -> int:
         args.seed,
         [args.task, args.records],
     )
-    digest = write_manifest(manifest, out)
 
     # (dataset, z_pair, method, metric) -> each pass's (value, n), in row order
     per_seed: dict[tuple, list[tuple[float, int]]] = {}
     failed: list[tuple[str, str]] = []
     traces: list[dict] | None = None
     with closing(_make_client(args, cfg)) as client:
-        for r in range(args.seeds):
-            pass_rng = np.random.default_rng([args.seed, r])
-            records = records_all
-            if args.balance is not None:
-                records = balanced_subsample(records_all, args.balance, pass_rng)
+        out = _out_dir(args)
+        digest = write_manifest(manifest, out)
+        for r, (pass_rng, records) in enumerate(zip(pass_rngs, samples)):
             trace_sink = [] if r == 0 else None
             standard_records, ooc_records = _ooc_pass(
                 cfg, client, records, args.seed, r, args.single_call,

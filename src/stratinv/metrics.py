@@ -53,24 +53,36 @@ class LabeledRecord:
 def load_records(path) -> list[LabeledRecord]:
     """Read a JSON-lines dataset.
 
-    The fields that metrics group and count by (s, z, y, y_hat) must be
+    Each line holds one JSON object with at least ``record_id`` and ``x``;
+    another value there, or a missing field, raises ValueError naming the
+    line. The fields that metrics group and count by (s, z, y, y_hat) must be
     scalars; a list or an object there raises ValueError naming the record.
     """
     out = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             doc = json.loads(line)
-            record = LabeledRecord(
-                record_id=doc["record_id"],
-                x=doc["x"],
-                s=doc.get("s"),
-                z=doc.get("z"),
-                y=doc.get("y"),
-                y_hat=doc.get("y_hat"),
-            )
+            if not isinstance(doc, dict):
+                raise ValueError(
+                    f"{path} line {lineno}: a record must be a JSON object, "
+                    f"got {line[:40]}"
+                )
+            try:
+                record = LabeledRecord(
+                    record_id=doc["record_id"],
+                    x=doc["x"],
+                    s=doc.get("s"),
+                    z=doc.get("z"),
+                    y=doc.get("y"),
+                    y_hat=doc.get("y_hat"),
+                )
+            except KeyError as exc:
+                raise ValueError(
+                    f"{path} line {lineno}: missing field {exc.args[0]!r}"
+                ) from None
             try:
                 hash((record.s, record.z, record.y, record.y_hat))
             except TypeError:

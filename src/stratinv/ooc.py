@@ -347,6 +347,16 @@ _TUPLE_FIELDS = {
 }
 
 
+# JSON types that TaskConfig's own checks take for granted; a bool is no number.
+_FIELD_TYPES = {
+    "m": (int, "an integer"),
+    "max_in_flight": (int, "an integer"),
+    "transform_temperature": ((int, float), "a number"),
+    "predict_temperature": ((int, float), "a number"),
+    **{name: ((list, tuple), "a list") for name in _TUPLE_FIELDS},
+}
+
+
 def task_from_dict(doc: Mapping) -> TaskConfig:
     field_names = {f.name for f in fields(TaskConfig)}
     kwargs = {}
@@ -354,6 +364,12 @@ def task_from_dict(doc: Mapping) -> TaskConfig:
         name = _TASK_KEY_MAP.get(key, key)
         if name not in field_names:
             raise ValueError(f"unknown task config key {key!r}")
+        if name in _FIELD_TYPES:
+            kinds, what = _FIELD_TYPES[name]
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ValueError(
+                    f"task config key {key!r} must be {what}, got {value!r}"
+                )
         if name in _TUPLE_FIELDS:
             value = tuple(str(v) for v in value)
         kwargs[name] = value

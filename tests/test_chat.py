@@ -8,7 +8,6 @@ import time
 from datetime import datetime, timedelta, timezone
 
 import pytest
-import requests
 
 from stratinv import chat
 from stratinv.chat import (
@@ -87,129 +86,120 @@ def test_cache_survives_reopen(tmp_path):
     assert reopened.inner.calls == 0
 
 
-class FakeResponse:
-    def __init__(self, status_code, payload=None, text="", headers=None):
-        self.status_code = status_code
-        self._payload = payload
-        self.text = text
-        self.headers = headers or {}
-
-    def json(self):
-        if self._payload is None:
-            raise ValueError("not json")
-        return self._payload
+REFUSED = ("refused",)  # the server refuses the first connection
 
 
-def ok(content="fine"):
-    return FakeResponse(200, {"choices": [{"message": {"content": content}}]})
-
-
-class FakeSession:
-    def __init__(self, outcomes):
-        self.outcomes = list(outcomes)
-        self.calls = []
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.calls.append({"url": url, "json": json, "headers": headers})
-        out = self.outcomes.pop(0)
-        if isinstance(out, Exception):
-            raise out
-        return out
-
-
-def http_client(outcomes, **kw):
-    session = FakeSession(outcomes)
+def http_client(chat_server, replies, **kw):
+    """A client of a server answering with ``replies`` in order."""
+    replies = list(replies)
+    server = chat_server(lambda doc: replies.pop(0))
     kw.setdefault("backoff", 0.0)
-    return HttpChatClient("http://unit.test/v1/", session=session, **kw), session
+    return server.client("/v1/", **kw), server
 
 
-def test_http_success_shape(monkeypatch):
+def test_http_success_shape(monkeypatch, chat_server):
     monkeypatch.delenv(TOKEN_ENV, raising=False)
-    client, session = http_client([ok("answer")])
+    client, server = http_client(chat_server, ["answer"])
     assert client.complete(req("q", seed=3)) == "answer"
-    call = session.calls[0]
-    assert call["url"] == "http://unit.test/v1/chat/completions"
+    call = server.calls[0]
+    url = f"http://{call['headers']['Host']}{call['path']}"
+    assert url == f"{server.url}/v1/chat/completions"
     assert call["json"]["seed"] == 3
     assert call["json"]["messages"] == [{"role": "user", "content": "q"}]
     assert "Authorization" not in call["headers"]
 
 
-def test_http_omits_seed_when_unset(monkeypatch):
+def test_http_omits_seed_when_unset(monkeypatch, chat_server):
     monkeypatch.delenv(TOKEN_ENV, raising=False)
-    client, session = http_client([ok()])
+    client, server = http_client(chat_server, ["fine"])
     client.complete(req())
-    assert "seed" not in session.calls[0]["json"]
+    assert "seed" not in server.calls[0]["json"]
 
 
-def test_http_bearer_token_from_env(monkeypatch):
+def test_http_bearer_token_from_env(monkeypatch, chat_server):
     monkeypatch.setenv(TOKEN_ENV, "sekrit")
-    client, session = http_client([ok()])
+    client, server = http_client(chat_server, ["fine"])
     client.complete(req())
-    assert session.calls[0]["headers"]["Authorization"] == "Bearer sekrit"
+    assert server.calls[0]["headers"]["Authorization"] == "Bearer sekrit"
 
 
-@pytest.mark.parametrize(
-    "first",
-    [
-        FakeResponse(500, text="boom"),
-        FakeResponse(429, text="slow down"),
-        requests.ConnectionError("refused"),
-    ],
-)
-def test_http_retries_transient_failures(first):
-    client, session = http_client([first, ok("recovered")])
+@pytest.mark.parametrize("first", [(500, "boom"), (429, "slow down"), REFUSED])
+def test_http_retries_transient_failures(monkeypatch, chat_server, first):
+    sleeps = []
+    if first is REFUSED:
+        server = chat_server(lambda doc: "recovered", listening=False)
+        # the retry's wait is when the server starts listening
+        monkeypatch.setattr(
+            chat.time, "sleep", lambda s: (sleeps.append(s), server.listen())
+        )
+        client = server.client(backoff=0.0)
+    else:
+        monkeypatch.setattr(chat.time, "sleep", sleeps.append)
+        client, server = http_client(chat_server, [first, "recovered"])
     assert client.complete(req()) == "recovered"
-    assert len(session.calls) == 2
+    assert len(sleeps) == 1  # two attempts
+    assert len(server.calls) == (1 if first is REFUSED else 2)
 
 
-def test_http_client_error_fails_fast():
-    client, session = http_client([FakeResponse(404, text="nope")])
+def test_http_client_error_fails_fast(chat_server):
+    client, server = http_client(chat_server, [(404, "nope")])
     with pytest.raises(ServiceError, match="HTTP 404"):
         client.complete(req())
-    assert len(session.calls) == 1
+    assert len(server.calls) == 1
 
 
-def test_http_gives_up_after_retries():
-    client, session = http_client(
-        [FakeResponse(500)] * 3, max_retries=2
-    )
+def test_http_gives_up_after_retries(chat_server):
+    client, server = http_client(chat_server, [(500, "")] * 3, max_retries=2)
     with pytest.raises(ServiceError, match="giving up after 3 attempts"):
         client.complete(req())
-    assert len(session.calls) == 3
+    assert len(server.calls) == 3
 
 
-def test_http_malformed_payload():
-    client, _ = http_client([FakeResponse(200, {"choices": []})])
+def test_http_malformed_payload(chat_server):
+    client, _ = http_client(chat_server, [(200, '{"choices": []}')])
     with pytest.raises(ServiceError, match="malformed completion"):
         client.complete(req())
+
+
+def test_http_endpoint_must_be_an_http_url():
+    for endpoint in ("localhost:9", "ftp://host/v1", "http://", "127.0.0.1"):
+        with pytest.raises(ValueError, match="must be an http"):
+            HttpChatClient(endpoint)
+
+
+# --- keep-alive --------------------------------------------------------------
+
+
+def test_http_reopens_a_connection_the_server_closed_while_idle(
+    monkeypatch, chat_server
+):
+    def refuse(seconds):
+        raise AssertionError("slept")
+
+    client, server = http_client(chat_server, ["a", "b"], max_retries=0)
+    server.keep_alive = False
+    assert client.complete(req()) == "a"
+    deadline = time.monotonic() + 10
+    while server.closed < 1 and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert server.closed == 1  # the client still holds the connection open
+    monkeypatch.setattr(chat.time, "sleep", refuse)
+    assert client.complete(req()) == "b"
+    assert len(server.calls) == 2 and len(server.ports) == 2
+
+
+def test_http_a_fresh_connection_dropped_is_a_failed_attempt(chat_server):
+    client, server = http_client(chat_server, [None], max_retries=0)
+    with pytest.raises(ServiceError, match="giving up after 1 attempts"):
+        client.complete(req())
+    assert len(server.calls) == 1
 
 
 # --- batches -----------------------------------------------------------------
 
 
-class ConcurrencySession:
-    """Thread-safe fake session: echoes the prompt and records peak overlap."""
-
-    def __init__(self, delay=0.005):
-        self.delay = delay
-        self.lock = threading.Lock()
-        self.in_flight = 0
-        self.peak = 0
-        self.calls = 0
-        self.closed = False
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        with self.lock:
-            self.in_flight += 1
-            self.calls += 1
-            self.peak = max(self.peak, self.in_flight)
-        time.sleep(self.delay)
-        with self.lock:
-            self.in_flight -= 1
-        return ok(json["messages"][-1]["content"])
-
-    def close(self):
-        self.closed = True
+def echo(doc):
+    return doc["messages"][-1]["content"]
 
 
 def test_base_complete_many_is_serial_and_returns_errors_in_order():
@@ -225,59 +215,56 @@ def test_base_complete_many_is_serial_and_returns_errors_in_order():
 
 
 @pytest.mark.parametrize("max_in_flight", [1, 2, 4])
-def test_http_batch_keeps_at_most_max_in_flight(max_in_flight):
-    session = ConcurrencySession()
-    client = HttpChatClient(
-        "http://unit.test", session=session, max_in_flight=max_in_flight
-    )
+def test_http_batch_keeps_at_most_max_in_flight(chat_server, max_in_flight):
+    server = chat_server(echo, delay=0.005)
+    client = server.client(max_in_flight=max_in_flight)
     batch = [req(f"q{i}") for i in range(24)]
     assert client.complete_many(batch) == [f"q{i}" for i in range(24)]
     client.close()
-    assert session.calls == 24
-    assert session.peak <= max_in_flight
+    assert len(server.calls) == 24
+    assert server.peak <= max_in_flight
     if max_in_flight > 1:
-        assert session.peak > 1  # the batch really overlapped
+        assert server.peak > 1  # the batch really overlapped
 
 
-def test_http_batch_of_serial_client_starts_no_thread(monkeypatch):
-    def refuse(self):
-        raise AssertionError("thread started")
+def test_http_batch_of_serial_client_starts_no_thread(monkeypatch, chat_server):
+    server = chat_server(echo)
+    start = threading.Thread.start
+
+    def refuse(self):  # the server's own threads start from its thread
+        if threading.current_thread() is threading.main_thread():
+            raise AssertionError("thread started")
+        start(self)
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
-    client = HttpChatClient("http://unit.test", session=ConcurrencySession(0))
+    client = server.client()
     assert client.complete_many([req("a"), req("b")]) == ["a", "b"]
 
 
-def test_http_threads_keep_their_own_sessions_across_batches(monkeypatch):
-    made = []
-
-    def factory():
-        session = ConcurrencySession(delay=0.0005)
-        made.append(session)
-        return session
-
-    monkeypatch.setattr(chat.requests, "Session", factory)
+def test_http_threads_keep_their_own_connections_across_batches(chat_server):
+    server = chat_server(echo)
     # more workers than cores and frequent thread switches, so a lost update
-    # to the client's session list would show
+    # to the client's connection list would show
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        client = HttpChatClient("http://unit.test", max_in_flight=8)
+        client = server.client(max_in_flight=8)
         for _ in range(3):
             batch = [req(f"q{i}") for i in range(64)]
             assert client.complete_many(batch) == [f"q{i}" for i in range(64)]
     finally:
         sys.setswitchinterval(interval)
+    made = list(client._connections)
     assert 1 <= len(made) <= 8  # one per worker thread, reused by later batches
-    assert sorted(map(id, made)) == sorted(map(id, client._sessions))
-    assert sum(s.calls for s in made) == 192
+    assert {c.sock.getsockname()[1] for c in made} == server.ports
+    assert len(server.calls) == 192
     client.close()
-    assert all(s.closed for s in made)
+    assert all(c.sock is None for c in made)
 
 
-def test_http_batch_reports_failures_in_place():
+def test_http_batch_reports_failures_in_place(chat_server):
     client, _ = http_client(
-        [ok("a"), FakeResponse(404, text="nope"), ok("c")], max_in_flight=1
+        chat_server, ["a", (404, "nope"), "c"], max_in_flight=1
     )
     out = client.complete_many([req("1"), req("2"), req("3")])
     assert out[0] == "a" and out[2] == "c"
@@ -287,7 +274,9 @@ def test_http_batch_reports_failures_in_place():
 # --- backoff -----------------------------------------------------------------
 
 
-def test_http_backoff_is_capped_exponential_with_full_jitter(monkeypatch):
+def test_http_backoff_is_capped_exponential_with_full_jitter(
+    monkeypatch, chat_server
+):
     sleeps, bounds = [], []
     monkeypatch.setattr(chat.time, "sleep", sleeps.append)
 
@@ -296,34 +285,44 @@ def test_http_backoff_is_capped_exponential_with_full_jitter(monkeypatch):
         return hi
 
     monkeypatch.setattr(chat.random, "uniform", top)
-    client, session = http_client(
-        [FakeResponse(503)] * 5 + [ok("late")], max_retries=5, backoff=0.5,
+    client, server = http_client(
+        chat_server, [(503, "")] * 5 + ["late"], max_retries=5, backoff=0.5,
     )
     client.max_backoff = 3.0
     assert client.complete(req()) == "late"
-    assert len(session.calls) == 6
+    assert len(server.calls) == 6
     assert bounds == [(0.0, 0.5), (0.0, 1.0), (0.0, 2.0), (0.0, 3.0), (0.0, 3.0)]
     assert sleeps == [0.5, 1.0, 2.0, 3.0, 3.0]
 
 
-def test_http_honours_retry_after_on_429(monkeypatch):
+def test_http_honours_retry_after_on_429(monkeypatch, chat_server):
     sleeps = []
     monkeypatch.setattr(chat.time, "sleep", sleeps.append)
     client, _ = http_client(
-        [FakeResponse(429, headers={"Retry-After": "7"}), ok("then")],
-        backoff=0.5,
+        chat_server, [(429, "", {"Retry-After": "7"}), "then"], backoff=0.5,
     )
     assert client.complete(req()) == "then"
     assert sleeps == [7.0]
 
 
-def test_http_retry_after_date_and_garbage():
+def test_http_retry_after_date_and_garbage(monkeypatch, chat_server):
+    sleeps = []
+    monkeypatch.setattr(chat.time, "sleep", sleeps.append)
+    monkeypatch.setattr(chat.random, "uniform", lambda lo, hi: hi)
     soon = email.utils.format_datetime(
         datetime.now(timezone.utc) + timedelta(seconds=30), usegmt=True
     )
-    dated = chat._retry_after(FakeResponse(429, headers={"Retry-After": soon}))
+    client, _ = http_client(
+        chat_server,
+        [(429, "", {"Retry-After": soon}), (429, "", {"Retry-After": "soon"}),
+         "fine"],
+        backoff=0.5,
+    )
+    assert client.complete(req()) == "fine"
+    dated, garbage = sleeps
     assert 25 <= dated <= 30
-    assert chat._retry_after(FakeResponse(429, headers={"Retry-After": "soon"})) is None
+    assert garbage == 1.0  # not a delay: the jittered backoff's cap
+    assert chat._retry_after("soon") is None
 
 
 # --- cache writes ------------------------------------------------------------
@@ -362,10 +361,9 @@ def test_cache_never_stores_empty_completions_or_temp_files(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == [f"{req('full').digest()}.txt"]
 
 
-def test_cache_does_not_store_errors(tmp_path):
+def test_cache_does_not_store_errors(tmp_path, chat_server):
     client = CachingChatClient(
-        HttpChatClient("http://unit.test", session=FakeSession([FakeResponse(404)])),
-        tmp_path,
+        chat_server(lambda doc: (404, "")).client(), tmp_path
     )
     out = client.complete_many([req()])
     assert isinstance(out[0], ServiceError)

@@ -2,14 +2,11 @@
 
 import json
 import threading
-import time
-import types
 
 import numpy as np
 import pytest
 
 from stratinv import causal_graph as cg
-from stratinv import chat
 from stratinv import cli
 from stratinv.chat import ChatTurnRequest
 from stratinv.cli import main
@@ -291,6 +288,26 @@ def test_audit_names_a_record_with_a_list_or_object_field(
     assert f"record 'r2': field {field!r} must be a scalar" in err
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("[1, 2]", "line 3: a record must be a JSON object, got [1, 2]"),
+        ('"r2"', 'line 3: a record must be a JSON object, got "r2"'),
+        ('{"x": "x2", "s": "s0", "z": "za"}', "line 3: missing field 'record_id'"),
+        ('{"record_id": "r2", "s": "s0", "z": "za"}', "line 3: missing field 'x'"),
+    ],
+    ids=["list", "string", "no-record_id", "no-x"],
+)
+def test_audit_names_a_line_that_is_not_a_record(tmp_path, capsys, line, message):
+    path = biased_records(tmp_path / "records.jsonl")
+    lines = path.read_text().splitlines()
+    lines[2] = line
+    path.write_text("\n".join(lines) + "\n")
+    code = main(["audit", "--records", str(path), "--out-dir", str(tmp_path / "o")])
+    assert code == 2
+    assert f"{path} {message}" in capsys.readouterr().err
+
+
 def skewed_records(path):
     """600 records over four strata, three contexts and three labels, with the
     prediction leaning slightly on the context in two strata."""
@@ -416,6 +433,35 @@ def test_ooc_run_http_requires_endpoint(tmp_path, capsys):
     assert "requires --endpoint" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "case, extra, message",
+    [
+        ("empty records", [], "no records in "),
+        ("no endpoint", ["--client", "http"], "--client http requires --endpoint"),
+        ("endpoint without scheme", ["--client", "http", "--endpoint", "localhost:9"],
+         "endpoint must be an http(s)://host URL, got 'localhost:9'"),
+        ("short cell", ["--balance", "48", "--seeds", "2"], "has 4 records, needs 24"),
+        ("string m", [], "task config key 'm' must be an integer, got '3'"),
+    ],
+    ids=["empty-records", "no-endpoint", "bad-endpoint", "short-cell", "string-m"],
+)
+def test_ooc_run_checks_its_inputs_before_writing(
+    tmp_path, capsys, case, extra, message
+):
+    task = write_task(tmp_path / "task.json")
+    records = write_toy_records(tmp_path / "records.jsonl")
+    if case == "empty records":
+        records.write_text("")
+    if case == "string m":
+        task.write_text(json.dumps({**json.loads(task.read_text()), "m": "3"}))
+    out = tmp_path / "out"
+    code = main(["ooc-run", "--task", str(task), "--records", str(records),
+                 "--out-dir", str(out), *extra])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 # --- report ------------------------------------------------------------------
 
 
@@ -524,67 +570,48 @@ def test_main_builds_the_parser_once(tmp_path, monkeypatch, capsys):
     assert len(built) == 1
 
 
-class MockSession:
-    """requests.Session stand-in answering from the mock, tracking overlap."""
+def mock_reply(mock):
+    """A loopback server's reply function answering from ``mock``."""
 
-    lock = threading.Lock()
-    in_flight = 0
-    peak = 0
-    mock = None
+    def respond(doc):
+        return mock.complete(ChatTurnRequest(
+            messages=tuple((m["role"], m["content"]) for m in doc["messages"]),
+            temperature=doc["temperature"], seed=doc.get("seed"),
+            model=doc["model"],
+        ))
 
-    def post(self, url, json=None, headers=None, timeout=None):
-        cls = type(self)
-        with cls.lock:
-            cls.in_flight += 1
-            cls.peak = max(cls.peak, cls.in_flight)
-        try:
-            request = ChatTurnRequest(
-                messages=tuple((m["role"], m["content"]) for m in json["messages"]),
-                temperature=json["temperature"], seed=json.get("seed"),
-                model=json["model"],
-            )
-            time.sleep(0.001)
-            text = cls.mock.complete(request)
-        finally:
-            with cls.lock:
-                cls.in_flight -= 1
-        return types.SimpleNamespace(
-            status_code=200, headers={},
-            json=lambda: {"choices": [{"message": {"content": text}}]},
-        )
-
-    def close(self):
-        pass
+    return respond
 
 
 OOC_OUTPUTS = ("records_standard.jsonl", "records_ooc.jsonl", "traces.jsonl")
 
 
-def test_ooc_run_http_fan_out_matches_serial_and_mock(tmp_path, monkeypatch):
+def test_ooc_run_http_fan_out_matches_serial_and_mock(tmp_path, chat_server):
     records = write_toy_records(tmp_path / "records.jsonl")
-    outs = {}
+    outs, peak = {}, 0
     for label, client, max_in_flight in (
         ("mock", "mock", 4), ("http1", "http", 1), ("http4", "http", 4),
     ):
         task = write_task(tmp_path / f"{label}.json", m=3,
                           transform_temperature=0.7, max_in_flight=max_in_flight)
-        MockSession.mock = MockStructuredLm.for_task(load_task(task))
-        MockSession.peak = 0
-        monkeypatch.setattr(chat.requests, "Session", MockSession)
+        server = chat_server(
+            mock_reply(MockStructuredLm.for_task(load_task(task))), delay=0.001
+        )
         out = tmp_path / label
         argv = ["ooc-run", "--task", str(task), "--records", str(records),
                 "--client", client, "--seeds", "2", "--seed", "3",
                 "--out-dir", str(out)]
         if client == "http":
-            argv += ["--endpoint", "http://unit.test"]
+            argv += ["--endpoint", server.url]
         assert main(argv) == 0
         if client == "http":
-            assert 1 <= MockSession.peak <= max_in_flight
+            assert 1 <= server.peak <= max_in_flight
+            peak = server.peak
         rows = json.loads((out / "rows.json").read_text())
         for row in rows:
             del row["manifest"]  # the task files differ in max_in_flight
         outs[label] = [(out / name).read_bytes() for name in OOC_OUTPUTS] + [rows]
-    assert MockSession.peak > 1
+    assert peak > 1
     assert outs["http1"] == outs["http4"] == outs["mock"]
 
 

@@ -1,9 +1,12 @@
-"""The public surface carries no dead names."""
+"""The public surface carries no dead names, and no undeclared imports."""
 
 import ast
 import re
+import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import stratinv
 
@@ -54,3 +57,30 @@ def test_no_package_module_imports_the_fixtures():
         )
     ]
     assert offenders == []
+
+
+def _top_level_imports(tree) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_imports_are_the_declared_dependencies():
+    """Each module the package imports is in the standard library, the package
+    itself or ``[project] dependencies``, and each dependency is imported."""
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    declared = {
+        re.match(r"[A-Za-z0-9_.\-]+", spec).group(0).lower().replace("-", "_")
+        for spec in project["project"]["dependencies"]
+    }
+    imported = set()
+    for path in (ROOT / "src" / "stratinv").glob("*.py"):
+        imported |= _top_level_imports(ast.parse(path.read_text(encoding="utf-8")))
+    third_party = imported - set(sys.stdlib_module_names) - {"stratinv"}
+    assert sorted(third_party - declared) == []  # imported, not declared
+    assert sorted(declared - third_party) == []  # declared, never imported

@@ -343,6 +343,26 @@ def test_task_round_trip(tmp_path):
         task_from_dict({**doc, "bogus": 1})
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("labels", "yes"),
+        ("sampled_contexts", "male"),
+        ("m", "3"),
+        ("m", True),
+        ("m", 2.0),
+        ("max_in_flight", "4"),
+        ("transform_temperature", "0.7"),
+        ("predict_temperature", False),
+        ("predict_temperature", None),
+    ],
+)
+def test_task_rejects_a_field_of_the_wrong_type(key, value):
+    doc = {**task_to_dict(toy_task()), key: value}
+    with pytest.raises(ValueError, match=f"task config key '{key}' must be"):
+        task_from_dict(doc)
+
+
 def test_safety_prompt_placement():
     appended = builtin_task("discrimination_race", safety_prompt="unbiased")
     text, _ = SAFETY_PROMPTS["unbiased"]
