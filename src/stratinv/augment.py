@@ -12,7 +12,7 @@ form so the constancy can be asserted to machine precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -73,7 +73,7 @@ class AugmentedPredictor:
     """Def-3 style wrapper around a base predictor.
 
     ``contexts`` is the domain the fresh context is drawn from, uniformly.
-    ``m`` replicates are aggregated by ``aggregator``.
+    ``m`` replicates are aggregated by majority vote (``Aggregator()``).
     """
 
     recoverer: Any  # has .recover(x, s)
@@ -81,7 +81,6 @@ class AugmentedPredictor:
     base: Callable[[Any], Any]
     contexts: tuple
     m: int = 1
-    aggregator: Aggregator = field(default_factory=Aggregator)
 
     def draw_context(self, rng: np.random.Generator):
         return self.contexts[rng.integers(len(self.contexts))]
@@ -127,7 +126,7 @@ def augment_predict(
     if not traces:
         assert failure is not None
         raise failure
-    label = ap.aggregator.combine([t.label for t in traces])
+    label = Aggregator().combine([t.label for t in traces])
     return AugmentResult(label, tuple(traces))
 
 

@@ -5,6 +5,10 @@ manifest (command, arguments, seed, package version, input-file digests), so
 any report row can be traced back to the exact inputs that produced it.
 Offline commands are bit-reproducible from (inputs, seed); only the manifest
 file itself carries a timestamp, which is excluded from the digest.
+
+Each command checks its inputs and computes everything first, then writes the
+manifest and its artifacts in one step at the end, so a command that exits
+non-zero writes nothing.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ import hashlib
 import json
 import sys
 from contextlib import closing
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -69,51 +72,30 @@ def file_digest(path) -> str:
     return h.hexdigest()
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    arguments: Mapping[str, Any]
-    seed: int | None
-    package_version: str
-    input_digests: Mapping[str, str]
-
-    def core(self) -> dict:
-        return {
-            "command": self.command,
-            "arguments": dict(self.arguments),
-            "seed": self.seed,
-            "package_version": self.package_version,
-            "input_digests": dict(self.input_digests),
-        }
-
-    def digest(self) -> str:
-        doc = json.dumps(self.core(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(doc.encode("utf-8")).hexdigest()
-
-
-def build_manifest(
+def run_manifest(
     command: str, arguments: Mapping[str, Any], seed: int | None, inputs: Sequence
-) -> RunManifest:
-    digests = {str(p): file_digest(p) for p in inputs}
-    return RunManifest(command, dict(arguments), seed, __version__, digests)
+) -> dict:
+    """The manifest fields and, under ``digest``, the digest over them."""
+    manifest = {
+        "command": command,
+        "arguments": dict(arguments),
+        "seed": seed,
+        "package_version": __version__,
+        "input_digests": {str(p): file_digest(p) for p in inputs},
+    }
+    doc = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
+    manifest["digest"] = hashlib.sha256(doc.encode("utf-8")).hexdigest()
+    return manifest
 
 
-def write_manifest(manifest: RunManifest, out_dir: Path) -> str:
-    """Write manifest.json and return the digest embedded in artifacts."""
-    digest = manifest.digest()
-    doc = manifest.core()
-    doc["digest"] = digest
-    doc["created_at"] = datetime.now(timezone.utc).isoformat()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "manifest.json").write_text(
+def write_manifest(manifest: dict, out_dir) -> Path:
+    """Make ``out_dir``, write manifest.json stamped with the time, return it."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    doc = {**manifest, "created_at": datetime.now(timezone.utc).isoformat()}
+    (out / "manifest.json").write_text(
         json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    return digest
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     return out
 
 
@@ -188,15 +170,14 @@ def cmd_simulate(args) -> int:
         world = sample_world(scm, rng)
         x, y, s = observed(scm, world)
         records.append(LabeledRecord(f"r{i:06d}", x=x, s=s, z=world.z, y=y))
-    out = _out_dir(args)
-    manifest = build_manifest(
+    manifest = run_manifest(
         "simulate", {"scm": str(args.scm), "n": args.n}, args.seed, [args.scm]
     )
-    digest = write_manifest(manifest, out)
+    out = write_manifest(manifest, args.out_dir)
     dump_records(records, out / "records.jsonl")
     print(
         f"simulate: {len(records)} records -> {out / 'records.jsonl'} "
-        f"(manifest {digest[:12]})"
+        f"(manifest {manifest['digest'][:12]})"
     )
     return EXIT_OK
 
@@ -236,37 +217,35 @@ def cmd_check_adjustment(args) -> int:
             )
         else:
             print(f"minimal valid sets: none up to size {args.max_size}")
-    if args.out_dir:
-        out = _out_dir(args)
-        manifest = build_manifest(
-            "check-adjustment",
+    manifest = run_manifest(
+        "check-adjustment",
+        {
+            "graph": str(args.graph),
+            "treatment": args.treatment,
+            "outcome": args.outcome,
+            "candidate": sorted(candidate),
+        },
+        args.seed,
+        [args.graph],
+    )
+    out = write_manifest(manifest, args.out_dir)
+    (out / "verdict.json").write_text(
+        json.dumps(
             {
-                "graph": str(args.graph),
-                "treatment": args.treatment,
-                "outcome": args.outcome,
-                "candidate": sorted(candidate),
+                "treatment": report.treatment,
+                "outcome": report.outcome,
+                "candidate": sorted(report.candidate),
+                "valid": report.valid,
+                "reasons": list(report.reasons),
+                "open_paths": list(report.open_path_names),
+                "manifest": manifest["digest"],
             },
-            args.seed,
-            [args.graph],
+            indent=2,
+            sort_keys=True,
         )
-        digest = write_manifest(manifest, out)
-        (out / "verdict.json").write_text(
-            json.dumps(
-                {
-                    "treatment": report.treatment,
-                    "outcome": report.outcome,
-                    "candidate": sorted(report.candidate),
-                    "valid": report.valid,
-                    "reasons": list(report.reasons),
-                    "open_paths": list(report.open_path_names),
-                    "manifest": digest,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n",
-            encoding="utf-8",
-        )
+        + "\n",
+        encoding="utf-8",
+    )
     return EXIT_OK
 
 
@@ -286,8 +265,9 @@ def cmd_audit(args) -> int:
     rng = np.random.default_rng(args.seed)
     if args.balance is not None:
         records = balanced_subsample(records, args.balance, rng)
-    out = _out_dir(args)
-    manifest = build_manifest(
+    if not records:
+        raise StratinvError(f"no records in {args.records}")
+    manifest = run_manifest(
         "audit",
         {
             "records": str(args.records),
@@ -300,11 +280,12 @@ def cmd_audit(args) -> int:
         args.seed,
         [args.records],
     )
-    digest = write_manifest(manifest, out)
+    digest = manifest["digest"]
     dataset = args.dataset or Path(args.records).stem
     rows = metric_rows(
         records, dataset, args.method, metrics, args.permutations, rng, digest
     )
+    out = write_manifest(manifest, args.out_dir)
     write_rows_json(rows, out / "rows.json")
     write_rows_csv(rows, out / "rows.csv")
     print(f"audit: {len(records)} records (manifest {digest[:12]})")
@@ -335,47 +316,54 @@ def _trace_doc(record, result) -> dict:
     }
 
 
-def _ooc_outcomes(cfg, client, records, seed, r, single_call):
-    """Staged predictions for a pass, ``STAGE_RECORDS`` records per batch."""
+def _ooc_pass(cfg, client, records, seed, r, single_call):
+    """One full standard+OOC pass over the records with per-record rng streams,
+    ``STAGE_RECORDS`` records per staged batch.
+
+    A record whose standard label or OOC prediction fails is dropped from that
+    arm only and listed in the failures as ``(record_id, message, cause)``.
+    Returns the standard and OOC records, the OOC traces (pass 0 only) and
+    the failures.
+    """
+    standard_records, ooc_records, traces, failed = [], [], [], []
     for lo in range(0, len(records), STAGE_RECORDS):
-        yield from ooc_predict_many(
+        stage = records[lo:lo + STAGE_RECORDS]
+        outcomes = ooc_predict_many(
             cfg, client,
             (
                 (record.x, record.s, np.random.default_rng([seed, r, idx]))
-                for idx, record in enumerate(
-                    records[lo:lo + STAGE_RECORDS], start=lo
-                )
+                for idx, record in enumerate(stage, start=lo)
             ),
             single_call=single_call, standard=True,
         )
-
-
-def _ooc_pass(cfg, client, records, seed, r, single_call, trace_sink, failed_sink):
-    """One full standard+OOC pass over the records with per-record rng streams.
-
-    A record whose standard label or OOC prediction fails is dropped from that
-    arm only and listed in ``failed_sink``.
-    """
-    outcomes = _ooc_outcomes(cfg, client, records, seed, r, single_call)
-    standard_records, ooc_records = [], []
-    for record, (std_label, result) in zip(records, outcomes):
-        if isinstance(std_label, StratinvError):
-            failed_sink.append((record.record_id, f"standard label: {std_label}"))
-        else:
-            standard_records.append(
+        for record, (std_label, result) in zip(stage, outcomes):
+            if isinstance(std_label, StratinvError):
+                failed.append((
+                    record.record_id, f"standard label: {std_label}", std_label
+                ))
+            else:
+                standard_records.append(
+                    LabeledRecord(record.record_id, record.x, record.s, record.z,
+                                  y=record.y, y_hat=std_label)
+                )
+            if isinstance(result, OocFailed):
+                failed.append((record.record_id, str(result), result.__cause__))
+                continue
+            if r == 0:
+                traces.append(_trace_doc(record, result))
+            ooc_records.append(
                 LabeledRecord(record.record_id, record.x, record.s, record.z,
-                              y=record.y, y_hat=std_label)
+                              y=record.y, y_hat=result.label)
             )
-        if isinstance(result, OocFailed):
-            failed_sink.append((record.record_id, str(result)))
-            continue
-        if trace_sink is not None:
-            trace_sink.append(_trace_doc(record, result))
-        ooc_records.append(
-            LabeledRecord(record.record_id, record.x, record.s, record.z,
-                          y=record.y, y_hat=result.label)
-        )
-    return standard_records, ooc_records
+    return standard_records, ooc_records, traces, failed
+
+
+def _arm_error(failed, message) -> StratinvError:
+    """The refusal of an arm its failures spoiled, naming the first failure:
+    a ServiceError (exit 3) when the chat service gave it."""
+    _, first_error, cause = failed[0]
+    error = ServiceError if isinstance(cause, ServiceError) else StratinvError
+    return error(f"{message}; first error: {first_error}")
 
 
 def cmd_ooc_run(args) -> int:
@@ -386,18 +374,7 @@ def cmd_ooc_run(args) -> int:
     cfg = load_task(args.task)
     records_all = load_records(args.records)
     metrics = _parse_metrics(args.metrics)
-    # Each pass draws its subsample and then its metric rows from one stream.
-    # Every draw is made here, so a short cell fails before any artifact.
-    pass_rngs = [np.random.default_rng([args.seed, r]) for r in range(args.seeds)]
-    if args.balance is None:
-        samples = [records_all] * args.seeds
-    else:
-        samples = [
-            balanced_subsample(records_all, args.balance, rng) for rng in pass_rngs
-        ]
-    if not records_all:
-        raise StratinvError(f"no records in {args.records}")
-    manifest = build_manifest(
+    manifest = run_manifest(
         "ooc-run",
         {
             "task": str(args.task),
@@ -411,42 +388,40 @@ def cmd_ooc_run(args) -> int:
         args.seed,
         [args.task, args.records],
     )
+    digest = manifest["digest"]
+    method = "single_call" if args.single_call else "ooc"
 
     # (dataset, z_pair, method, metric) -> each pass's (value, n), in row order
     per_seed: dict[tuple, list[tuple[float, int]]] = {}
-    failed: list[tuple[str, str]] = []
-    traces: list[dict] | None = None
+    failed: list[tuple[str, str, BaseException | None]] = []
     with closing(_make_client(args, cfg)) as client:
-        out = _out_dir(args)
-        digest = write_manifest(manifest, out)
-        for r, (pass_rng, records) in enumerate(zip(pass_rngs, samples)):
-            trace_sink = [] if r == 0 else None
-            standard_records, ooc_records = _ooc_pass(
-                cfg, client, records, args.seed, r, args.single_call,
-                trace_sink, failed,
+        for r in range(args.seeds):
+            # Each pass draws its subsample, then its metric rows, from one stream.
+            pass_rng = np.random.default_rng([args.seed, r])
+            records = records_all
+            if args.balance is not None:
+                records = balanced_subsample(records_all, args.balance, pass_rng)
+            if not records:
+                raise StratinvError(f"no records in {args.records}")
+            standard_records, ooc_records, traces_r, failed_r = _ooc_pass(
+                cfg, client, records, args.seed, r, args.single_call
             )
-            if trace_sink is not None:
-                traces = trace_sink
-            method = "single_call" if args.single_call else "ooc"
+            failed += failed_r
             arms = (("standard", standard_records), (method, ooc_records))
-            first_error = failed[0][1] if failed else "none recorded"
             for tag, recs in arms:
                 if not recs:
-                    raise StratinvError(
-                        f"every record failed the {tag} arm; "
-                        f"first error: {first_error}"
-                    )
+                    raise _arm_error(failed, f"every record failed the {tag} arm")
                 # An arm that lost a context reads as unbiased, so refuse it.
                 lost = {r.z for r in records} - {r.z for r in recs}
                 if lost and {"si_bias", "permutation"} & set(metrics):
-                    raise StratinvError(
+                    raise _arm_error(
+                        failed,
                         f"the {tag} arm lost every record with context "
                         f"{', '.join(sorted(map(str, lost)))}, so its bias "
-                        f"is not measurable; first error: {first_error}"
+                        f"is not measurable",
                     )
             if r == 0:
-                dump_records(standard_records, out / "records_standard.jsonl")
-                dump_records(ooc_records, out / "records_ooc.jsonl")
+                first_pass = standard_records, ooc_records, traces_r
             # Both arms' rows name the contexts attempted, so they stay
             # comparable when failures empty a context in one arm.
             z_pair = _z_pair(records)
@@ -481,16 +456,20 @@ def cmd_ooc_run(args) -> int:
                 dispersion=dispersion, n=passes[-1][1], manifest=digest,
             ).validate()
         )
+    standard_records, ooc_records, traces = first_pass
+    out = write_manifest(manifest, args.out_dir)
     write_rows_json(rows, out / "rows.json")
     write_rows_csv(rows, out / "rows.csv")
+    dump_records(standard_records, out / "records_standard.jsonl")
+    dump_records(ooc_records, out / "records_ooc.jsonl")
     with open(out / "traces.jsonl", "w", encoding="utf-8") as fh:
-        for doc in traces or []:
+        for doc in traces:
             fh.write(json.dumps(doc, sort_keys=True) + "\n")
     print(
-        f"ooc-run: {len(traces or [])} records traced, {len(failed)} failed "
+        f"ooc-run: {len(traces)} records traced, {len(failed)} failed "
         f"(manifest {digest[:12]})"
     )
-    for record_id, message in failed:
+    for record_id, message, _cause in failed:
         print(f"  failed {record_id}: {message}")
     _print_rows(rows)
     return EXIT_OK
@@ -501,17 +480,16 @@ def cmd_report(args) -> int:
     for path in args.rows:
         rows.extend(load_rows(path))
     deltas = delta_vs_baseline(rows, baseline=args.baseline)
-    out = _out_dir(args)
-    manifest = build_manifest(
+    manifest = run_manifest(
         "report",
         {"rows": [str(p) for p in args.rows], "baseline": args.baseline},
         args.seed,
         list(args.rows),
     )
-    digest = write_manifest(manifest, out)
+    out = write_manifest(manifest, args.out_dir)
     write_rows_json(deltas, out / "deltas.json")
     write_rows_csv(deltas, out / "deltas.csv")
-    print(f"report: {len(deltas)} delta rows (manifest {digest[:12]})")
+    print(f"report: {len(deltas)} delta rows (manifest {manifest['digest'][:12]})")
     for row in deltas:
         print(
             f"  {row.dataset} {row.metric} [{args.baseline} - {row.method}] "

@@ -32,6 +32,11 @@ from .errors import (
 )
 from . import scm as scm_mod
 
+# Largest context deviation at which an exact prediction law still counts as
+# invariant: an invariant law's per-context floating-point sums may differ in
+# their last bits.
+INVARIANCE_TOL = 1e-12
+
 ADJUSTMENT_CAVEAT = (
     "zero bias certifies stratified invariance only if the stratifier is an "
     "adjustment set for (prediction, context); that premise is the caller's"
@@ -54,21 +59,27 @@ def load_records(path) -> list[LabeledRecord]:
     """Read a JSON-lines dataset.
 
     Each line holds one JSON object with at least ``record_id`` and ``x``;
-    another value there, or a missing field, raises ValueError naming the
-    line. The fields that metrics group and count by (s, z, y, y_hat) must be
-    scalars; a list or an object there raises ValueError naming the record.
+    malformed JSON, another value there, or a missing field raises ValueError
+    naming the file and the line. The fields that metrics group and count by
+    (s, z, y, y_hat) must be scalars; a list or an object there raises
+    ValueError naming the record.
     """
     out = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
-            doc = json.loads(line)
+            try:
+                doc = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(
+                    f"{path} line {lineno}: malformed JSON: {exc.msg} "
+                    f"at column {exc.colno}"
+                ) from None
             if not isinstance(doc, dict):
                 raise ValueError(
                     f"{path} line {lineno}: a record must be a JSON object, "
-                    f"got {line[:40]}"
+                    f"got {line.strip()[:40]}"
                 )
             try:
                 record = LabeledRecord(
@@ -117,10 +128,15 @@ def _codes(values: Iterable, n: int) -> tuple[list, np.ndarray]:
     return list(index), codes
 
 
-def _context_gaps(counts: np.ndarray) -> np.ndarray:
-    """Per stratum of (..., S, Z, Y) counts, the largest spread over contexts
-    of P(yhat = y | s, z); max - min is the largest pairwise |difference|."""
-    rates = counts / counts.sum(axis=-1, keepdims=True)
+def _rates(counts: np.ndarray) -> np.ndarray:
+    """P(yhat = y | s, z) from (..., S, Z, Y) counts."""
+    return counts / counts.sum(axis=-1, keepdims=True)
+
+
+def _context_gaps(rates: np.ndarray) -> np.ndarray:
+    """Per stratum of (..., S, Z, Y) rates, the largest spread over contexts
+    of P(y | s, z). Rounding is monotone, so max - min is the largest
+    pairwise |difference| bit for bit."""
     return (rates.max(axis=-2) - rates.min(axis=-2)).max(axis=-1)
 
 
@@ -165,7 +181,7 @@ def _bias_table(records: Sequence[LabeledRecord], strict_binary: bool = False):
     cells *= n_y
     cells += yi
     counts = np.bincount(cells, minlength=n_s * n_z * n_y).reshape(n_s, n_z, n_y)
-    per_stratum = tuple(zip(strata, _context_gaps(counts).tolist()))
+    per_stratum = tuple(zip(strata, _context_gaps(_rates(counts)).tolist()))
     value = max(g for _, g in per_stratum)
     return counts, SiBiasReport(value, per_stratum, n)
 
@@ -239,9 +255,10 @@ def exact_prediction_law(
 
 
 def check_stratified_invariance_exact(
-    model: "scm_mod.DiscreteScm", predictor: Predictor, tol: float = 1e-12
+    model: "scm_mod.DiscreteScm", predictor: Predictor
 ) -> InvarianceReport:
-    """Is the potential prediction law constant in z within every stratum?"""
+    """Is the potential prediction law constant in z within every stratum,
+    up to ``INVARIANCE_TOL``?"""
     table = exact_prediction_law(model, predictor)
     strata = {s for (_z, s) in table}
     declared = model.s_values
@@ -254,27 +271,27 @@ def check_stratified_invariance_exact(
                 stacklevel=2,
             )
     deviation = max_context_deviation(table)
-    return InvarianceReport(deviation <= tol, deviation, tol, table, skipped)
+    return InvarianceReport(
+        deviation <= INVARIANCE_TOL, deviation, INVARIANCE_TOL, table, skipped
+    )
 
 
 def max_context_deviation(table: Mapping[tuple, Mapping[Any, float]]) -> float:
-    """Largest |P(y|z1,s) - P(y|z2,s)| across the table; 0 means invariant."""
-    strata = {s for (_z, s) in table}
+    """Largest |P(y|z1,s) - P(y|z2,s)| across the table; 0 means invariant.
+
+    The table maps every (z, s) pair to a law {y: prob}; a label a law omits
+    has probability 0 there. A table with no labels deviates by 0.
+    """
+    strata = list(dict.fromkeys(s for (_z, s) in table))
     zs = list(dict.fromkeys(z for (z, _s) in table))
-    labels = {y for law in table.values() for y in law}
-    dev = 0.0
-    for s in strata:
-        for i, z1 in enumerate(zs):
-            for z2 in zs[i + 1 :]:
-                for y in labels:
-                    dev = max(
-                        dev,
-                        abs(
-                            table[(z1, s)].get(y, 0.0)
-                            - table[(z2, s)].get(y, 0.0)
-                        ),
-                    )
-    return dev
+    labels = list(dict.fromkeys(y for law in table.values() for y in law))
+    if not labels:
+        return 0.0
+    rates = np.array([
+        [[table[(z, s)].get(y, 0.0) for y in labels] for z in zs]
+        for s in strata
+    ], dtype=float)
+    return float(_context_gaps(rates).max())
 
 
 @dataclass(frozen=True)
@@ -426,7 +443,7 @@ def ci_permutation_test(
     for done in range(0, permutations, batch):
         size = min(batch, permutations - done)
         tables = _random_tables(context_totals, label_totals, size, rng)
-        stats = _context_gaps(tables).max(axis=1)
+        stats = _context_gaps(_rates(tables)).max(axis=1)
         exceed += int(np.count_nonzero(stats >= observed.value - 1e-12))
     p = (1 + exceed) / (1 + permutations)
     return TestReport(observed.value, p, permutations, observed.per_stratum)
@@ -441,7 +458,7 @@ class PositivityReport:
     witnesses: tuple[tuple, ...]  # (stratum, context, conditional prob)
 
 
-def check_positivity(source, z_values: Sequence | None = None) -> PositivityReport:
+def check_positivity(source) -> PositivityReport:
     """Check 0 < P(z | s) < 1 for every stratum and context.
 
     ``source`` is either a record list (empirical frequencies) or a model
@@ -450,7 +467,7 @@ def check_positivity(source, z_values: Sequence | None = None) -> PositivityRepo
     stratified comparison at that cell meaningless.
     """
     if isinstance(source, scm_mod.DiscreteScm):
-        zs = list(z_values) if z_values is not None else list(source.z_domain.values)
+        zs = list(source.z_domain.values)
         mass: dict[tuple, float] = {}
         s_total: dict[Any, float] = {}
         index = source.index
@@ -460,11 +477,7 @@ def check_positivity(source, z_values: Sequence | None = None) -> PositivityRepo
         strata = list(s_total)
     else:
         records = list(source)
-        zs = (
-            list(z_values)
-            if z_values is not None
-            else list(dict.fromkeys(r.z for r in records))
-        )
+        zs = list(dict.fromkeys(r.z for r in records))
         mass = {}
         s_total = {}
         for r in records:

@@ -295,8 +295,10 @@ def test_audit_names_a_record_with_a_list_or_object_field(
         ('"r2"', 'line 3: a record must be a JSON object, got "r2"'),
         ('{"x": "x2", "s": "s0", "z": "za"}', "line 3: missing field 'record_id'"),
         ('{"record_id": "r2", "s": "s0", "z": "za"}', "line 3: missing field 'x'"),
+        ("{bad", "line 3: malformed JSON: Expecting property name enclosed in "
+                 "double quotes at column 2"),
     ],
-    ids=["list", "string", "no-record_id", "no-x"],
+    ids=["list", "string", "no-record_id", "no-x", "malformed-json"],
 )
 def test_audit_names_a_line_that_is_not_a_record(tmp_path, capsys, line, message):
     path = biased_records(tmp_path / "records.jsonl")
@@ -701,3 +703,60 @@ def test_ooc_run_refuses_an_arm_that_lost_a_context(tmp_path, capsys, metric):
     assert "the standard arm lost every record with context male" in err
     assert "could not parse 'maybe'" in err
     assert not (tmp_path / "out" / "rows.json").exists()
+
+
+# --- a command that fails writes nothing -------------------------------------
+
+
+def _failing_run(case, tmp_path, chat_server):
+    """The argv of a run that fails in ``case`` and its expected exit and error."""
+    records = biased_records(tmp_path / "records.jsonl")
+    if case == "audit-empty":
+        records.write_text("")
+        return ["audit", "--records", str(records)], 2, f"no records in {records}"
+    if case == "audit-zero-permutations":
+        return (["audit", "--records", str(records), "--metrics", "permutation",
+                 "--permutations", "0"], 2, "permutations must be >= 1")
+    if case == "audit-no-predictions":
+        dump_records([LabeledRecord("r0", x="", s="s0", z="za")], records)
+        return ["audit", "--records", str(records)], 2, "'r0' has no prediction"
+    if case == "report-no-baseline":
+        rows = tmp_path / "rows.json"
+        write_rows_json([ReportRow("demo", "za|zb", "ooc", "si_bias", 0.3)], rows)
+        return ["report", "--rows", str(rows)], 2, "no 'standard' row"
+    argv = ["ooc-run", "--records", str(write_toy_records(records))]
+    if case == "ooc-every-standard-label-fails":
+        task = write_task(tmp_path / "task.json",
+                          mock={"label_rules": [{"label": "maybe"}]})
+        return (argv + ["--task", str(task)], 2,
+                "every record failed the standard arm; first error: standard "
+                "label: could not parse 'maybe'")
+    task = write_task(tmp_path / "task.json")
+    argv += ["--task", str(task), "--client", "http"]
+    if case == "ooc-service-error":
+        server = chat_server(lambda doc: (400, "no such model"))
+        return (argv + ["--endpoint", server.url], 3,
+                "every record failed the standard arm; first error: standard "
+                "label: HTTP 400: no such model")
+    # the service fails every male note, so the standard arm loses a context
+    answer = mock_reply(MockStructuredLm.for_task(load_task(task)))
+    server = chat_server(
+        lambda doc: (400, "refused") if "ctx=male" in json.dumps(doc) else answer(doc)
+    )
+    return (argv + ["--endpoint", server.url], 3,
+            "the standard arm lost every record with context male, so its bias "
+            "is not measurable; first error: standard label: HTTP 400: refused")
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["audit-empty", "audit-zero-permutations", "audit-no-predictions",
+     "ooc-every-standard-label-fails", "ooc-service-error",
+     "ooc-service-loses-a-context", "report-no-baseline"],
+)
+def test_a_failed_command_writes_nothing(tmp_path, capsys, chat_server, case):
+    argv, code, message = _failing_run(case, tmp_path, chat_server)
+    out = tmp_path / "out"
+    assert main(argv + ["--out-dir", str(out)]) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()

@@ -25,6 +25,7 @@ from stratinv.metrics import (
     exact_prediction_law,
     load_records,
     macro_f1,
+    max_context_deviation,
     potential_prediction_map,
     si_bias,
 )
@@ -420,6 +421,26 @@ def reference_permuted_tables(records):
     return laws
 
 
+def reference_max_context_deviation(table):
+    """The pairwise loop over strata, context pairs and labels."""
+    strata = {s for (_z, s) in table}
+    zs = list(dict.fromkeys(z for (z, _s) in table))
+    labels = {y for law in table.values() for y in law}
+    dev = 0.0
+    for s in strata:
+        for i, z1 in enumerate(zs):
+            for z2 in zs[i + 1 :]:
+                for y in labels:
+                    dev = max(
+                        dev,
+                        abs(
+                            table[(z1, s)].get(y, 0.0)
+                            - table[(z2, s)].get(y, 0.0)
+                        ),
+                    )
+    return dev
+
+
 _cells = st.lists(
     st.tuples(
         st.sampled_from([None, "s0", "s1", 2]),
@@ -488,6 +509,23 @@ def test_balanced_subsample_matches_the_loop_reference(cells, n, seed):
     out = balanced_subsample(records, n, rng)
     assert [r.record_id for r in out] == [r.record_id for r in expected]
     assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+@settings(max_examples=300, deadline=None)
+@given(n_s=st.integers(0, 3), n_z=st.integers(1, 4), data=st.data())
+def test_max_context_deviation_matches_the_loop_reference(n_s, n_z, data):
+    # ragged laws: each (z, s) names its own labels, the rest count as 0
+    law = st.dictionaries(
+        st.sampled_from(["0", "1", "2", 3]), st.floats(0.0, 1.0), max_size=4
+    )
+    table = {
+        (z, s): data.draw(law)
+        for s in ("s0", None, 2)[:n_s]
+        for z in ("za", "zb", "zc", 0)[:n_z]
+    }
+    assert max_context_deviation(table).hex() == (
+        reference_max_context_deviation(table).hex()
+    )
 
 
 @settings(max_examples=200, deadline=None)
