@@ -260,6 +260,8 @@ def _parse_metrics(raw: str) -> tuple[str, ...]:
 
 
 def cmd_audit(args) -> int:
+    if args.permutations < 1:
+        raise StratinvError(f"--permutations must be >= 1, got {args.permutations}")
     records = load_records(args.records)
     metrics = _parse_metrics(args.metrics)
     rng = np.random.default_rng(args.seed)
@@ -371,6 +373,8 @@ def cmd_ooc_run(args) -> int:
         raise ValueError("need --task pointing at a task file")
     if args.seeds < 1:
         raise StratinvError(f"--seeds must be at least 1, got {args.seeds}")
+    if args.permutations < 1:
+        raise StratinvError(f"--permutations must be >= 1, got {args.permutations}")
     cfg = load_task(args.task)
     records_all = load_records(args.records)
     metrics = _parse_metrics(args.metrics)

@@ -18,7 +18,7 @@ import itertools
 import json
 import warnings
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -62,50 +62,53 @@ def load_records(path) -> list[LabeledRecord]:
     malformed JSON, another value there, or a missing field raises ValueError
     naming the file and the line. The fields that metrics group and count by
     (s, z, y, y_hat) must be scalars; a list or an object there raises
-    ValueError naming the record.
+    ValueError naming the record. Equal strings in those fields are shared
+    by the file's records, so a log over a few strata, contexts and labels
+    holds each of them once.
     """
     out = []
+    shared: dict[str, str] = {}  # str keys only: True == 1 == 1.0 must not merge
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
             try:
                 doc = json.loads(line)
+                record_id, x = doc["record_id"], doc["x"]
+                s, z, y, y_hat = doc.get("s"), doc.get("z"), doc.get("y"), doc.get("y_hat")
+                hash((s, z, y, y_hat))
             except json.JSONDecodeError as exc:
+                if not line.strip():
+                    continue
                 raise ValueError(
                     f"{path} line {lineno}: malformed JSON: {exc.msg} "
                     f"at column {exc.colno}"
                 ) from None
-            if not isinstance(doc, dict):
-                raise ValueError(
-                    f"{path} line {lineno}: a record must be a JSON object, "
-                    f"got {line.strip()[:40]}"
-                )
-            try:
-                record = LabeledRecord(
-                    record_id=doc["record_id"],
-                    x=doc["x"],
-                    s=doc.get("s"),
-                    z=doc.get("z"),
-                    y=doc.get("y"),
-                    y_hat=doc.get("y_hat"),
-                )
             except KeyError as exc:
                 raise ValueError(
                     f"{path} line {lineno}: missing field {exc.args[0]!r}"
                 ) from None
-            try:
-                hash((record.s, record.z, record.y, record.y_hat))
             except TypeError:
+                if not isinstance(doc, dict):
+                    raise ValueError(
+                        f"{path} line {lineno}: a record must be a JSON object, "
+                        f"got {line.strip()[:40]}"
+                    ) from None
                 name = next(
                     f for f in ("s", "z", "y", "y_hat")
                     if isinstance(doc.get(f), (list, dict))
                 )
                 raise ValueError(
-                    f"record {record.record_id!r}: field {name!r} must be a "
+                    f"record {doc['record_id']!r}: field {name!r} must be a "
                     f"scalar, got {doc[name]!r}"
                 ) from None
-            out.append(record)
+            if s.__class__ is str:
+                s = shared.setdefault(s, s)
+            if z.__class__ is str:
+                z = shared.setdefault(z, z)
+            if y.__class__ is str:
+                y = shared.setdefault(y, y)
+            if y_hat.__class__ is str:
+                y_hat = shared.setdefault(y_hat, y_hat)
+            out.append(LabeledRecord(record_id, x, s, z, y, y_hat))
     return out
 
 
@@ -113,7 +116,9 @@ def dump_records(records: Iterable[LabeledRecord], path) -> None:
     """Write a JSON-lines dataset with stable key order."""
     with open(path, "w", encoding="utf-8") as fh:
         for r in records:
-            fh.write(json.dumps(asdict(r), sort_keys=True) + "\n")
+            doc = {"record_id": r.record_id, "s": r.s, "x": r.x,
+                   "y": r.y, "y_hat": r.y_hat, "z": r.z}
+            fh.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
 # --- the bias statistic ------------------------------------------------------
@@ -137,7 +142,17 @@ def _context_gaps(rates: np.ndarray) -> np.ndarray:
     """Per stratum of (..., S, Z, Y) rates, the largest spread over contexts
     of P(y | s, z). Rounding is monotone, so max - min is the largest
     pairwise |difference| bit for bit."""
-    return (rates.max(axis=-2) - rates.min(axis=-2)).max(axis=-1)
+    # Elementwise over slices: numpy reduces a short middle axis slowly, and
+    # max and min are exact, so the floats are the same.
+    high = low = rates[..., 0, :]
+    for z in range(1, rates.shape[-2]):
+        high = np.maximum(high, rates[..., z, :])
+        low = np.minimum(low, rates[..., z, :])
+    spread = high - low
+    gaps = spread[..., 0]
+    for y in range(1, spread.shape[-1]):
+        gaps = np.maximum(gaps, spread[..., y])
+    return gaps
 
 
 @dataclass(frozen=True)

@@ -310,6 +310,29 @@ def test_audit_names_a_line_that_is_not_a_record(tmp_path, capsys, line, message
     assert f"{path} {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["audit", "ooc-run"])
+@pytest.mark.parametrize("permutations", ["0", "-1"])
+def test_permutations_below_one_are_refused_before_any_work(
+    tmp_path, capsys, monkeypatch, command, permutations
+):
+    calls = []
+    complete = MockStructuredLm.complete
+    monkeypatch.setattr(
+        MockStructuredLm, "complete",
+        lambda self, request: calls.append(request) or complete(self, request),
+    )
+    records = write_toy_records(tmp_path / "records.jsonl")
+    out = tmp_path / "out"
+    argv = [command, "--records", str(records), "--metrics", "permutation",
+            "--permutations", permutations, "--out-dir", str(out)]
+    if command == "ooc-run":
+        argv += ["--task", str(write_task(tmp_path / "task.json"))]
+    assert main(argv) == 2
+    assert f"--permutations must be >= 1, got {permutations}" in capsys.readouterr().err
+    assert not out.exists()
+    assert calls == []
+
+
 def skewed_records(path):
     """600 records over four strata, three contexts and three labels, with the
     prediction leaning slightly on the context in two strata."""

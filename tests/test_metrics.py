@@ -14,7 +14,9 @@ from stratinv.metrics import (
     LabeledRecord,
     SiBiasReport,
     _bias_table,
+    _context_gaps,
     _random_tables,
+    _rates,
     balanced_subsample,
     check_counterfactual_invariance_exact,
     check_positivity,
@@ -159,6 +161,20 @@ def test_records_jsonl_round_trip(tmp_path):
     assert again == records
 
 
+def test_blank_lines_are_skipped_but_counted(tmp_path):
+    path = tmp_path / "records.jsonl"
+    lines = ['', '{"record_id": "r0", "x": "a"}', "  \t", "",
+             '{"record_id": "r1", "x": "b", "z": "za"}', ""]
+    path.write_text("\n".join(lines) + "\n")
+    assert load_records(path) == [
+        LabeledRecord("r0", "a", None, None), LabeledRecord("r1", "b", None, "za")
+    ]
+    path.write_text("\n".join(lines + ["{bad"]) + "\n")
+    with pytest.raises(ValueError) as err:
+        load_records(path)
+    assert str(err.value).startswith(f"{path} line 7: malformed JSON")
+
+
 def test_records_stay_frozen_hashable_and_dump_the_same_bytes(tmp_path):
     a = rec(0, "s0", "za", "1", y="0", x="ctx=za u=1")
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -174,6 +190,59 @@ def test_records_stay_frozen_hashable_and_dump_the_same_bytes(tmp_path):
         b'{"record_id": "r1", "s": null, "x": {"k": [1, 2]}, "y": null, '
         b'"y_hat": null, "z": 3}\n'
     )
+
+
+# Scalars that compare equal across types (True == 1 == 1.0) or read alike
+# ("1", "true"), so a load that merged equal values would change a type.
+_field_values = st.one_of(
+    st.sampled_from([None, True, False, 1, 0, 1.0, 0.0, "1", "true", "1.0", "s0", ""]),
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.text(max_size=4),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fields=st.lists(st.tuples(*[_field_values] * 4), max_size=12))
+@example(fields=[(True, 1, 1.0, "1"), (1, 1.0, True, "true"), (1.0, True, 1, "true")])
+def test_records_round_trip_keeping_types_and_sharing_equal_strings(
+    tmp_path_factory, fields
+):
+    records = [
+        LabeledRecord(f"r{i}", f"x{i}", s, z, y, y_hat)
+        for i, (s, z, y, y_hat) in enumerate(fields)
+    ]
+    path = tmp_path_factory.getbasetemp() / "round_trip.jsonl"
+    dump_records(records, path)
+    again = load_records(path)
+    assert len(again) == len(records)
+    shared: dict[str, str] = {}
+    for got, want in zip(again, records):
+        for name in ("record_id", "x", "s", "z", "y", "y_hat"):
+            value = getattr(got, name)
+            assert value == getattr(want, name)
+            assert type(value) is type(getattr(want, name))
+            if name in ("s", "z", "y", "y_hat") and type(value) is str:
+                assert shared.setdefault(value, value) is value
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    shape=st.tuples(
+        st.integers(1, 4), st.integers(1, 5), st.integers(1, 4), st.integers(1, 4)
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(shape=(3, 4, 1, 3), seed=0)
+@example(shape=(3, 4, 3, 1), seed=0)
+def test_context_gaps_match_the_axis_reductions(shape, seed):
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, 4, size=shape)
+    counts[..., 0] += 1  # no empty (s, z) row
+    # random floats, and rates from small counts, which tie often
+    for rates in (rng.random(shape), _rates(counts)):
+        expected = (rates.max(axis=-2) - rates.min(axis=-2)).max(axis=-1)
+        assert np.array_equal(_context_gaps(rates), expected)
 
 
 def test_exact_prediction_law_tiny_model():
