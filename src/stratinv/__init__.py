@@ -65,6 +65,7 @@ from .errors import (
 )
 from .metrics import (
     LabeledRecord,
+    RecordTable,
     balanced_subsample,
     check_counterfactual_invariance_exact,
     check_positivity,
@@ -73,6 +74,7 @@ from .metrics import (
     ci_probability,
     dump_records,
     exact_prediction_law,
+    load_record_table,
     load_records,
     macro_f1,
     max_context_deviation,

@@ -30,9 +30,12 @@ from .chat import CachingChatClient, ChatClient, HttpChatClient
 from .errors import OocFailed, ServiceError, StratinvError
 from .metrics import (
     LabeledRecord,
+    RecordTable,
+    as_table,
     balanced_subsample,
     ci_permutation_test,
     dump_records,
+    load_record_table,
     load_records,
     macro_f1,
     si_bias,
@@ -103,12 +106,12 @@ def write_manifest(manifest: dict, out_dir) -> Path:
 # Shared metric-row builder (audit and ooc-run)
 # ---------------------------------------------------------------------------
 
-def _z_pair(records) -> str:
-    return "|".join(str(z) for z in sorted({str(r.z) for r in records}))
+def _z_pair(contexts) -> str:
+    return "|".join(sorted({str(z) for z in contexts}))
 
 
 def metric_rows(
-    records: Sequence[LabeledRecord],
+    table: RecordTable,
     dataset: str,
     method: str,
     metrics: Sequence[str],
@@ -117,9 +120,12 @@ def metric_rows(
     manifest_digest: str,
     z_pair: str | None = None,
 ) -> list[ReportRow]:
-    """Rows for ``records``; ``z_pair`` defaults to the contexts they hold."""
+    """Rows for ``table``; ``z_pair`` defaults to the contexts it holds. A
+    record list is converted to its table first."""
+    table = as_table(table)
+    n = len(table)
     rows: list[ReportRow] = []
-    z_pair = z_pair or _z_pair(records)
+    z_pair = z_pair or _z_pair(table.z.values)
 
     def add(metric, value, dispersion=None, n=None):
         rows.append(
@@ -133,18 +139,18 @@ def metric_rows(
     # The test's observed statistic is si_bias, from the same count table;
     # si_bias and macro_f1 draw nothing, so the stream is unchanged.
     test = (
-        ci_permutation_test(records, permutations=permutations, rng=rng)
+        ci_permutation_test(table, permutations=permutations, rng=rng)
         if "permutation" in metrics
         else None
     )
     if "si_bias" in metrics:
-        value = si_bias(records).value if test is None else test.statistic
-        add("si_bias", value, n=len(records))
+        value = si_bias(table).value if test is None else test.statistic
+        add("si_bias", value, n=n)
     if "macro_f1" in metrics:
-        add("macro_f1", macro_f1(records), n=len(records))
+        add("macro_f1", macro_f1(table), n=n)
     if test is not None:
-        add("perm_statistic", test.statistic, n=len(records))
-        add("p_value", test.p_value, n=len(records))
+        add("perm_statistic", test.statistic, n=n)
+        add("p_value", test.p_value, n=n)
     return rows
 
 
@@ -262,12 +268,12 @@ def _parse_metrics(raw: str) -> tuple[str, ...]:
 def cmd_audit(args) -> int:
     if args.permutations < 1:
         raise StratinvError(f"--permutations must be >= 1, got {args.permutations}")
-    records = load_records(args.records)
+    table = load_record_table(args.records)
     metrics = _parse_metrics(args.metrics)
     rng = np.random.default_rng(args.seed)
     if args.balance is not None:
-        records = balanced_subsample(records, args.balance, rng)
-    if not records:
+        table = balanced_subsample(table, args.balance, rng)
+    if not table:
         raise StratinvError(f"no records in {args.records}")
     manifest = run_manifest(
         "audit",
@@ -285,12 +291,12 @@ def cmd_audit(args) -> int:
     digest = manifest["digest"]
     dataset = args.dataset or Path(args.records).stem
     rows = metric_rows(
-        records, dataset, args.method, metrics, args.permutations, rng, digest
+        table, dataset, args.method, metrics, args.permutations, rng, digest
     )
     out = write_manifest(manifest, args.out_dir)
     write_rows_json(rows, out / "rows.json")
     write_rows_csv(rows, out / "rows.csv")
-    print(f"audit: {len(records)} records (manifest {digest[:12]})")
+    print(f"audit: {len(table)} records (manifest {digest[:12]})")
     _print_rows(rows)
     return EXIT_OK
 
@@ -411,12 +417,14 @@ def cmd_ooc_run(args) -> int:
                 cfg, client, records, args.seed, r, args.single_call
             )
             failed += failed_r
-            arms = (("standard", standard_records), (method, ooc_records))
-            for tag, recs in arms:
+            contexts = {record.z for record in records}
+            arms = []
+            for tag, recs in (("standard", standard_records), (method, ooc_records)):
                 if not recs:
                     raise _arm_error(failed, f"every record failed the {tag} arm")
+                table = RecordTable.from_records(recs)
                 # An arm that lost a context reads as unbiased, so refuse it.
-                lost = {r.z for r in records} - {r.z for r in recs}
+                lost = contexts.difference(table.z.values)
                 if lost and {"si_bias", "permutation"} & set(metrics):
                     raise _arm_error(
                         failed,
@@ -424,20 +432,21 @@ def cmd_ooc_run(args) -> int:
                         f"{', '.join(sorted(map(str, lost)))}, so its bias "
                         f"is not measurable",
                     )
+                arms.append((tag, table))
             if r == 0:
                 first_pass = standard_records, ooc_records, traces_r
             # Both arms' rows name the contexts attempted, so they stay
             # comparable when failures empty a context in one arm.
-            z_pair = _z_pair(records)
-            for tag, recs in arms:
+            z_pair = _z_pair(contexts)
+            for tag, table in arms:
                 rows_r = metric_rows(
-                    recs, cfg.name, tag, metrics, args.permutations, pass_rng,
+                    table, cfg.name, tag, metrics, args.permutations, pass_rng,
                     digest, z_pair,
                 )
                 rows_r.append(ReportRow(
                     dataset=cfg.name, z_pair=z_pair, method=tag,
                     metric="failure_rate",
-                    value=(len(records) - len(recs)) / len(records),
+                    value=(len(records) - len(table)) / len(records),
                     n=len(records), manifest=digest,
                 ).validate())
                 for row in rows_r:

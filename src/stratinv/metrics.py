@@ -17,9 +17,8 @@ from __future__ import annotations
 import itertools
 import json
 import warnings
-from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -55,26 +54,31 @@ class LabeledRecord:
     y_hat: Any = None
 
 
-def load_records(path) -> list[LabeledRecord]:
-    """Read a JSON-lines dataset.
+def _read_fields(path):
+    """Each record line of a JSON-lines dataset, as ``(record_id, x, (s, z,
+    y, y_hat))``; blank lines are skipped but counted.
 
     Each line holds one JSON object with at least ``record_id`` and ``x``;
     malformed JSON, another value there, or a missing field raises ValueError
     naming the file and the line. The fields that metrics group and count by
     (s, z, y, y_hat) must be scalars; a list or an object there raises
-    ValueError naming the record. Equal strings in those fields are shared
-    by the file's records, so a log over a few strata, contexts and labels
-    holds each of them once.
+    ValueError naming the record.
     """
-    out = []
-    shared: dict[str, str] = {}  # str keys only: True == 1 == 1.0 must not merge
+    scan = json.decoder.JSONDecoder().scan_once
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
-                doc = json.loads(line)
+                try:
+                    doc, end = scan(line, 0)
+                except (StopIteration, json.JSONDecodeError):
+                    end = None
+                # Anything but one value that fills the line goes to json.loads,
+                # which decides it and words its error.
+                if end is None or (end != len(line) and line[end:] != "\n"):
+                    doc = json.loads(line)
                 record_id, x = doc["record_id"], doc["x"]
-                s, z, y, y_hat = doc.get("s"), doc.get("z"), doc.get("y"), doc.get("y_hat")
-                hash((s, z, y, y_hat))
+                fields = doc.get("s"), doc.get("z"), doc.get("y"), doc.get("y_hat")
+                hash(fields)
             except json.JSONDecodeError as exc:
                 if not line.strip():
                     continue
@@ -100,15 +104,28 @@ def load_records(path) -> list[LabeledRecord]:
                     f"record {doc['record_id']!r}: field {name!r} must be a "
                     f"scalar, got {doc[name]!r}"
                 ) from None
-            if s.__class__ is str:
-                s = shared.setdefault(s, s)
-            if z.__class__ is str:
-                z = shared.setdefault(z, z)
-            if y.__class__ is str:
-                y = shared.setdefault(y, y)
-            if y_hat.__class__ is str:
-                y_hat = shared.setdefault(y_hat, y_hat)
-            out.append(LabeledRecord(record_id, x, s, z, y, y_hat))
+            yield record_id, x, fields
+
+
+def load_records(path) -> list[LabeledRecord]:
+    """Read a JSON-lines dataset as records (see ``_read_fields`` for the
+    format and its errors).
+
+    Equal strings in s, z, y and y_hat are shared by the file's records, so
+    a log over a few strata, contexts and labels holds each of them once.
+    """
+    out = []
+    shared: dict[str, str] = {}  # str keys only: True == 1 == 1.0 must not merge
+    for record_id, x, (s, z, y, y_hat) in _read_fields(path):
+        if s.__class__ is str:
+            s = shared.setdefault(s, s)
+        if z.__class__ is str:
+            z = shared.setdefault(z, z)
+        if y.__class__ is str:
+            y = shared.setdefault(y, y)
+        if y_hat.__class__ is str:
+            y_hat = shared.setdefault(y_hat, y_hat)
+        out.append(LabeledRecord(record_id, x, s, z, y, y_hat))
     return out
 
 
@@ -121,16 +138,95 @@ def dump_records(records: Iterable[LabeledRecord], path) -> None:
             fh.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
+# --- records as integer-coded columns ---------------------------------------
+
+
+class Column(NamedTuple):
+    """One field of a record table: its distinct values in first-seen order
+    (equal values, such as True, 1 and 1.0, are one value), and each record's
+    index into them."""
+
+    values: list
+    codes: np.ndarray
+
+
+@dataclass(frozen=True, slots=True)
+class RecordTable:
+    """The fields the statistics read, as integer-coded columns: each
+    record's id, and its s, z, y and y_hat as codes into the field's
+    distinct values."""
+
+    record_ids: list
+    s: Column
+    z: Column
+    y: Column
+    y_hat: Column
+
+    def __len__(self) -> int:
+        return len(self.record_ids)
+
+    @classmethod
+    def from_records(cls, records: Iterable[LabeledRecord]) -> "RecordTable":
+        """The table of ``records``, in their order."""
+        return _table_of((r.record_id, None, (r.s, r.z, r.y, r.y_hat)) for r in records)
+
+    def take(self, rows: np.ndarray) -> "RecordTable":
+        """The records at ``rows``, in that order, each column renumbered in
+        first-seen order among them."""
+        fields = (
+            [c.values[k] for k in c.codes[rows].tolist()]
+            for c in (self.s, self.z, self.y, self.y_hat)
+        )
+        ids = [self.record_ids[i] for i in rows.tolist()]
+        return _table_of(zip(ids, itertools.repeat(None), zip(*fields)))
+
+
+Records = Union[RecordTable, Iterable[LabeledRecord]]
+
+
+def as_table(data: Records) -> RecordTable:
+    """``data`` itself if it is a table, else the table of its records."""
+    return data if isinstance(data, RecordTable) else RecordTable.from_records(data)
+
+
+def _table_of(rows: Iterable[tuple]) -> RecordTable:
+    """The table of ``(record_id, x, (s, z, y, y_hat))`` rows; x is dropped."""
+    ids: list = []
+    s_at: dict[Any, int] = {}
+    z_at: dict[Any, int] = {}
+    y_at: dict[Any, int] = {}
+    y_hat_at: dict[Any, int] = {}
+    s_codes, z_codes, y_codes, y_hat_codes = [], [], [], []
+    for record_id, _x, (s, z, y, y_hat) in rows:
+        ids.append(record_id)
+        s_codes.append(s_at.setdefault(s, len(s_at)))
+        z_codes.append(z_at.setdefault(z, len(z_at)))
+        y_codes.append(y_at.setdefault(y, len(y_at)))
+        y_hat_codes.append(y_hat_at.setdefault(y_hat, len(y_hat_at)))
+    return RecordTable(ids, *(
+        Column(list(at), np.array(codes, dtype=np.intp))
+        for at, codes in ((s_at, s_codes), (z_at, z_codes), (y_at, y_codes),
+                          (y_hat_at, y_hat_codes))
+    ))
+
+
+def load_record_table(path) -> RecordTable:
+    """Read a JSON-lines dataset straight into a table, with the format and
+    errors of ``load_records`` and no record object per line."""
+    return _table_of(_read_fields(path))
+
+
+def _first_missing(table: RecordTable, *columns: Column) -> int | None:
+    """The row of the first record holding None in any of ``columns``."""
+    missing = np.zeros(len(table), dtype=bool)
+    for column in columns:
+        if None in column.values:
+            missing |= column.codes == column.values.index(None)
+    hit = np.flatnonzero(missing)
+    return int(hit[0]) if hit.size else None
+
+
 # --- the bias statistic ------------------------------------------------------
-
-
-def _codes(values: Iterable, n: int) -> tuple[list, np.ndarray]:
-    """Distinct values in first-seen order, and each value's index in them."""
-    index: dict[Any, int] = {}
-    codes = np.fromiter(
-        (index.setdefault(v, len(index)) for v in values), dtype=np.intp, count=n
-    )
-    return list(index), codes
 
 
 def _rates(counts: np.ndarray) -> np.ndarray:
@@ -163,26 +259,25 @@ class SiBiasReport:
     caveat: str = ADJUSTMENT_CAVEAT
 
 
-def _bias_table(records: Sequence[LabeledRecord], strict_binary: bool = False):
+def _bias_table(data: Records, strict_binary: bool = False):
     """Prediction counts over (stratum, context, label), each axis in
     first-seen order, and the bias statistic they determine."""
-    if not records:
+    table = as_table(data)
+    n = len(table)
+    if not n:
         raise MissingLabels("no records")
-    for r in records:
-        if r.y_hat is None:
-            raise MissingLabels(f"record {r.record_id!r} has no prediction")
-    n = len(records)
-    strata, cells = _codes((r.s for r in records), n)
-    contexts, zi = _codes((r.z for r in records), n)
-    labels, yi = _codes((r.y_hat for r in records), n)
+    row = _first_missing(table, table.y_hat)
+    if row is not None:
+        raise MissingLabels(f"record {table.record_ids[row]!r} has no prediction")
+    strata, contexts, labels = table.s.values, table.z.values, table.y_hat.values
     if strict_binary and len(labels) > 2:
         raise NonBinaryLabel(
             f"strict binary mode with labels {sorted(map(str, labels))}"
         )
     n_s, n_z, n_y = len(strata), len(contexts), len(labels)
-    # in place, so that few record-length arrays are alive at once
-    cells *= n_z
-    cells += zi
+    # one new record-length array, added to in place
+    cells = table.s.codes * n_z
+    cells += table.z.codes
     # Checked before the dense table, which is huge when most cells are empty.
     # At most n cells hold records, so the first empty (s-major) one is <= n.
     sizes = np.bincount(np.minimum(cells, n), minlength=min(n_s * n_z, n + 1))
@@ -194,16 +289,14 @@ def _bias_table(records: Sequence[LabeledRecord], strict_binary: bool = False):
             f"context={contexts[first % n_z]!r}"
         )
     cells *= n_y
-    cells += yi
+    cells += table.y_hat.codes
     counts = np.bincount(cells, minlength=n_s * n_z * n_y).reshape(n_s, n_z, n_y)
     per_stratum = tuple(zip(strata, _context_gaps(_rates(counts)).tolist()))
     value = max(g for _, g in per_stratum)
     return counts, SiBiasReport(value, per_stratum, n)
 
 
-def si_bias(
-    records: Sequence[LabeledRecord], *, strict_binary: bool = False
-) -> SiBiasReport:
+def si_bias(data: Records, *, strict_binary: bool = False) -> SiBiasReport:
     """Max over strata and context pairs of the prediction-rate gap.
 
     For each stratum s and pair of contexts z1, z2, the gap is
@@ -212,7 +305,7 @@ def si_bias(
     populated (EmptyCell otherwise); a dataset with a single context has
     statistic 0 by convention.
     """
-    return _bias_table(records, strict_binary)[1]
+    return _bias_table(data, strict_binary)[1]
 
 
 # --- exact checks against a model --------------------------------------------
@@ -430,7 +523,7 @@ def _random_tables(
 
 
 def ci_permutation_test(
-    records: Sequence[LabeledRecord],
+    data: Records,
     permutations: int = 999,
     rng: np.random.Generator | int | None = None,
 ) -> TestReport:
@@ -451,7 +544,7 @@ def ci_permutation_test(
         raise ValueError("permutations must be >= 1")
     if rng is None or isinstance(rng, int):
         rng = np.random.default_rng(rng)
-    counts, observed = _bias_table(records)
+    counts, observed = _bias_table(data)
     context_totals, label_totals = counts.sum(axis=2), counts.sum(axis=1)
     batch = max(1, PERMUTATION_BATCH_CELLS // counts.size)
     exceed = 0
@@ -508,34 +601,37 @@ def check_positivity(source) -> PositivityReport:
     return PositivityReport(not witnesses, tuple(witnesses))
 
 
-def macro_f1(
-    records: Sequence[LabeledRecord], labels: Sequence | None = None
-) -> float:
+def macro_f1(data: Records, labels: Sequence | None = None) -> float:
     """Unweighted mean of per-class F1 between y and yhat.
 
     A class with no true and no predicted instances contributes F1 = 1 (it
     was handled perfectly); this only arises when an explicit label list
     names a class absent from the data.
     """
-    records = list(records)
-    if not records:
+    table = as_table(data)
+    if not len(table):
         raise MissingLabels("no records")
-    for r in records:
-        if r.y is None or r.y_hat is None:
-            raise MissingLabels(
-                f"record {r.record_id!r} lacks a label or a prediction"
-            )
-    pairs = Counter((r.y, r.y_hat) for r in records)
-    actual, predicted = Counter(), Counter()  # in first-seen order, like pairs
-    for (y, y_hat), k in pairs.items():
-        actual[y] += k
-        predicted[y_hat] += k
+    row = _first_missing(table, table.y, table.y_hat)
+    if row is not None:
+        raise MissingLabels(
+            f"record {table.record_ids[row]!r} lacks a label or a prediction"
+        )
+    y, y_hat = table.y, table.y_hat
+    actual = dict(zip(y.values, np.bincount(y.codes, minlength=len(y.values)).tolist()))
+    predicted = dict(
+        zip(y_hat.values, np.bincount(y_hat.codes, minlength=len(y_hat.values)).tolist())
+    )
+    # each true label's code among the predictions, -1 where none equals it
+    at = {v: j for j, v in enumerate(y_hat.values)}
+    twin = np.array([at.get(v, -1) for v in y.values], dtype=np.intp)
+    hits = y.codes[y_hat.codes == twin[y.codes]]
+    correct = dict(zip(y.values, np.bincount(hits, minlength=len(y.values)).tolist()))
     classes = list(labels) if labels is not None else list({**actual, **predicted})
     scores = []
     for c in classes:
-        tp = pairs[(c, c)]
-        fp = predicted[c] - tp
-        fn = actual[c] - tp
+        tp = correct.get(c, 0)
+        fp = predicted.get(c, 0) - tp
+        fn = actual.get(c, 0) - tp
         if tp + fp + fn == 0:
             scores.append(1.0)
         else:
@@ -546,39 +642,48 @@ def macro_f1(
 # --- balanced subsampling ----------------------------------------------------
 
 
+def _balanced_rows(s: Column, z: Column, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Rows of a balanced draw over the (s, z) codes: cell-major, each cell's
+    picks in row order."""
+    m = s.codes.size
+    if not m:
+        raise BalanceError(f"no records to draw a balanced subsample of {n} from")
+    n_s, n_z = len(s.values), len(z.values)
+    per_cell = n // (n_s * n_z)
+    if per_cell < 1:
+        raise BalanceError(
+            f"n={n} gives an empty per-cell quota for {n_s}x{n_z} cells"
+        )
+    rows_of: dict[int, list[int]] = {}
+    for row, cell in enumerate((s.codes * n_z + z.codes).tolist()):
+        rows_of.setdefault(cell, []).append(row)
+    picks: list[int] = []
+    for k in range(n_s * n_z):
+        rows = rows_of.get(k, [])
+        if len(rows) < per_cell:
+            raise BalanceError(
+                f"cell (s={s.values[k // n_z]!r}, z={z.values[k % n_z]!r}) has "
+                f"{len(rows)} records, needs {per_cell}"
+            )
+        picked = rng.choice(len(rows), size=per_cell, replace=False)
+        picks.extend(rows[i] for i in sorted(picked))
+    return np.array(picks, dtype=np.intp)
+
+
 def balanced_subsample(
-    records: Sequence[LabeledRecord], n: int, rng: np.random.Generator | int | None = None
-) -> list[LabeledRecord]:
+    data: Records, n: int, rng: np.random.Generator | int | None = None
+) -> Records:
     """Equal-size draw of floor(n / (|S| |Z|)) records per (s, z) cell.
 
     Draws are without replacement; a cell with too few records raises
     BalanceError naming it. Output order is cell-major then draw order,
-    deterministic given the RNG.
+    deterministic given the RNG. A table gives a table, any other input a
+    list of its records.
     """
     if rng is None or isinstance(rng, int):
         rng = np.random.default_rng(rng)
-    cells: dict[tuple, list[LabeledRecord]] = {}
-    for r in records:
-        cells.setdefault((r.s, r.z), []).append(r)
-    if not cells:
-        raise BalanceError(f"no records to draw a balanced subsample of {n} from")
-    strata = list(dict.fromkeys(s for s, _z in cells))
-    contexts = list(dict.fromkeys(z for _s, z in cells))
-    per_cell = n // (len(strata) * len(contexts))
-    if per_cell < 1:
-        raise BalanceError(
-            f"n={n} gives an empty per-cell quota for "
-            f"{len(strata)}x{len(contexts)} cells"
-        )
-    out: list[LabeledRecord] = []
-    for s in strata:
-        for z in contexts:
-            cell = cells.get((s, z), [])
-            if len(cell) < per_cell:
-                raise BalanceError(
-                    f"cell (s={s!r}, z={z!r}) has {len(cell)} records, "
-                    f"needs {per_cell}"
-                )
-            picked = rng.choice(len(cell), size=per_cell, replace=False)
-            out.extend(cell[i] for i in sorted(picked))
-    return out
+    if isinstance(data, RecordTable):
+        return data.take(_balanced_rows(data.s, data.z, n, rng))
+    records = list(data)
+    table = RecordTable.from_records(records)
+    return [records[i] for i in _balanced_rows(table.s, table.z, n, rng).tolist()]

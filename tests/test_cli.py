@@ -13,6 +13,7 @@ from stratinv.cli import main
 from stratinv.fixtures import chain_fixture
 from stratinv.metrics import (
     LabeledRecord,
+    balanced_subsample,
     ci_permutation_test,
     dump_records,
     load_records,
@@ -376,6 +377,37 @@ def test_audit_rows_keep_their_bytes_with_one_count_table(tmp_path, monkeypatch)
     assert got["rows.json"] == (tmp_path / "want.json").read_bytes()
     assert got["rows.csv"] == (tmp_path / "want.csv").read_bytes()
 
+
+
+def test_balanced_audit_rows_match_the_list_statistics(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    skewed_records(tmp_path / "records.jsonl")
+    code = main(["audit", "--records", "records.jsonl", "--seed", "7",
+                 "--balance", "240", "--metrics", "si_bias,macro_f1,permutation",
+                 "--permutations", "199", "--out-dir", "out"])
+    assert code == 0
+    # the subsample and then the test draw from one stream, as in the command
+    rng = np.random.default_rng(7)
+    records = balanced_subsample(load_records(tmp_path / "records.jsonl"), 240, rng)
+    assert len(records) == 240
+    bias = si_bias(records)
+    test = ci_permutation_test(records, 199, rng)
+    digest = json.loads((tmp_path / "out" / "manifest.json").read_text())["digest"]
+    rows = [
+        ReportRow("records", "za|zb|zc", "standard", metric, value, n=240,
+                  manifest=digest)
+        for metric, value in [
+            ("si_bias", bias.value),
+            ("macro_f1", macro_f1(records)),
+            ("perm_statistic", test.statistic),
+            ("p_value", test.p_value),
+        ]
+    ]
+    write_rows_json(rows, tmp_path / "want.json")
+    write_rows_csv(rows, tmp_path / "want.csv")
+    for name in ("rows.json", "rows.csv"):
+        want = (tmp_path / name.replace("rows", "want")).read_bytes()
+        assert (tmp_path / "out" / name).read_bytes() == want
 
 # --- ooc-run -----------------------------------------------------------------
 

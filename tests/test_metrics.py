@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 from collections import Counter
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from stratinv.errors import BalanceError, EmptyCell, MissingLabels, NonBinaryLabel
 from stratinv.metrics import (
     LabeledRecord,
+    RecordTable,
     SiBiasReport,
     _bias_table,
     _context_gaps,
@@ -25,6 +27,7 @@ from stratinv.metrics import (
     ci_probability,
     dump_records,
     exact_prediction_law,
+    load_record_table,
     load_records,
     macro_f1,
     max_context_deviation,
@@ -644,3 +647,182 @@ def test_random_tables_follow_the_exact_permutation_law():
         for table, p in law.items():
             se = np.sqrt(p * (1 - p) / draws)
             assert abs(seen[table] / draws - p) <= 5 * se, (k, table)
+
+
+# --- the table loader --------------------------------------------------------
+
+
+def oracle_load_records(path):
+    """The per-line ``json.loads`` loader the scanner fast path replaced."""
+    out = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                doc = json.loads(line)
+                record_id, x = doc["record_id"], doc["x"]
+                s, z, y, y_hat = doc.get("s"), doc.get("z"), doc.get("y"), doc.get("y_hat")
+                hash((s, z, y, y_hat))
+            except json.JSONDecodeError as exc:
+                if not line.strip():
+                    continue
+                raise ValueError(
+                    f"{path} line {lineno}: malformed JSON: {exc.msg} "
+                    f"at column {exc.colno}"
+                ) from None
+            except KeyError as exc:
+                raise ValueError(
+                    f"{path} line {lineno}: missing field {exc.args[0]!r}"
+                ) from None
+            except TypeError:
+                if not isinstance(doc, dict):
+                    raise ValueError(
+                        f"{path} line {lineno}: a record must be a JSON object, "
+                        f"got {line.strip()[:40]}"
+                    ) from None
+                name = next(
+                    f for f in ("s", "z", "y", "y_hat")
+                    if isinstance(doc.get(f), (list, dict))
+                )
+                raise ValueError(
+                    f"record {doc['record_id']!r}: field {name!r} must be a "
+                    f"scalar, got {doc[name]!r}"
+                ) from None
+            out.append(LabeledRecord(record_id, x, s, z, y, y_hat))
+    return out
+
+
+def _outcome(load, path):
+    """The records with each field's type, or the ValueError's text."""
+    try:
+        return [
+            tuple((type(v), v) for v in dataclasses.astuple(r)) for r in load(path)
+        ]
+    except ValueError as exc:
+        return str(exc)
+
+
+_record_line = st.builds(
+    lambda rid, fields, keep: json.dumps(
+        {"record_id": rid, "x": "x", **{k: v for k, v in fields.items() if k in keep}}
+    ),
+    st.sampled_from(["a", "b"]),
+    st.fixed_dictionaries({k: _field_values for k in ("s", "z", "y", "y_hat")}),
+    st.sets(st.sampled_from(["s", "z", "y", "y_hat", "record_id", "x"])),
+)
+_line = st.one_of(
+    st.tuples(
+        st.sampled_from(["", " ", "\t", "\ufeff", "\f"]),
+        _record_line,
+        st.sampled_from(["", " ", "  \t", "x", ",", ", 2", "}", "\u00a0", "\x00"]),
+    ).map("".join),
+    st.sampled_from(["", "  ", "1, 2", "{bad", "[1, 2]", '"r"', "null", '{"x": 1}',
+                     '{"record_id": "a", "x": 1}x', '{"record_id": "a", "x": [1, 2]}']),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(_line, max_size=6), newline_at_end=st.booleans())
+@example(lines=['{"record_id": "a", "x": 1}x'], newline_at_end=False)
+@example(lines=['  {"record_id": "a", "x": 1}   ', '\t{"record_id": "b", "x": 2} '],
+         newline_at_end=True)
+@example(lines=['\ufeff{"record_id": "a", "x": 1}'], newline_at_end=True)
+@example(lines=['{"record_id": "a", "x": 1}', "1, 2"], newline_at_end=True)
+@example(lines=['{"record_id": "a", "x": 1}', "{bad"], newline_at_end=False)
+def test_the_scanner_reads_every_line_as_json_loads_does(
+    tmp_path_factory, lines, newline_at_end
+):
+    path = tmp_path_factory.getbasetemp() / "boundary.jsonl"
+    path.write_text("\n".join(lines) + ("\n" if newline_at_end else ""),
+                    encoding="utf-8")
+    want = _outcome(oracle_load_records, path)
+    assert _outcome(load_records, path) == want
+    try:
+        table = load_record_table(path)
+    except ValueError as exc:
+        assert str(exc) == want
+        return
+    oracle = RecordTable.from_records(oracle_load_records(path))
+    assert table.record_ids == oracle.record_ids
+    for name in ("s", "z", "y", "y_hat"):
+        _same_column(getattr(table, name), getattr(oracle, name))
+
+
+def _same_column(got, want):
+    assert [(type(v), v) for v in got.values] == [(type(v), v) for v in want.values]
+    assert got.codes.dtype == want.codes.dtype == np.intp
+    assert np.array_equal(got.codes, want.codes)
+
+
+def _result(statistic, data):
+    try:
+        return repr(statistic(data))
+    except (MissingLabels, NonBinaryLabel, EmptyCell) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    fields=st.lists(st.tuples(*[_field_values] * 4), max_size=12),
+    blanks=st.lists(st.integers(0, 12), max_size=3),
+    n=st.integers(1, 12),
+    seed=st.integers(0, 2**16),
+)
+@example(fields=[(True, 1, 1.0, "1"), (1, 1.0, True, "true"), (1.0, True, 1, "true")],
+         blanks=[0, 2], n=3, seed=0)
+# the draw keeps row 1 of cell za, so the subsample sees "b" before "a"
+@example(fields=[("s0", "za", "1", "a"), ("s0", "za", "1", "b"), ("s0", "zb", "1", "a")],
+         blanks=[], n=2, seed=0)
+def test_the_table_loader_matches_the_records_it_replaces(
+    tmp_path_factory, fields, blanks, n, seed
+):
+    records = [
+        LabeledRecord(f"r{i}", f"x{i}", s, z, y, y_hat)
+        for i, (s, z, y, y_hat) in enumerate(fields)
+    ]
+    path = tmp_path_factory.getbasetemp() / "table.jsonl"
+    dump_records(records, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for at in sorted(blanks, reverse=True):
+        lines.insert(min(at, len(lines)), " " * (at % 2))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    listed = load_records(path)
+    table = load_record_table(path)
+    want = RecordTable.from_records(listed)
+    assert table.record_ids == want.record_ids == [r.record_id for r in records]
+    for name in ("s", "z", "y", "y_hat"):
+        _same_column(getattr(table, name), getattr(want, name))
+
+    assert _result(si_bias, table) == _result(si_bias, listed)
+    assert _result(macro_f1, table) == _result(macro_f1, listed)
+    if all(r.y is not None and r.y_hat is not None for r in listed) and listed:
+        assert macro_f1(table) == reference_macro_f1(listed)
+    test = lambda data: ci_permutation_test(data, 19, np.random.default_rng(seed))
+    assert _result(test, table) == _result(test, listed)
+
+    rng, list_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    try:
+        expected = balanced_subsample(listed, n, list_rng)
+    except BalanceError as exc:
+        with pytest.raises(BalanceError) as got:
+            balanced_subsample(table, n, rng)
+        assert str(got.value) == str(exc)
+        return
+    sub = balanced_subsample(table, n, rng)
+    assert rng.bit_generator.state == list_rng.bit_generator.state
+    again = RecordTable.from_records(expected)
+    assert sub.record_ids == again.record_ids
+    for name in ("s", "z", "y", "y_hat"):
+        _same_column(getattr(sub, name), getattr(again, name))
+
+
+def test_a_record_without_a_prediction_is_named_even_with_a_null_id(tmp_path):
+    path = tmp_path / "records.jsonl"
+    docs = [{"record_id": "r0", "x": 0, "s": "s", "z": "za", "y": "1", "y_hat": "1"},
+            {"record_id": None, "x": 1, "s": "s", "z": "zb", "y": "1"}]
+    path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+    table = load_record_table(path)
+    with pytest.raises(MissingLabels, match="^record None has no prediction$"):
+        si_bias(table)
+    with pytest.raises(MissingLabels, match="^record None lacks a label or a prediction$"):
+        macro_f1(table)
