@@ -34,12 +34,11 @@ conditional-independence test complete for stratified invariance.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .errors import GraphError, UnknownNode
+from .errors import GraphError, UnknownNode, json_input
 
 OBSERVED = "observed"
 LATENT = "latent"
@@ -429,12 +428,10 @@ def causal_selection_graph() -> CausalDag:
 def load_dag(source) -> CausalDag:
     """Load a graph from a JSON file path or parsed dict."""
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    else:
-        doc = source
-    nodes = tuple((n["name"], n.get("mark", OBSERVED)) for n in doc["nodes"])
-    edges = tuple((a, b) for a, b in doc["edges"])
+        with json_input(source) as doc:
+            return load_dag(doc)
+    nodes = tuple((n["name"], n.get("mark", OBSERVED)) for n in source["nodes"])
+    edges = tuple((a, b) for a, b in source["edges"])
     return CausalDag(nodes, edges)
 
 

@@ -18,6 +18,7 @@ import hashlib
 import json
 import sys
 from contextlib import closing
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -330,8 +331,8 @@ def _ooc_pass(cfg, client, records, seed, r, single_call):
 
     A record whose standard label or OOC prediction fails is dropped from that
     arm only and listed in the failures as ``(record_id, message, cause)``.
-    Returns the standard and OOC records, the OOC traces (pass 0 only) and
-    the failures.
+    Returns the arms' records keyed by method tag (standard first), the OOC
+    traces (pass 0 only) and the failures.
     """
     standard_records, ooc_records, traces, failed = [], [], [], []
     for lo in range(0, len(records), STAGE_RECORDS):
@@ -363,7 +364,8 @@ def _ooc_pass(cfg, client, records, seed, r, single_call):
                 LabeledRecord(record.record_id, record.x, record.s, record.z,
                               y=record.y, y_hat=result.label)
             )
-    return standard_records, ooc_records, traces, failed
+    method = "single_call" if single_call else "ooc"
+    return {"standard": standard_records, method: ooc_records}, traces, failed
 
 
 def _arm_error(failed, message) -> StratinvError:
@@ -399,10 +401,10 @@ def cmd_ooc_run(args) -> int:
         [args.task, args.records],
     )
     digest = manifest["digest"]
-    method = "single_call" if args.single_call else "ooc"
 
-    # (dataset, z_pair, method, metric) -> each pass's (value, n), in row order
-    per_seed: dict[tuple, list[tuple[float, int]]] = {}
+    # Each pass's rows. A balanced draw keeps every (s, z) cell, so each pass
+    # yields rows for the same z_pair in the same (method, metric) order.
+    passes: list[list[ReportRow]] = []
     failed: list[tuple[str, str, BaseException | None]] = []
     with closing(_make_client(args, cfg)) as client:
         for r in range(args.seeds):
@@ -413,18 +415,18 @@ def cmd_ooc_run(args) -> int:
                 records = balanced_subsample(records_all, args.balance, pass_rng)
             if not records:
                 raise StratinvError(f"no records in {args.records}")
-            standard_records, ooc_records, traces_r, failed_r = _ooc_pass(
+            arms, traces_r, failed_r = _ooc_pass(
                 cfg, client, records, args.seed, r, args.single_call
             )
             failed += failed_r
             contexts = {record.z for record in records}
-            arms = []
-            for tag, recs in (("standard", standard_records), (method, ooc_records)):
+            tables = {}
+            for tag, recs in arms.items():
                 if not recs:
                     raise _arm_error(failed, f"every record failed the {tag} arm")
-                table = RecordTable.from_records(recs)
+                tables[tag] = RecordTable.from_records(recs)
                 # An arm that lost a context reads as unbiased, so refuse it.
-                lost = contexts.difference(table.z.values)
+                lost = contexts.difference(tables[tag].z.values)
                 if lost and {"si_bias", "permutation"} & set(metrics):
                     raise _arm_error(
                         failed,
@@ -432,14 +434,14 @@ def cmd_ooc_run(args) -> int:
                         f"{', '.join(sorted(map(str, lost)))}, so its bias "
                         f"is not measurable",
                     )
-                arms.append((tag, table))
             if r == 0:
-                first_pass = standard_records, ooc_records, traces_r
+                first_pass = (*arms.values(), traces_r)
             # Both arms' rows name the contexts attempted, so they stay
             # comparable when failures empty a context in one arm.
             z_pair = _z_pair(contexts)
-            for tag, table in arms:
-                rows_r = metric_rows(
+            rows_r = []
+            for tag, table in tables.items():
+                rows_r += metric_rows(
                     table, cfg.name, tag, metrics, args.permutations, pass_rng,
                     digest, z_pair,
                 )
@@ -449,26 +451,20 @@ def cmd_ooc_run(args) -> int:
                     value=(len(records) - len(table)) / len(records),
                     n=len(records), manifest=digest,
                 ).validate())
-                for row in rows_r:
-                    key = (row.dataset, row.z_pair, tag, row.metric)
-                    per_seed.setdefault(key, []).append((row.value, row.n))
+            passes.append(rows_r)
 
     rows = []
-    for (dataset, z_pair, method_tag, metric), passes in per_seed.items():
-        values = [value for value, _n in passes]
-        if metric == "failure_rate" and not failed:
+    for same in zip(*passes):  # one row's value in every pass
+        if same[0].metric == "failure_rate" and not failed:
             continue  # failure_rate rows appear only when something failed
-        if len(values) > 1:
-            dispersion = float(np.std(values, ddof=1) / np.sqrt(len(values)))
-        else:
-            dispersion = None
-        rows.append(
-            ReportRow(
-                dataset=dataset, z_pair=z_pair, method=method_tag,
-                metric=metric, value=float(np.mean(values)),
-                dispersion=dispersion, n=passes[-1][1], manifest=digest,
-            ).validate()
+        values = [row.value for row in same]
+        dispersion = (
+            float(np.std(values, ddof=1) / np.sqrt(len(values)))
+            if len(values) > 1 else None
         )
+        rows.append(replace(
+            same[-1], value=float(np.mean(values)), dispersion=dispersion
+        ).validate())
     standard_records, ooc_records, traces = first_pass
     out = write_manifest(manifest, args.out_dir)
     write_rows_json(rows, out / "rows.json")

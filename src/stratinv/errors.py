@@ -1,10 +1,42 @@
 """Exception taxonomy shared across the package.
 
 Every error raised on a contract violation derives from StratinvError so
-callers (and the CLI) can tell usage errors from genuine bugs.
+callers (and the CLI) can tell usage errors from genuine bugs. ``json_input``
+reads an input file so that its faults name the file.
 """
 
 from __future__ import annotations
+
+import json
+from contextlib import contextmanager
+
+_JSON_TYPES = {
+    dict: "object", list: "array", str: "string", int: "number",
+    float: "number", bool: "boolean", type(None): "null",
+}
+
+
+@contextmanager
+def json_input(path, kind: type = dict):
+    """Yield the JSON document in the file at ``path``, which must be a
+    ``kind``. Malformed JSON, a document of another type, and a KeyError or
+    ValueError raised while it is read become a ValueError naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: malformed JSON: {exc}") from None
+    if not isinstance(doc, kind):
+        raise ValueError(
+            f"{path}: expected a JSON {_JSON_TYPES[kind]}, "
+            f"got {_JSON_TYPES[type(doc)]}"
+        )
+    try:
+        yield doc
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 class StratinvError(Exception):

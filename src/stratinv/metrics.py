@@ -542,8 +542,7 @@ def ci_permutation_test(
     """
     if permutations < 1:
         raise ValueError("permutations must be >= 1")
-    if rng is None or isinstance(rng, int):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     counts, observed = _bias_table(data)
     context_totals, label_totals = counts.sum(axis=2), counts.sum(axis=1)
     batch = max(1, PERMUTATION_BATCH_CELLS // counts.size)
@@ -566,35 +565,20 @@ class PositivityReport:
     witnesses: tuple[tuple, ...]  # (stratum, context, conditional prob)
 
 
-def check_positivity(source) -> PositivityReport:
-    """Check 0 < P(z | s) < 1 for every stratum and context.
-
-    ``source`` is either a record list (empirical frequencies) or a model
-    (exact masses by enumeration). A stratum where some context is absent,
-    or where one context has all the mass, is a violation; both make the
-    stratified comparison at that cell meaningless.
-    """
-    if isinstance(source, scm_mod.DiscreteScm):
-        zs = list(source.z_domain.values)
-        mass: dict[tuple, float] = {}
-        s_total: dict[Any, float] = {}
-        index = source.index
-        for (w, m), s_obs in zip(index.worlds, index.strata):
-            mass[(s_obs, w.z)] = mass.get((s_obs, w.z), 0.0) + m
-            s_total[s_obs] = s_total.get(s_obs, 0.0) + m
-        strata = list(s_total)
-    else:
-        records = list(source)
-        zs = list(dict.fromkeys(r.z for r in records))
-        mass = {}
-        s_total = {}
-        for r in records:
-            mass[(r.s, r.z)] = mass.get((r.s, r.z), 0.0) + 1.0
-            s_total[r.s] = s_total.get(r.s, 0.0) + 1.0
-        strata = list(dict.fromkeys(r.s for r in records))
+def check_positivity(model: scm_mod.DiscreteScm) -> PositivityReport:
+    """Check 0 < P(z | s) < 1 for every stratum and context of ``model``, by
+    enumeration. A stratum where some context is absent, or where one context
+    has all the mass, is a violation; both make the stratified comparison at
+    that cell meaningless."""
+    mass: dict[tuple, float] = {}
+    s_total: dict[Any, float] = {}
+    index = model.index
+    for (w, m), s_obs in zip(index.worlds, index.strata):
+        mass[(s_obs, w.z)] = mass.get((s_obs, w.z), 0.0) + m
+        s_total[s_obs] = s_total.get(s_obs, 0.0) + m
     witnesses = []
-    for s in strata:
-        for z in zs:
+    for s in s_total:
+        for z in model.z_domain.values:
             p = mass.get((s, z), 0.0) / s_total[s]
             if not (0.0 < p < 1.0):
                 witnesses.append((s, z, p))
@@ -680,8 +664,7 @@ def balanced_subsample(
     deterministic given the RNG. A table gives a table, any other input a
     list of its records.
     """
-    if rng is None or isinstance(rng, int):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     if isinstance(data, RecordTable):
         return data.take(_balanced_rows(data.s, data.z, n, rng))
     records = list(data)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 import string
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -25,13 +25,14 @@ from .errors import (
     ServiceError,
     TemplateError,
     UnparsableAnswer,
+    json_input,
 )
 
 # ---------------------------------------------------------------------------
-# Template bodies.  The obfuscation and addition templates differ deliberately
-# in two small ways: the addition template has two spaces after the first
-# secret-information sentence and a blank line before the "## Text" header.
-# Golden tests pin these bytes, so edit with care.
+# Template bodies: one fixed prompt frame for every task.  The obfuscation and
+# addition templates differ deliberately in two small ways: the addition
+# template has two spaces after the first secret-information sentence and a
+# blank line before the "## Text" header.  Golden tests pin these bytes.
 # ---------------------------------------------------------------------------
 
 OBFUSCATE_MARKER = "You are an expert in text obfuscation"
@@ -261,11 +262,13 @@ STRATUM_SLOT = "{S_lm}"
 
 @dataclass(frozen=True, eq=False)
 class TaskConfig:
-    """Everything one evaluation task needs: domains, descriptions, prompts.
+    """What one evaluation task fills the fixed prompt frame with.
 
-    ``s_description`` carries the secret-information sentence; when it contains
-    the ``{S_lm}`` slot the task is stratified and a stratum value must be
-    available (given or predicted) before the transforms can render.
+    Every task renders the module's templates, whose markers tell the mock
+    the roles apart. ``s_description`` carries the secret-information
+    sentence; when it contains the ``{S_lm}`` slot the task is stratified and
+    a stratum value must be available (given or predicted) before the
+    transforms can render.
     """
 
     name: str
@@ -282,11 +285,6 @@ class TaskConfig:
     m: int = 3
     max_in_flight: int = 4
     model: str = "default"
-    obfuscate_template: str = OBFUSCATE_TEMPLATE
-    add_template: str = ADD_TEMPLATE
-    rewrite_template: str = REWRITE_TEMPLATE
-    label_template: str = LABEL_TEMPLATE
-    stratifier_template: str = STRATIFIER_TEMPLATE
     obfuscate_prompts: tuple[str, ...] = OBFUSCATE_PROMPTS
     add_prompts: tuple[str, ...] = ADD_PROMPTS
     rewrite_prompts: tuple[str, ...] = REWRITE_PROMPTS
@@ -373,6 +371,12 @@ def task_from_dict(doc: Mapping) -> TaskConfig:
         if name in _TUPLE_FIELDS:
             value = tuple(str(v) for v in value)
         kwargs[name] = value
+    missing = [
+        f.name for f in fields(TaskConfig)
+        if f.default is MISSING and f.name not in kwargs
+    ]
+    if missing:
+        raise ValueError(f"task config lacks {', '.join(map(repr, missing))}")
     return TaskConfig(**kwargs)
 
 
@@ -390,8 +394,8 @@ def task_to_dict(cfg: TaskConfig) -> dict:
 
 
 def load_task(path) -> TaskConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return task_from_dict(json.load(fh))
+    with json_input(path) as doc:
+        return task_from_dict(doc)
 
 
 def dump_task(cfg: TaskConfig, path) -> None:
@@ -682,7 +686,7 @@ def _predict_many(
 
 def _label_job(cfg: TaskConfig, x: str) -> tuple[str, Sequence[str]]:
     prompt = render_template(
-        cfg.label_template,
+        LABEL_TEMPLATE,
         {
             "prompt": cfg.effective_prompt(),
             "X": x,
@@ -698,7 +702,7 @@ def _stratifier_job(cfg: TaskConfig, x: str) -> tuple[str, Sequence[str]]:
             f"task {cfg.name!r} needs a stratum but declares no stratum values"
         )
     prompt = render_template(
-        cfg.stratifier_template,
+        STRATIFIER_TEMPLATE,
         {
             "prompt": cfg.stratifier_question,
             "X": x,
@@ -766,10 +770,10 @@ class _Chain:
 def _transform_steps(cfg: TaskConfig, single_call: bool):
     """(template, instruction pool, writes z_plus) for each transform step."""
     if single_call:
-        return ((cfg.rewrite_template, cfg.rewrite_prompts, True),)
+        return ((REWRITE_TEMPLATE, cfg.rewrite_prompts, True),)
     return (
-        (cfg.obfuscate_template, cfg.obfuscate_prompts, False),
-        (cfg.add_template, cfg.add_prompts, True),
+        (OBFUSCATE_TEMPLATE, cfg.obfuscate_prompts, False),
+        (ADD_TEMPLATE, cfg.add_prompts, True),
     )
 
 
@@ -920,9 +924,7 @@ def ooc_predict(
     dropped without topping ``m`` back up; when every replicate fails, or the
     stratum prediction does, the error surfaces as OocFailed.
     """
-    if rng is None:
-        rng = np.random.default_rng()
     [(_std, result)] = ooc_predict_many(
-        cfg, client, [(x, s, rng)], single_call=single_call
+        cfg, client, [(x, s, np.random.default_rng(rng))], single_call=single_call
     )
     return _unwrap(result)

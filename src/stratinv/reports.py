@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import MissingBaseline
+from .errors import MissingBaseline, json_input
 
 #: Metrics whose values must land in [0, 1]; anything else is unchecked.
 UNIT_INTERVAL_METRICS = frozenset(
@@ -58,6 +58,8 @@ def row_to_dict(row: ReportRow) -> dict:
 
 
 def row_from_dict(doc: dict) -> ReportRow:
+    if not isinstance(doc, dict):
+        raise ValueError(f"a report row must be a JSON object, got {doc!r}")
     unknown = set(doc) - set(_FIELDS)
     if unknown:
         raise ValueError(f"unknown report fields: {sorted(unknown)}")
@@ -81,8 +83,8 @@ def write_rows_json(rows: Sequence[ReportRow], path) -> None:
 
 
 def load_rows(path) -> list[ReportRow]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    return [row_from_dict(d) for d in doc]
+    with json_input(path, list) as doc:
+        return [row_from_dict(d) for d in doc]
 
 
 def write_rows_csv(rows: Sequence[ReportRow], path) -> None:

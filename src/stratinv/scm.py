@@ -17,7 +17,6 @@ enumerating worlds; nothing in this module is approximate.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -31,6 +30,7 @@ from .errors import (
     EnumerationTooLarge,
     InconsistentEvidence,
     ZeroMassStratum,
+    json_input,
 )
 
 ENUMERATION_CAP = 1_000_000
@@ -56,19 +56,8 @@ class FiniteDomain:
     def __len__(self) -> int:
         return len(self.values)
 
-    def __iter__(self):
-        return iter(self.values)
-
     def __contains__(self, value) -> bool:
         return value in self.values
-
-    def index(self, value) -> int:
-        try:
-            return self.values.index(value)
-        except ValueError:
-            raise DomainMismatch(
-                f"value {value!r} not in domain {self.name!r}"
-            ) from None
 
 
 @dataclass(frozen=True)
@@ -346,9 +335,6 @@ class ExactRecoverer:
         found = self._index.consistent_contexts(x, s)
         return found[0] if len(found) == 1 else AMBIGUOUS
 
-    def __call__(self, x, s):
-        return self.recover(x, s)
-
 
 class ExactConditionalSampler:
     """Exact p(X(z+) | X(z)=x, S=s) by enumeration over worlds.
@@ -524,10 +510,9 @@ def _map_to_nested(table, domains: list[FiniteDomain]):
 def load_scm(source) -> DiscreteScm:
     """Load a table-backed model from a JSON file path or parsed dict."""
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    else:
-        doc = source
+        with json_input(source) as doc:
+            return load_scm(doc)
+    doc = source
     u_domains = tuple(
         FiniteDomain(d["name"], tuple(d["values"])) for d in doc["u_domains"]
     )

@@ -262,6 +262,17 @@ def test_http_threads_keep_their_own_connections_across_batches(chat_server):
     assert all(c.sock is None for c in made)
 
 
+def test_http_batch_of_one_reuses_a_worker_connection(chat_server):
+    server = chat_server(echo)
+    client = server.client(max_in_flight=2)
+    assert client.complete_many([req(f"q{i}") for i in range(8)]) == [
+        f"q{i}" for i in range(8)
+    ]
+    assert client.complete_many([req("last")]) == ["last"]
+    assert len(server.calls) == 9
+    assert len(server.ports) <= 2  # one per worker, none for the caller
+
+
 def test_http_batch_reports_failures_in_place(chat_server):
     client, _ = http_client(
         chat_server, ["a", (404, "nope"), "c"], max_in_flight=1

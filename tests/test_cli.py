@@ -546,6 +546,69 @@ def test_report_missing_baseline(tmp_path, capsys):
     assert "no 'standard' row" in capsys.readouterr().err
 
 
+# --- malformed input files ---------------------------------------------------
+
+
+def _reading(command, path, tmp_path):
+    """Arguments that make ``command`` read ``path`` as its JSON input file."""
+    if command == "simulate":
+        return ["simulate", "--scm", str(path)]
+    if command == "check-adjustment":
+        return ["check-adjustment", "--graph", str(path), "--treatment", "Z",
+                "--outcome", "X"]
+    if command == "ooc-run":
+        records = write_toy_records(tmp_path / "records.jsonl")
+        return ["ooc-run", "--task", str(path), "--records", str(records)]
+    return ["report", "--rows", str(path)]
+
+
+_EMPTY_OBJECT_MESSAGES = {
+    "simulate": "missing key 'u_domains'",
+    "check-adjustment": "missing key 'nodes'",
+    "ooc-run": "task config lacks 'name', 'contexts'",
+    "report": "expected a JSON array, got object",
+}
+
+
+@pytest.mark.parametrize("command", list(_EMPTY_OBJECT_MESSAGES))
+@pytest.mark.parametrize("content", ["[1, 2]", '{"a": }', "{}"],
+                         ids=["array", "bad-json", "empty-object"])
+def test_a_malformed_input_file_is_named_and_nothing_is_written(
+    tmp_path, capsys, command, content
+):
+    path = tmp_path / "input.json"
+    path.write_text(content + "\n")
+    out = tmp_path / "out"
+    code = main(_reading(command, path, tmp_path) + ["--out-dir", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    if content == '{"a": }':
+        assert "malformed JSON: Expecting value: line 1 column 7 (char 6)" in err
+    elif content == "{}":
+        assert _EMPTY_OBJECT_MESSAGES[command] in err
+    else:
+        assert "must be a JSON object" in err or "expected a JSON object" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key",
+    ["obfuscate_template", "add_template", "rewrite_template", "label_template",
+     "stratifier_template"],
+)
+def test_a_task_file_cannot_replace_the_prompt_frame(tmp_path, capsys, key):
+    task = write_task(tmp_path / "task.json")
+    task.write_text(json.dumps({**json.loads(task.read_text()), key: "{prompt} {X}"}))
+    records = write_toy_records(tmp_path / "records.jsonl")
+    out = tmp_path / "out"
+    code = main(["ooc-run", "--task", str(task), "--records", str(records),
+                 "--out-dir", str(out)])
+    assert code == 2
+    assert f"unknown task config key '{key}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

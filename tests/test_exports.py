@@ -84,3 +84,32 @@ def test_imports_are_the_declared_dependencies():
     third_party = imported - set(sys.stdlib_module_names) - {"stratinv"}
     assert sorted(third_party - declared) == []  # imported, not declared
     assert sorted(declared - third_party) == []  # declared, never imported
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads; a ``# noqa: F401`` line is a
+    deliberate re-export."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if "# noqa: F401" in lines[node.end_lineno - 1]:
+                continue
+            for alias in node.names:
+                imported.add(alias.asname or alias.name.split(".")[0])
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(name for name in imported if name not in read)
+
+
+def test_no_package_module_imports_a_name_it_never_uses():
+    """The package ``__init__`` is exempt: everything it imports it exports."""
+    unused = {
+        path.name: names
+        for path in sorted((ROOT / "src" / "stratinv").glob("*.py"))
+        if path.name != "__init__.py"
+        and (names := _unused_imports(path.read_text(encoding="utf-8")))
+    }
+    assert unused == {}
