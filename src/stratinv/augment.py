@@ -6,21 +6,30 @@ context z+ uniformly, draw a counterfactual input x+ from the conditional
 law of X(z+) given the evidence, and predict h(x+). Replicates are
 aggregated by majority vote. With the exact conditional sampler the
 per-replicate prediction law is provably constant across contexts within
-every stratum; `exact_augmented_distribution` computes that law in closed
-form so the constancy can be asserted to machine precision.
+every stratum; `exact_augmented_distribution` computes that law exactly, as
+array sums over the integer codes of the model's worlds (`WorldIndex.codes`),
+so the constancy can be asserted to machine precision.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .errors import AmbiguousContext, SamplerFailure
-from .scm import AMBIGUOUS, DiscreteScm
+from .errors import (
+    AmbiguousContext,
+    DomainMismatch,
+    InconsistentEvidence,
+    SamplerFailure,
+)
+from .scm import AMBIGUOUS, DiscreteScm, ExactConditionalSampler, first_seen
+from .metrics import PairLaws, exact_prediction_law, law_over_worlds
 # max_context_deviation lives with the exact checks and is public here too
-from .metrics import exact_prediction_law, max_context_deviation  # noqa: F401
+from .metrics import max_context_deviation  # noqa: F401
 
 
 class IdentitySampler:
@@ -134,36 +143,36 @@ def augment_predict(
 
 
 def augmented_kernel(ap: AugmentedPredictor) -> Callable[[Any, Any], dict]:
-    """Per-replicate conditional law (x, s) -> {label: prob}, in closed form.
+    """Per-replicate conditional law (x, s) -> {label: prob}, exactly.
 
-    Requires a sampler exposing ``conditional_tables`` (the exact one), which
-    gives the tables of every fresh context from one walk over the evidence
-    pair's worlds. The fresh context is marginalized uniformly, in the order
-    of ``ap.contexts``. This is the law of the Def-3 augmented prediction;
-    aggregation over replicates does not change it, since replicates are
-    exchangeable. The kernel asks for the tables once per call and calls the
-    base predictor once per distinct input it sees.
+    Requires the exact sampler (``ExactConditionalSampler``). The kernel
+    looks the evidence pair up among the laws of every pair of the sampler's
+    model, which ``_pair_laws`` computes on the first call. The fresh context
+    is marginalized uniformly, in the order of ``ap.contexts``. This is the
+    law of the Def-3 augmented prediction; aggregation over replicates does
+    not change it, since replicates are exchangeable. A context outside the
+    domain, a pair no world shows and a pair several contexts show raise as
+    the sampler's ``conditional_tables`` does.
     """
-    tables_fn = getattr(ap.sampler, "conditional_tables", None)
-    if tables_fn is None:
-        raise ValueError(
-            "exact law needs a sampler with conditional_tables (the exact sampler)"
-        )
-    w = 1.0 / len(ap.contexts)
+    model = _sampler_model(ap)
 
-    labels: dict[Any, Any] = {}
+    @functools.cache
+    def every_pair() -> tuple[np.ndarray, PairLaws]:
+        seen = _seen_contexts(model.index.codes)
+        return seen, _pair_laws(model, ap, seen)
 
     def kernel(x, s) -> dict:
-        tables = tables_fn(x, s, ap.contexts)
-        law: dict[Any, float] = {}
-        for z_plus in ap.contexts:
-            values, probs = tables[z_plus]
-            for xp, p in zip(values, probs.tolist()):
-                if xp not in labels:
-                    labels[xp] = ap.base(xp)
-                y = labels[xp]
-                law[y] = law.get(y, 0.0) + w * p
-        return law
+        _check_contexts(model, ap)
+        c = model.index.codes.pairs.get((x, s))
+        if c is None:
+            raise InconsistentEvidence(f"no world consistent with x={x!r}, s={s!r}")
+        seen, law = every_pair()
+        if seen[c].sum() > 1:
+            raise _ambiguous(model, seen[c], x, s)
+        a, b = law.start[c], law.start[c + 1]
+        return dict(zip(
+            [law.labels[y] for y in law.label[a:b].tolist()], law.prob[a:b].tolist()
+        ))
 
     return kernel
 
@@ -173,12 +182,105 @@ def exact_augmented_distribution(
 ) -> dict[tuple, dict[Any, float]]:
     """Exact law of the augmented potential prediction for every (z, s).
 
-    Enumerates worlds, conditions on each stratum, and pushes the potential
-    input at every intervention z through the per-replicate kernel. The
+    The per-replicate kernel's law at every (x, s) pair of the model, from
+    ``_pair_laws``, pushed through the worlds by ``law_over_worlds``. The
     result is a {(z, s): {label: prob}} table; under the exact sampler and a
-    recoverable context it is constant in z for every s.
+    recoverable context it is constant in z for every s. Before anything is
+    summed, a context outside the domain raises DomainMismatch, and the first
+    pair several contexts show, stratum by stratum, context by context and
+    world by world, raises AmbiguousContext. A sampler built on another model
+    answers for this model's pairs through ``augmented_kernel``.
     """
-    return exact_prediction_law(model, augmented_kernel(ap))
+    if _sampler_model(ap) is not model:
+        return exact_prediction_law(model, augmented_kernel(ap))
+    _check_contexts(model, ap)
+    codes = model.index.codes
+    seen = _seen_contexts(codes)
+    several = np.flatnonzero(seen.sum(1) > 1)
+    if len(several):
+        c = several[0]
+        x, s = next(pair for pair, code in codes.pairs.items() if code == c)
+        raise _ambiguous(model, seen[c], x, s)
+    return law_over_worlds(model, _pair_laws(model, ap, seen))
+
+
+def _sampler_model(ap: AugmentedPredictor) -> DiscreteScm:
+    if not isinstance(ap.sampler, ExactConditionalSampler):
+        raise ValueError(
+            "exact law needs a sampler with conditional_tables (the exact sampler)"
+        )
+    return ap.sampler.scm
+
+
+def _check_contexts(model: DiscreteScm, ap: AugmentedPredictor) -> None:
+    for z_plus in ap.contexts:
+        if z_plus not in model.z_domain:
+            raise DomainMismatch(f"context {z_plus!r} outside the domain")
+
+
+def _seen_contexts(codes) -> np.ndarray:
+    """(pairs, contexts): whether some world shows the pair at the context."""
+    seen = np.zeros((len(codes.pairs), codes.pair.shape[1]), dtype=bool)
+    seen[codes.pair, np.arange(codes.pair.shape[1])] = True
+    return seen
+
+
+def _ambiguous(model: DiscreteScm, seen: np.ndarray, x, s) -> AmbiguousContext:
+    found = [z for z, hit in zip(model.z_domain.values, seen.tolist()) if hit]
+    return AmbiguousContext(f"contexts {found!r} all consistent with x={x!r}, s={s!r}")
+
+
+def _pair_laws(model: DiscreteScm, ap: AugmentedPredictor, seen: np.ndarray) -> PairLaws:
+    """The augmented kernel's law at every (x, s) pair of the model that
+    one context z0 shows; a pair several contexts show gets no law.
+
+    The pair's evidence is the worlds that show it at z0. For each fresh
+    context z+, in ``ap.contexts`` order, its conditional table is the mass
+    of those worlds per potential input at z+, added in world order and
+    divided by their total, with the support in first-seen order; then
+    w * p goes onto the label the base gives that input, one running sum per
+    label. So every float is built as ``conditional_tables`` and a loop over
+    the tables would build it. The pairs are worked one z0 at a time, and
+    each of them one fresh context at a time, so no array is longer than
+    the worlds. The base is called once per distinct input the laws need.
+    """
+    codes = model.index.codes
+    n_pairs, n_z = seen.shape
+    recovered = np.where(seen.sum(1) == 1, seen.argmax(1), -1)
+    ks = [model.z_domain.values.index(z) for z in ap.contexts]
+    evidence = [  # per z0, the worlds showing a pair recovered to it
+        np.flatnonzero(recovered[codes.pair[:, k0]] == k0) for k0 in range(n_z)
+    ]
+    needed = np.zeros(len(codes.inputs), dtype=bool)
+    for world, k in itertools.product(evidence, ks):
+        needed[codes.input[world, k]] = True
+    labels: dict[Any, int] = {}
+    label_of = np.full(len(codes.inputs), -1, dtype=np.intp)
+    for i in np.flatnonzero(needed).tolist():
+        label_of[i] = labels.setdefault(ap.base(codes.inputs[i]), len(labels))
+    w = 1.0 / len(ap.contexts)
+    n_labels, n_inputs = len(labels), len(codes.inputs)
+    unseen = len(codes.mass) * len(ks)
+    acc = np.zeros(n_pairs * n_labels)
+    first = np.full(n_pairs * n_labels, unseen)
+    for k0, world in enumerate(evidence):
+        pair, mass = codes.pair[world, k0], codes.mass[world]
+        total = np.bincount(pair, weights=mass, minlength=n_pairs)
+        for j, k in enumerate(ks):
+            key = pair * n_inputs + codes.input[world, k]
+            support, at = first_seen(key)
+            p_of, x_of = np.divmod(key[at], n_inputs)
+            cell = p_of * n_labels + label_of[x_of]
+            np.add.at(acc, cell, w * (np.bincount(support, weights=mass) / total[p_of]))
+            np.minimum.at(first, cell, j * len(world) + at)
+    # each pair's labels in the order its terms first name them
+    named = first < unseen
+    start = np.zeros(n_pairs + 1, dtype=np.intp)
+    np.cumsum(named.reshape(n_pairs, n_labels).sum(1), out=start[1:])
+    cells = np.flatnonzero(named)
+    pair_of, label = np.divmod(cells, n_labels)
+    order = np.argsort(pair_of * unseen + first[cells], kind="stable")
+    return PairLaws(start, label[order], acc[cells[order]], tuple(labels))
 
 
 def hoeffding_envelope(n: int, n_strata: int, n_contexts: int) -> float:

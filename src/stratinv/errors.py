@@ -19,8 +19,9 @@ _JSON_TYPES = {
 @contextmanager
 def json_input(path, kind: type = dict):
     """Yield the JSON document in the file at ``path``, which must be a
-    ``kind``. Malformed JSON, a document of another type, and a KeyError or
-    ValueError raised while it is read become a ValueError naming the file."""
+    ``kind``. Malformed JSON, a document of another type, and a KeyError,
+    ValueError or TypeError raised while it is read (a value of the wrong
+    JSON type inside the document) become a ValueError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -37,6 +38,8 @@ def json_input(path, kind: type = dict):
         raise ValueError(f"{path}: missing key {exc}") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"{path}: a value has the wrong JSON type: {exc}") from None
 
 
 class StratinvError(Exception):

@@ -26,7 +26,7 @@ from .scm import (
 )
 from .structured import parse_structured
 
-_CONTEXT_NAMES = ("za", "zb", "zc")
+_CONTEXT_NAMES = ("za", "zb", "zc", "zd")
 
 #: Stratifier shapes for randomized models: a constant, the first factor,
 #: the label, or the (first factor, label) pair.

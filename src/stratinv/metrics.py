@@ -329,6 +329,19 @@ class InvarianceReport:
     skipped_strata: tuple = ()
 
 
+class PairLaws(NamedTuple):
+    """A prediction law at every (x, s) pair of a model's codes.
+
+    Pair ``c``'s law gives ``labels[label[i]]`` probability ``prob[i]`` for
+    i in ``start[c]:start[c + 1]``, in the order the law lists its labels.
+    """
+
+    start: np.ndarray
+    label: np.ndarray
+    prob: np.ndarray
+    labels: tuple
+
+
 def exact_prediction_law(
     model: "scm_mod.DiscreteScm", predictor: Predictor
 ) -> dict[tuple, dict[Any, float]]:
@@ -337,29 +350,67 @@ def exact_prediction_law(
     The predictor may return a label or a {label: prob} kernel; randomized
     predictors enter through their conditional law, which is exactly the
     seed-stream lifting of a stochastic predictor. It is called once per
-    distinct (potential input, stratum) pair, and its outputs are kept only
-    while their stratum is being summed.
+    distinct (potential input, stratum) pair: stratum by stratum, context by
+    context, world by world.
     """
-    index = model.index
+    labels: dict[Any, int] = {}
+    start, label, prob = [0], [], []
+    for x, s in model.index.codes.pairs:
+        for y, p in _as_kernel(predictor, x, s).items():
+            label.append(labels.setdefault(y, len(labels)))
+            prob.append(p)
+        start.append(len(prob))
+    return law_over_worlds(model, PairLaws(
+        np.array(start, dtype=np.intp), np.array(label, dtype=np.intp),
+        np.array(prob, dtype=float), tuple(labels),
+    ))
+
+
+def law_over_worlds(
+    model: "scm_mod.DiscreteScm", laws: PairLaws
+) -> dict[tuple, dict[Any, float]]:
+    """The {(z, s): {label: prob}} table of a prediction whose law at every
+    (x, s) pair of the model is given.
+
+    Each (z, s) law is one weighted count over the world codes, one context
+    at a time: a term p * mass / stratum mass per world and pair-law entry,
+    added in world order and then pair-law order, as a loop over the worlds
+    would add them. A law lists its labels in the order its terms first
+    name them.
+    """
+    codes = model.index.codes
+    s_mass = np.bincount(codes.stratum, weights=codes.mass)
     zs = model.z_domain.values
-    s_mass: dict[Any, float] = {}
-    by_stratum: dict[Any, list[tuple[tuple, float]]] = {}
-    for xs, (_w, m), s_obs in zip(index.potentials, index.worlds, index.strata):
-        s_mass[s_obs] = s_mass.get(s_obs, 0.0) + m
-        by_stratum.setdefault(s_obs, []).append((xs, m))
-    laws: dict[tuple, dict[Any, float]] = {}
-    for s, members in by_stratum.items():
-        kernels: dict[Any, Mapping[Any, float]] = {}
-        for k, z in enumerate(zs):
-            law: dict[Any, float] = {}
-            for xs, m in members:
-                kernel = kernels.get(xs[k])
-                if kernel is None:
-                    kernel = kernels[xs[k]] = _as_kernel(predictor, xs[k], s)
-                for y, p in kernel.items():
-                    law[y] = law.get(y, 0.0) + p * m / s_mass[s]
-            laws[(z, s)] = law
-    return {(z, s): laws[(z, s)] for z in zs for s in by_stratum}
+    table = {(z, s): {} for z in zs for s in codes.strata}
+    n_cells = len(s_mass) * len(laws.labels)
+    for k, z in enumerate(zs):
+        cell, term = _world_terms(codes, laws, s_mass, codes.pair[:, k])
+        sums = np.bincount(cell, weights=term, minlength=n_cells)
+        first = np.full(n_cells, len(cell))
+        np.minimum.at(first, cell, np.arange(len(cell)))
+        named = np.flatnonzero(first < len(cell))
+        named = named[np.argsort(first[named], kind="stable")]
+        s_of, y_of = np.divmod(named, len(laws.labels))
+        for s, y, p in zip(s_of.tolist(), y_of.tolist(), sums[named].tolist()):
+            table[(z, codes.strata[s])][laws.labels[y]] = p
+    return table
+
+
+def _world_terms(codes, laws: PairLaws, s_mass: np.ndarray, pair: np.ndarray):
+    """Each world's pair-law entries, world by world: their (stratum, label)
+    cells and their terms p * mass / stratum mass."""
+    first = laws.start[pair]
+    count = laws.start[pair + 1] - first
+    world = np.repeat(np.arange(len(pair)), count)
+    entry = np.arange(len(world))
+    entry += np.repeat(first - (np.cumsum(count) - count), count)
+    stratum = codes.stratum[world]
+    term = laws.prob[entry]
+    term *= codes.mass[world]
+    term /= s_mass[stratum]
+    stratum *= len(laws.labels)
+    stratum += laws.label[entry]
+    return stratum, term
 
 
 def check_stratified_invariance_exact(

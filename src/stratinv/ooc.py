@@ -352,6 +352,7 @@ _FIELD_TYPES = {
     "transform_temperature": ((int, float), "a number"),
     "predict_temperature": ((int, float), "a number"),
     **{name: ((list, tuple), "a list") for name in _TUPLE_FIELDS},
+    "mock": ((Mapping, type(None)), "an object or null"),
 }
 
 

@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -164,6 +164,22 @@ def _check_rows(rows: Mapping[tuple, Mapping[Any, float]], what: str) -> None:
 # --- the enumeration index and potentials -----------------------------------
 
 
+class WorldCodes(NamedTuple):
+    """One model's worlds as integer codes (``WorldIndex.codes``).
+
+    Arrays run over the positive-mass worlds in enumeration order; a column
+    of ``input`` and ``pair`` is a context, in domain order.
+    """
+
+    mass: np.ndarray  # (worlds,) float: each world's probability
+    stratum: np.ndarray  # (worlds,) code into ``strata``
+    strata: tuple  # distinct observed strata, first seen first
+    input: np.ndarray  # (worlds, contexts) code into ``inputs``: x at z
+    inputs: tuple  # distinct potential inputs, first seen first
+    pair: np.ndarray  # (worlds, contexts) code of (x at z, observed s)
+    pairs: dict  # (x, s) -> its code; codes follow stratum, context, world
+
+
 class WorldIndex:
     """One model's worlds and the maps every exact consumer reads.
 
@@ -229,6 +245,43 @@ class WorldIndex:
         return [z for z in self._scm.z_domain.values if (x, s, z) in evidence]
 
     @cached_property
+    def codes(self) -> WorldCodes:
+        """The worlds as integer codes, for array sums over them."""
+        potentials, n_z = self.potentials, len(self._scm.z_domain)
+        n_w = len(potentials)
+        strata: dict = {}
+        stratum = np.fromiter(
+            (strata.setdefault(s, len(strata)) for s in self.strata), np.intp, n_w
+        )
+        inputs: dict = {}
+        input_code = np.fromiter(
+            (inputs.setdefault(x, len(inputs)) for xs in potentials for x in xs),
+            np.intp, n_w * n_z,
+        )
+        # (x, s) pairs are numbered in the order the exact law visits them:
+        # stratum by stratum, then context by context, then world by world
+        rows, cols = np.divmod(np.arange(n_w * n_z), n_z)
+        visit = np.argsort(stratum[rows] * n_z + cols, kind="stable")
+        key = (stratum[rows] * len(inputs) + input_code)[visit]
+        pair_code, at = first_seen(key)
+        pair = np.empty(n_w * n_z, np.intp)
+        pair[visit] = pair_code
+        s_of, x_of = np.divmod(key[at], len(inputs))
+        xs, ss = tuple(inputs), tuple(strata)
+        return WorldCodes(
+            mass=np.fromiter((m for _w, m in self.worlds), float, n_w),
+            stratum=stratum,
+            strata=ss,
+            input=input_code.reshape(n_w, n_z),
+            inputs=xs,
+            pair=pair.reshape(n_w, n_z),
+            pairs={
+                (xs[x], ss[s]): c
+                for c, (x, s) in enumerate(zip(x_of.tolist(), s_of.tolist()))
+            },
+        )
+
+    @cached_property
     def groups(self) -> dict[tuple, tuple[tuple[World, ...], np.ndarray]]:
         """(observed s, z) -> its worlds and their normalized masses."""
         members: dict[tuple, tuple[list, list]] = {}
@@ -249,6 +302,28 @@ class WorldIndex:
         us = list(itertools.product(*(d.values for d in self._scm.u_domains)))
         pu = np.array([self._scm.p_u[u] for u in us], dtype=float)
         return us, pu / pu.sum()
+
+
+def first_seen(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Code the entries of ``key`` by value, in order of first appearance.
+
+    Returns each entry's code and the position where each code first
+    appears (increasing). The sort is stable, so the first entry of each run
+    of equal values is where that value first appears.
+    """
+    order = np.argsort(key, kind="stable")
+    ordered = key[order]
+    new = np.ones(len(key), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    at = order[new]  # where each value first appears, in value order
+    by_appearance = np.argsort(at, kind="stable")
+    rank = np.empty_like(by_appearance)
+    rank[by_appearance] = np.arange(len(at))
+    run = np.cumsum(new)
+    run -= 1
+    code = np.empty_like(order)
+    code[order] = rank[run]
+    return code, at[by_appearance]
 
 
 def enumerate_joint(scm: DiscreteScm) -> tuple[tuple[World, float], ...]:

@@ -17,7 +17,10 @@ CTX_KEY = "ctx"
 STRATUM_KEY = "s"
 PAD_KEY = "pad"
 
-_TOKEN_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)=(\S*)$")
+# The key=value head: tokens each followed by one space or the end of the
+# text. A token may end in one newline, which is not part of its value.
+_HEAD_RE = re.compile(r"(?:[A-Za-z_][A-Za-z0-9_]*=\S*\n?(?: |\Z))*")
+_PAIR_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)=(\S*)")
 
 
 @dataclass(frozen=True)
@@ -71,16 +74,8 @@ def parse_structured(text: str) -> StructuredText:
     The first token that does not look like ``key=value`` starts the tail,
     which is kept verbatim (including any internal spacing).
     """
-    pairs: list[tuple[str, str]] = []
-    rest = text
-    while rest:
-        token, sep, remainder = rest.partition(" ")
-        m = _TOKEN_RE.match(token)
-        if m is None:
-            break
-        pairs.append((m.group(1), m.group(2)))
-        rest = remainder
-    return StructuredText(tuple(pairs), rest)
+    end = _HEAD_RE.match(text).end()
+    return StructuredText(tuple(_PAIR_RE.findall(text, 0, end)), text[end:])
 
 
 def is_structured(text: str) -> bool:

@@ -1,5 +1,7 @@
 """Augmented-predictor behavior: traces, aggregation, exact vs sampled laws."""
 
+import dataclasses
+import itertools
 import math
 from collections import Counter
 
@@ -17,25 +19,34 @@ from stratinv.augment import (
     hoeffding_envelope,
     max_context_deviation,
 )
-from stratinv.errors import AmbiguousContext, SamplerFailure
+from stratinv.errors import (
+    AmbiguousContext,
+    DomainMismatch,
+    InconsistentEvidence,
+    SamplerFailure,
+)
 from stratinv.fixtures import (
+    S_MODES,
     chain_fixture,
     ctx_reader,
     fixture_suite,
     metric_predictor,
     parity_reader,
     r_reader,
+    random_fixture_scm,
     u1_reader,
 )
 from stratinv.metrics import exact_prediction_law
 from stratinv.scm import (
     AMBIGUOUS,
+    DiscreteScm,
     ExactConditionalSampler,
     ExactRecoverer,
+    FiniteDomain,
     enumerate_joint,
     observed,
 )
-from tests_support import tiny_confounded
+from tests_support import blind, tiny_confounded
 
 
 def exact_ap(scm, base, **kw):
@@ -324,3 +335,181 @@ def test_exact_law_calls_the_predictor_once_per_distinct_input():
 
         exact_augmented_distribution(model, exact_ap(model, base))
         assert set(base_calls) == inputs and max(base_calls.values()) == 1, fx.name
+
+
+# --- the per-pair loops as the oracle, on many models ------------------------
+
+
+def world_rows(model):
+    """(mass, observed s, potential input at each context) per world."""
+    return [
+        (m, observed(model, w)[2], [model.x_fn(z, w.u) for z in model.z_domain.values])
+        for w, m in enumerate_joint(model)
+    ]
+
+
+def loop_prediction_law(model, rows, predictor):
+    """The law stratum by stratum, context by context, world by world,
+    calling the predictor once per new input of the stratum."""
+    zs = model.z_domain.values
+    s_mass, by_stratum = {}, {}
+    for m, s, xs in rows:
+        s_mass[s] = s_mass.get(s, 0.0) + m
+        by_stratum.setdefault(s, []).append((m, xs))
+    laws = {}
+    for s, members in by_stratum.items():
+        kernels = {}
+        for k, z in enumerate(zs):
+            law = {}
+            for m, xs in members:
+                if xs[k] not in kernels:
+                    out = predictor(xs[k], s)
+                    kernels[xs[k]] = out if isinstance(out, dict) else {out: 1.0}
+                for y, p in kernels[xs[k]].items():
+                    law[y] = law.get(y, 0.0) + p * m / s_mass[s]
+            laws[(z, s)] = law
+    return {(z, s): laws[(z, s)] for z in zs for s in by_stratum}
+
+
+def loop_augmented_kernel(model, rows, base, contexts):
+    """Per pair: check the contexts, recover z0, build each fresh context's
+    table from the evidence worlds, and add w * p per label."""
+    zs = model.z_domain.values
+    evidence = {}
+    for m, s, xs in rows:
+        for z, x in zip(zs, xs):
+            evidence.setdefault((x, s, z), []).append((m, xs))
+
+    def kernel(x, s):
+        for z_plus in contexts:
+            if z_plus not in model.z_domain:
+                raise DomainMismatch(f"context {z_plus!r} outside the domain")
+        found = [z for z in zs if (x, s, z) in evidence]
+        if not found:
+            raise InconsistentEvidence(f"no world consistent with x={x!r}, s={s!r}")
+        if len(found) > 1:
+            raise AmbiguousContext(
+                f"contexts {found!r} all consistent with x={x!r}, s={s!r}"
+            )
+        law = {}
+        for z_plus in contexts:
+            k = zs.index(z_plus)
+            mass, total = {}, 0.0
+            for m, xs in evidence[(x, s, found[0])]:
+                mass[xs[k]] = mass.get(xs[k], 0.0) + m
+                total += m
+            for xp, m in mass.items():
+                y = base(xp)
+                law[y] = law.get(y, 0.0) + (1.0 / len(contexts)) * (m / total)
+        return law
+
+    return kernel
+
+
+def outcome(fn, *args):
+    try:
+        return hex_table(fn(*args))
+    except (AmbiguousContext, DomainMismatch, InconsistentEvidence) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_exact_laws_match_the_per_pair_loops_on_many_models():
+    rng = np.random.default_rng(20_261_018)
+    readers = (ctx_reader, u1_reader, parity_reader)
+    seen = Counter()
+    for i in range(208):
+        shape = (2 + i % 3, 1 + (i // 3) % 6, S_MODES[(i // 18) % len(S_MODES)])
+        plain = random_fixture_scm(
+            [20_261_018, i], n_contexts=shape[0], n_factors=shape[1], s_mode=shape[2]
+        )
+        assert len(plain.z_domain) == shape[0]
+        for model in (plain, blind(plain)):
+            zs, rows = model.z_domain.values, world_rows(model)
+            predictor = [*map(metric_predictor, readers), mixed_kernel][i % 4]
+            assert outcome(exact_prediction_law, model, predictor) == outcome(
+                loop_prediction_law, model, rows, predictor
+            ), i
+            base = readers[i % 3]
+            subset = tuple(rng.permutation(zs)[: rng.integers(1, len(zs) + 1)].tolist())
+            for contexts in (zs, subset, subset + ("zq",) if i % 16 == 0 else subset):
+                ap = AugmentedPredictor(
+                    recoverer=ExactRecoverer(model),
+                    sampler=ExactConditionalSampler(model),
+                    base=base, contexts=contexts,
+                )
+                want = outcome(
+                    loop_prediction_law, model, rows,
+                    loop_augmented_kernel(model, rows, base, contexts),
+                )
+                got = outcome(exact_augmented_distribution, model, ap)
+                assert got == want, (i, model is plain, contexts)
+                seen[(model is plain, got[0] if isinstance(got, tuple) else "law")] += 1
+        seen[("shape",) + shape] += 1
+    # recovered laws, ambiguous pairs and foreign contexts all occur
+    assert seen[(True, "law")] and seen[(False, "law")]
+    assert seen[(False, "AmbiguousContext")] and seen[(True, "DomainMismatch")]
+    assert sum(1 for key in seen if key[0] == "shape") == 3 * 6 * 4
+
+
+def test_a_sampler_of_another_model_answers_through_the_kernel():
+    for fx in fixture_suite(8):
+        twin = dataclasses.replace(fx.scm)
+        ap = AugmentedPredictor(
+            recoverer=ExactRecoverer(twin), sampler=ExactConditionalSampler(twin),
+            base=parity_reader, contexts=tuple(twin.z_domain.values),
+        )
+        assert hex_table(exact_augmented_distribution(fx.scm, ap)) == hex_table(
+            exact_augmented_distribution(twin, ap)
+        ), fx.name
+
+
+def scrambled_model():
+    """Inputs at zb reappear out of world order: "B" is first seen in the
+    first world, but the evidence "ctx=za g=1" shows "A" before "B"."""
+    return DiscreteScm(
+        u_domains=(FiniteDomain("u1", (0, 1, 2)),),
+        z_domain=FiniteDomain("z", ("za", "zb")),
+        p_u={(0,): 0.3, (1,): 0.3, (2,): 0.4},
+        z_parents=(),
+        p_z_given_parents={(): {"za": 0.6, "zb": 0.4}},
+        x_fn=lambda z, u: f"ctx=za g={min(u[0], 1)}" if z == "za" else "BAB"[u[0]],
+        y_fn=lambda z, u: u[0],
+        s_fn=lambda z, u, y: "all",
+    )
+
+
+def test_tables_keep_the_first_seen_support_order():
+    model, rows = scrambled_model(), world_rows(scrambled_model())
+    # with one label, za's term then A's then B's round to 1 - 2**-53, and
+    # B's before A's to 1
+    for base, contexts in itertools.product(
+        (lambda x: x, lambda x: "y"), (("za", "zb"), ("zb", "za"), ("zb",))
+    ):
+        ap = AugmentedPredictor(
+            recoverer=ExactRecoverer(model), sampler=ExactConditionalSampler(model),
+            base=base, contexts=contexts,
+        )
+        loop_kernel = loop_augmented_kernel(model, rows, base, contexts)
+        want = loop_prediction_law(model, rows, loop_kernel)
+        assert hex_table(exact_augmented_distribution(model, ap)) == hex_table(want)
+        evidence = ("ctx=za g=1", "all")
+        assert hex_table({evidence: augmented_kernel(ap)(*evidence)}) == hex_table(
+            {evidence: loop_kernel(*evidence)}
+        )
+    for contexts in (("za", "zb"), ("zb", "za"), ("zb",)):
+        ap = AugmentedPredictor(
+            recoverer=ExactRecoverer(model), sampler=ExactConditionalSampler(model),
+            base=lambda x: x, contexts=contexts,
+        )
+        law = augmented_kernel(ap)("ctx=za g=1", "all")
+        assert list(law) == list(want_kernel(contexts))
+        assert law == pytest.approx(want_kernel(contexts))
+
+
+def want_kernel(contexts):
+    law = {}
+    for z_plus in contexts:
+        support = {"ctx=za g=1": 1.0} if z_plus == "za" else {"A": 3 / 7, "B": 4 / 7}
+        for x, p in support.items():
+            law[x] = law.get(x, 0.0) + p / len(contexts)
+    return law

@@ -592,6 +592,37 @@ def test_a_malformed_input_file_is_named_and_nothing_is_written(
     assert not out.exists()
 
 
+_ROW = {"dataset": "toy", "method": "standard", "metric": "si_bias", "value": 0.5}
+
+
+@pytest.mark.parametrize(
+    "command, content, message",
+    [
+        ("check-adjustment", {"nodes": [1], "edges": []},
+         "a value has the wrong JSON type: 'int' object is not subscriptable"),
+        ("report", [{**_ROW, "value": [0.5]}], "a value has the wrong JSON type: "),
+        ("ooc-run", {"mock": [1]},
+         "task config key 'mock' must be an object or null, got [1]"),
+    ],
+    ids=["graph-node-number", "row-value-list", "task-mock-list"],
+)
+def test_a_value_of_the_wrong_json_type_is_named_and_nothing_is_written(
+    tmp_path, capsys, command, content, message
+):
+    path = tmp_path / "input.json"
+    if command == "ooc-run":
+        task = write_task(tmp_path / "task.json")
+        content = {**json.loads(task.read_text()), **content}
+    path.write_text(json.dumps(content) + "\n")
+    out = tmp_path / "out"
+    code = main(_reading(command, path, tmp_path) + ["--out-dir", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    assert message in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "key",
     ["obfuscate_template", "add_template", "rewrite_template", "label_template",

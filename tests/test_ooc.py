@@ -355,6 +355,8 @@ def test_task_round_trip(tmp_path):
         ("transform_temperature", "0.7"),
         ("predict_temperature", False),
         ("predict_temperature", None),
+        ("mock", [1]),
+        ("mock", "rows"),
     ],
 )
 def test_task_rejects_a_field_of_the_wrong_type(key, value):

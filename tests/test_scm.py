@@ -1,9 +1,8 @@
 """Exact enumeration, recovery and conditional sampling on tiny hand models."""
 
-import dataclasses
+import functools
 import gc
 import json
-import re
 import weakref
 
 import numpy as np
@@ -37,6 +36,7 @@ from stratinv.scm import (
     scm_from_tables,
     stratum_values,
 )
+from tests_support import blind as _blind
 
 
 def tiny_scm():
@@ -269,14 +269,6 @@ def reference_recoverer(scm):
     return recover
 
 
-def _blind(scm):
-    """The same model with the context token dropped from every input."""
-    x_fn = scm.x_fn
-    return dataclasses.replace(
-        scm, x_fn=lambda z, u: re.sub(r"ctx=\S+ ?", "", x_fn(z, u))
-    )
-
-
 def _shown(z):
     return "<AMBIGUOUS>" if z is AMBIGUOUS else repr(z)
 
@@ -417,3 +409,35 @@ def test_one_pass_tables_refuse_a_context_outside_the_domain():
     )
     with pytest.raises(DomainMismatch, match="'zq' outside the domain"):
         exact_augmented_distribution(scm, ap)
+
+
+# --- the coded index: built on first use, once per model ---------------------
+
+
+def test_the_coded_index_is_built_on_first_use_and_once(tmp_path, monkeypatch):
+    builds = []
+    build = scm_mod.WorldIndex.codes.func
+
+    def counted(index):
+        builds.append(index)
+        return build(index)
+
+    codes = functools.cached_property(counted)
+    codes.__set_name__(scm_mod.WorldIndex, "codes")
+    monkeypatch.setattr(scm_mod.WorldIndex, "codes", codes)
+
+    path = tmp_path / "model.json"
+    model = random_fixture_scm([1, 59, 2], n_contexts=3, n_factors=6)
+    path.write_text(json.dumps(dump_scm(model)))
+    model = load_scm(path)
+    enumerate_joint(model)
+    recoverer, sampler = ExactRecoverer(model), ExactConditionalSampler(model)
+    assert builds == []
+    ap = AugmentedPredictor(
+        recoverer=recoverer, sampler=sampler, base=ctx_reader,
+        contexts=tuple(model.z_domain.values),
+    )
+    first = exact_augmented_distribution(model, ap)
+    exact_prediction_law(model, lambda x, s: ctx_reader(x))
+    assert exact_augmented_distribution(model, ap) == first
+    assert builds == [model.index]

@@ -1,5 +1,7 @@
 """Round-trip and editing behavior of the key=value micro-format."""
 
+import re
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -83,3 +85,47 @@ def test_render_parse_round_trip(pairs, tail):
     again = parse_structured(original.render())
     assert again.pairs == original.pairs
     assert again.tail == original.tail
+
+
+# --- the token-by-token parser, kept as the oracle ---------------------------
+
+_ORACLE_TOKEN_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)=(\S*)$")
+
+
+def reference_parse(text):
+    """Split off one space-delimited token at a time until one is not
+    key=value; the rest is the tail."""
+    pairs = []
+    rest = text
+    while rest:
+        token, _sep, remainder = rest.partition(" ")
+        m = _ORACLE_TOKEN_RE.match(token)
+        if m is None:
+            break
+        pairs.append((m.group(1), m.group(2)))
+        rest = remainder
+    return StructuredText(tuple(pairs), rest)
+
+
+_PIECES = st.sampled_from(
+    ["a=1", "k=a=b", "u1=", "ctx=za", "_x=\t", "b=2\n", "=1", "1a=2", "word",
+     " ", "  ", "\n", "\t", "\r", "=", "a", "\xa0"]
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    text=st.one_of(
+        st.lists(_PIECES, max_size=8).map("".join),
+        st.lists(_PIECES, max_size=6).map(" ".join),
+        st.text(alphabet="ab_1= \n\t", max_size=14),
+    )
+)
+def test_parse_matches_the_token_by_token_oracle(text):
+    assert parse_structured(text) == reference_parse(text)
+
+
+def test_parse_boundary_cases_match_the_oracle():
+    for text in ["", " ", "a=1 ", "a=1  b=2", "a=1\n", "a=\n b=1", "a=1\nb=2",
+                 "a=1\n\n", "a=1\t b=2", "k=a=b c=", "a=1 \n", " a=1", "a=1 b"]:
+        assert parse_structured(text) == reference_parse(text), repr(text)

@@ -1,5 +1,8 @@
 """Hand-built models shared by a few test modules."""
 
+import dataclasses
+import re
+
 from stratinv.scm import DiscreteScm, FiniteDomain
 
 
@@ -23,4 +26,12 @@ def tiny_confounded():
         s_fn=lambda z, u, y: "all",
         y_values=(0, 1),
         s_values=("all",),
+    )
+
+
+def blind(scm):
+    """The same model with the context token dropped from every input."""
+    x_fn = scm.x_fn
+    return dataclasses.replace(
+        scm, x_fn=lambda z, u: re.sub(r"ctx=\S+ ?", "", x_fn(z, u))
     )
