@@ -28,7 +28,7 @@ import numpy as np
 from . import causal_graph as cg
 from ._version import __version__
 from .chat import CachingChatClient, ChatClient, HttpChatClient
-from .errors import OocFailed, ServiceError, StratinvError
+from .errors import OocFailed, ServiceError, StratinvError, text_output
 from .metrics import (
     LabeledRecord,
     RecordTable,
@@ -97,9 +97,9 @@ def write_manifest(manifest: dict, out_dir) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     doc = {**manifest, "created_at": datetime.now(timezone.utc).isoformat()}
-    (out / "manifest.json").write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    with text_output(out / "manifest.json") as fh:
+        fh.write(text)
     return out
 
 
@@ -236,23 +236,18 @@ def cmd_check_adjustment(args) -> int:
         [args.graph],
     )
     out = write_manifest(manifest, args.out_dir)
-    (out / "verdict.json").write_text(
-        json.dumps(
-            {
-                "treatment": report.treatment,
-                "outcome": report.outcome,
-                "candidate": sorted(report.candidate),
-                "valid": report.valid,
-                "reasons": list(report.reasons),
-                "open_paths": list(report.open_path_names),
-                "manifest": manifest["digest"],
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
+    doc = {
+        "treatment": report.treatment,
+        "outcome": report.outcome,
+        "candidate": sorted(report.candidate),
+        "valid": report.valid,
+        "reasons": list(report.reasons),
+        "open_paths": list(report.open_path_names),
+        "manifest": manifest["digest"],
+    }
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    with text_output(out / "verdict.json") as fh:
+        fh.write(text)
     return EXIT_OK
 
 
@@ -471,7 +466,7 @@ def cmd_ooc_run(args) -> int:
     write_rows_csv(rows, out / "rows.csv")
     dump_records(standard_records, out / "records_standard.jsonl")
     dump_records(ooc_records, out / "records_ooc.jsonl")
-    with open(out / "traces.jsonl", "w", encoding="utf-8") as fh:
+    with text_output(out / "traces.jsonl") as fh:
         for doc in traces:
             fh.write(json.dumps(doc, sort_keys=True) + "\n")
     print(

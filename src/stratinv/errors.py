@@ -2,12 +2,15 @@
 
 Every error raised on a contract violation derives from StratinvError so
 callers (and the CLI) can tell usage errors from genuine bugs. ``json_input``
-reads an input file so that its faults name the file.
+reads an input file so that its faults name the file; ``text_output`` is the
+one way the package writes an artifact.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import stat
 from contextlib import contextmanager
 
 _JSON_TYPES = {
@@ -40,6 +43,28 @@ def json_input(path, kind: type = dict):
         raise ValueError(f"{path}: {exc}") from None
     except TypeError as exc:
         raise ValueError(f"{path}: a value has the wrong JSON type: {exc}") from None
+
+
+@contextmanager
+def text_output(path, newline: str | None = None):
+    """Yield a UTF-8 text file that overwrites the file at ``path`` in place.
+
+    On every exit, normal or by exception, a regular file is cut at the
+    position reached, so it holds exactly the text written and no tail of a
+    longer old file. ``newline`` is ``open``'s (the csv module needs ``""``).
+    """
+    # Overwriting, then truncating to the new length, spares a rerun into a
+    # used directory the disk flush that ext4 starts on closing a file
+    # truncated to zero (auto_da_alloc). Like a plain open(path, "w"), this
+    # is neither atomic nor durable.
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        finally:
+            # Like O_TRUNC, cut only a regular file, not /dev/null or a pipe.
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
 
 
 class StratinvError(Exception):

@@ -28,6 +28,7 @@ from .errors import (
     MissingCell,
     MissingLabels,
     NonBinaryLabel,
+    text_output,
 )
 from . import scm as scm_mod
 
@@ -131,7 +132,7 @@ def load_records(path) -> list[LabeledRecord]:
 
 def dump_records(records: Iterable[LabeledRecord], path) -> None:
     """Write a JSON-lines dataset with stable key order."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with text_output(path) as fh:
         for r in records:
             doc = {"record_id": r.record_id, "s": r.s, "x": r.x,
                    "y": r.y, "y_hat": r.y_hat, "z": r.z}

@@ -13,7 +13,6 @@ import json
 import re
 import string
 from dataclasses import MISSING, dataclass, field, fields
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -26,6 +25,7 @@ from .errors import (
     TemplateError,
     UnparsableAnswer,
     json_input,
+    text_output,
 )
 
 # ---------------------------------------------------------------------------
@@ -356,6 +356,20 @@ _FIELD_TYPES = {
 }
 
 
+def _check_label_rules(rules) -> None:
+    """The mock's rules are objects whose ``if`` and ``map`` are objects, as
+    ``MockStructuredLm`` reads them."""
+    if not isinstance(rules, list) or not all(
+        isinstance(rule, Mapping)
+        and all(isinstance(rule.get(key, {}), Mapping) for key in ("if", "map"))
+        for rule in rules
+    ):
+        raise ValueError(
+            "task config key 'mock' must be an object whose label_rules is a "
+            f"list of objects with object 'if' and 'map', got {rules!r}"
+        )
+
+
 def task_from_dict(doc: Mapping) -> TaskConfig:
     field_names = {f.name for f in fields(TaskConfig)}
     kwargs = {}
@@ -371,6 +385,8 @@ def task_from_dict(doc: Mapping) -> TaskConfig:
                 )
         if name in _TUPLE_FIELDS:
             value = tuple(str(v) for v in value)
+        if name == "mock" and value is not None:
+            _check_label_rules(value.get("label_rules", []))
         kwargs[name] = value
     missing = [
         f.name for f in fields(TaskConfig)
@@ -400,10 +416,9 @@ def load_task(path) -> TaskConfig:
 
 
 def dump_task(cfg: TaskConfig, path) -> None:
-    Path(path).write_text(
-        json.dumps(task_to_dict(cfg), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    text = json.dumps(task_to_dict(cfg), indent=2, sort_keys=True) + "\n"
+    with text_output(path) as fh:
+        fh.write(text)
 
 
 # Ready-made configurations mirroring the evaluated tasks.  Each entry maps a

@@ -12,10 +12,9 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, dataclass, replace
-from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import MissingBaseline, json_input
+from .errors import MissingBaseline, json_input, text_output
 
 #: Metrics whose values must land in [0, 1]; anything else is unchecked.
 UNIT_INTERVAL_METRICS = frozenset(
@@ -77,9 +76,9 @@ def row_from_dict(doc: dict) -> ReportRow:
 
 def write_rows_json(rows: Sequence[ReportRow], path) -> None:
     doc = [row_to_dict(r.validate()) for r in rows]
-    Path(path).write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    with text_output(path) as fh:
+        fh.write(text)
 
 
 def load_rows(path) -> list[ReportRow]:
@@ -88,7 +87,7 @@ def load_rows(path) -> list[ReportRow]:
 
 
 def write_rows_csv(rows: Sequence[ReportRow], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with text_output(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_FIELDS)
         for row in rows:

@@ -1,6 +1,7 @@
 """CLI behavior through main(): artifacts, exit codes, reproducible reruns."""
 
 import json
+import re
 import threading
 
 import numpy as np
@@ -603,8 +604,13 @@ _ROW = {"dataset": "toy", "method": "standard", "metric": "si_bias", "value": 0.
         ("report", [{**_ROW, "value": [0.5]}], "a value has the wrong JSON type: "),
         ("ooc-run", {"mock": [1]},
          "task config key 'mock' must be an object or null, got [1]"),
+        ("ooc-run", {"mock": {"label_rules": 5}},
+         "label_rules is a list of objects with object 'if' and 'map', got 5"),
+        ("ooc-run", {"mock": {"label_rules": [5]}},
+         "label_rules is a list of objects with object 'if' and 'map', got [5]"),
     ],
-    ids=["graph-node-number", "row-value-list", "task-mock-list"],
+    ids=["graph-node-number", "row-value-list", "task-mock-list",
+         "task-label-rules-number", "task-label-rules-number-list"],
 )
 def test_a_value_of_the_wrong_json_type_is_named_and_nothing_is_written(
     tmp_path, capsys, command, content, message
@@ -909,3 +915,70 @@ def test_a_failed_command_writes_nothing(tmp_path, capsys, chat_server, case):
     assert main(argv + ["--out-dir", str(out)]) == code
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+# --- a rerun into a used out-dir ---------------------------------------------
+
+
+def _older_and_newer(command, tmp_path):
+    """The argv of a run whose artifacts are longer, then of a shorter run."""
+    if command == "simulate":
+        scm = write_scm(tmp_path / "scm.json", chain_fixture(0))
+        base = ["simulate", "--scm", str(scm)]
+        return base + ["--n", "40"], base + ["--n", "4"]
+    if command == "check-adjustment":
+        graph = _two_confounder_graph(tmp_path / "g.json")
+        base = ["check-adjustment", "--graph", str(graph), "--treatment", "Z",
+                "--outcome", "X"]
+        return base, base + ["--candidate", "A,B"]  # INVALID, two open paths; VALID
+    if command == "audit":
+        base = ["audit", "--records", str(biased_records(tmp_path / "records.jsonl"))]
+        return (base + ["--metrics", "si_bias,macro_f1,permutation",
+                        "--permutations", "9"],
+                base + ["--metrics", "si_bias"])
+    if command == "ooc-run":
+        records = str(write_toy_records(tmp_path / "records.jsonl"))
+        older = ["ooc-run", "--task", str(write_task(tmp_path / "m3.json", m=3)),
+                 "--records", records, "--metrics", "si_bias,macro_f1,permutation",
+                 "--permutations", "9"]
+        newer = ["ooc-run", "--task", str(write_task(tmp_path / "m1.json")),
+                 "--records", records, "--balance", "4", "--metrics", "si_bias"]
+        return older, newer
+    rows = tmp_path / "rows.json"
+    write_rows_json([ReportRow("demo", "za|zb", m, metric, 0.3, n=10)
+                     for m in ("standard", "ooc", "single_call")
+                     for metric in ("si_bias", "macro_f1")], rows)
+    small = tmp_path / "small.json"
+    write_rows_json([ReportRow("demo", "za|zb", "standard", "si_bias", 0.3)], small)
+    return ["report", "--rows", str(rows)], ["report", "--rows", str(small)]
+
+
+def _without_created_at(manifest: bytes) -> bytes:
+    return re.sub(rb'"created_at": "[^"]*"', b"", manifest)
+
+
+@pytest.mark.parametrize(
+    "command", ["simulate", "check-adjustment", "audit", "ooc-run", "report"]
+)
+def test_a_rerun_into_a_used_out_dir_writes_a_fresh_runs_bytes(tmp_path, capsys, command):
+    """Each artifact is overwritten in place with no stale tail of the longer
+    old one, and a file the command does not write is left as it is."""
+    older, newer = _older_and_newer(command, tmp_path)
+    fresh, used = tmp_path / "fresh", tmp_path / "used"
+    assert main(newer + ["--out-dir", str(fresh)]) == 0
+    assert main(older + ["--out-dir", str(used)]) == 0
+    (used / "notes.txt").write_text("kept\n")
+    old = {path.name: path.read_bytes() for path in used.iterdir()}
+    assert main(newer + ["--out-dir", str(used)]) == 0
+    artifacts = sorted(path.name for path in fresh.iterdir())
+    assert sorted(path.name for path in used.iterdir()) == sorted(
+        artifacts + ["notes.txt"]
+    )
+    assert (used / "notes.txt").read_bytes() == old["notes.txt"]
+    for name in artifacts:
+        want, got = (fresh / name).read_bytes(), (used / name).read_bytes()
+        if name == "manifest.json":
+            want, got = _without_created_at(want), _without_created_at(got)
+        else:
+            assert len(old[name]) > len(want), name
+        assert got == want, name

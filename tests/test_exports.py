@@ -113,3 +113,52 @@ def test_no_package_module_imports_a_name_it_never_uses():
         and (names := _unused_imports(path.read_text(encoding="utf-8")))
     }
     assert unused == {}
+
+
+_WRITE_MODE = re.compile(r"[wax+]")
+
+# Each file write outside the writer, and why it must not overwrite in place.
+_WRITES_OUTSIDE_THE_WRITER = {
+    "chat.py:_store": (
+        "the chat cache stores each answer under a temporary name and renames "
+        "it into place, so a reader sharing the cache never sees half an answer"
+    ),
+}
+
+
+def _file_writes(path) -> list[str]:
+    """``file:function`` for each ``write_text``/``write_bytes`` call and each
+    ``open``/``fdopen`` call given a write mode in the module at ``path``."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "attr", getattr(func, "id", None))
+            modes = [a.value for a in node.args[:2] if isinstance(a, ast.Constant)]
+            modes += [k.value.value for k in node.keywords
+                      if k.arg == "mode" and isinstance(k.value, ast.Constant)]
+            if name in ("write_text", "write_bytes") or (
+                name in ("open", "fdopen")
+                and any(isinstance(m, str) and _WRITE_MODE.search(m) for m in modes)
+            ):
+                found.append(f"{path.name}:{where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return found
+
+
+def test_only_the_artifact_writer_writes_files():
+    """Every artifact goes through ``errors.text_output``, which overwrites in
+    place and truncates to the text written."""
+    writes = sorted(
+        site
+        for path in (ROOT / "src" / "stratinv").glob("*.py")
+        if path.name != "errors.py"
+        for site in _file_writes(path)
+    )
+    assert writes == sorted(_WRITES_OUTSIDE_THE_WRITER)

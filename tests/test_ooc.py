@@ -357,6 +357,10 @@ def test_task_round_trip(tmp_path):
         ("predict_temperature", None),
         ("mock", [1]),
         ("mock", "rows"),
+        ("mock", {"label_rules": 5}),
+        ("mock", {"label_rules": [5]}),
+        ("mock", {"label_rules": [{"if": 5}]}),
+        ("mock", {"label_rules": [{"read": "topic", "map": ["a"]}]}),
     ],
 )
 def test_task_rejects_a_field_of_the_wrong_type(key, value):
