@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import random
 import tempfile
@@ -79,21 +80,30 @@ def _text_or_error(complete, request: ChatTurnRequest) -> str | ServiceError:
         return exc
 
 
+# A longer wait is no real instruction, and ``time.sleep`` cannot take one
+# near 9.2e9 s (2.1e9 s where time_t has 32 bits).
+_MAX_RETRY_AFTER = 1e9  # seconds, about 31 years
+
+
 def _retry_after(value: str | None) -> float | None:
-    """Seconds a 429 response's ``Retry-After`` value asks to wait, or None."""
+    """Seconds a 429 response's ``Retry-After`` value asks to wait, or None
+    when it is neither a number nor a date, or names no finite wait up to
+    ``_MAX_RETRY_AFTER``."""
     if value is None:
         return None
     try:
-        return max(0.0, float(value))
+        wait = float(value)
     except ValueError:
-        pass
-    try:
-        when = parsedate_to_datetime(value)
-    except (TypeError, ValueError):
+        try:
+            when = parsedate_to_datetime(value)
+        except (TypeError, ValueError):
+            return None
+        if when.tzinfo is None:
+            when = when.replace(tzinfo=timezone.utc)
+        wait = (when - datetime.now(timezone.utc)).total_seconds()
+    if not math.isfinite(wait) or wait > _MAX_RETRY_AFTER:
         return None
-    if when.tzinfo is None:
-        when = when.replace(tzinfo=timezone.utc)
-    return max(0.0, (when - datetime.now(timezone.utc)).total_seconds())
+    return max(0.0, wait)
 
 
 class HttpChatClient(ChatClient):

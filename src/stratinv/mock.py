@@ -8,16 +8,25 @@ the tokens, and stratum prediction reads one configured token.  Every response
 is a pure function of the request, so identical requests always produce
 identical texts and the client is safe to share across threads.
 
-Caveats for fixture authors: the inserted context value is recovered by
-scanning the instruction line for a known context word, so context values must
-not collide with instruction wording (single letters like "a" will; tokens like
-"male" or "z0" will not), and the context description must not contain any
-context value as a standalone word.
+The inserted context value is the earliest standalone mention of a known
+value on the instruction's first line; the single-pass rewrite takes the
+mention that starts last, since its instruction lists every value before the
+one to insert. Where two values start at one place the longer wins ("unknown
+or undisclosed" over "unknown"). A mention is standalone when no ASCII letter,
+digit or underscore touches it on either side.
+
+Caveats for fixture authors: context values must not collide with instruction
+wording (single letters like "a" will; tokens like "male" or "z0" will not),
+and the context description must not contain any context value as a
+standalone word. A value whose standalone mentions can overlap each other, as
+"a--a" does in "a--a--a", is refused, since which of them starts last would
+depend on how the line is scanned.
 """
 
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -32,9 +41,22 @@ from .ooc import (
     TEXT_SECTION,
     TaskConfig,
 )
-from .structured import CTX_KEY, PAD_KEY, STRATUM_KEY, StructuredText, parse_structured
+from .structured import CTX_KEY, PAD_KEY, STRATUM_KEY, parse_structured, render_tokens
 
 _NO_ANSWER = "unknown"
+_OPTIONS_SECTION = "\n\n" + LABEL_MARKER
+_WORD_CHARS = frozenset(string.ascii_letters + string.digits + "_")
+
+
+def _overlaps_itself(z: str) -> bool:
+    """Whether two standalone mentions of ``z`` can overlap: some proper
+    prefix of ``z`` is also its suffix, and no word character touches that
+    border inside ``z``, so the shared part can end one mention and start the
+    next ("a--a" in "a--a--a")."""
+    return any(
+        z[:k] == z[-k:] and z[k] not in _WORD_CHARS and z[-k - 1] not in _WORD_CHARS
+        for k in range(1, len(z))
+    )
 
 
 @dataclass(frozen=True)
@@ -68,16 +90,16 @@ class LabelRule:
             default=doc.get("default"),
         )
 
-    def matches(self, st: StructuredText) -> bool:
-        return all(st.get(key) == value for key, value in self.when)
+    def matches(self, tokens: Mapping[str, str]) -> bool:
+        return all(tokens.get(key) == value for key, value in self.when)
 
-    def answer(self, st: StructuredText) -> str:
+    def answer(self, tokens: Mapping[str, str]) -> str:
         if self.label is not None:
             return self.label
         fallback = self.default if self.default is not None else _NO_ANSWER
         if self.read is None:
             return fallback
-        value = st.get(self.read)
+        value = tokens.get(self.read)
         if value is None:
             return fallback
         if self.map:
@@ -98,17 +120,29 @@ class MockStructuredLm(ChatClient):
         if not contexts:
             raise ValueError("mock needs at least one known context value")
         self._contexts = tuple(str(z) for z in contexts)
+        for z in self._contexts:
+            if _overlaps_itself(z):
+                raise ValueError(
+                    f"context value {z!r} can overlap its own mention in a line"
+                )
         self._rules = tuple(
             rule if isinstance(rule, LabelRule) else LabelRule.from_dict(rule)
             for rule in label_rules
         )
         self._stratum_key = stratum_key
         self._default_stratum = default_stratum
-        # Longest value first so "unknown or undisclosed" beats "unknown".
-        self._context_res = tuple(
-            (z, re.compile(rf"(?<![A-Za-z0-9_]){re.escape(z)}(?![A-Za-z0-9_])"))
-            for z in sorted(self._contexts, key=len, reverse=True)
+        # One standalone mention of any value; longest value first, so that
+        # "unknown or undisclosed" beats "unknown" where both start. Each value
+        # checks the character before it after matching, so the scan can skip
+        # ahead to the values' first characters.
+        values = "|".join(
+            f"{z}(?<![A-Za-z0-9_]{z})"
+            for z in map(re.escape, sorted(self._contexts, key=len, reverse=True))
         )
+        mention = rf"({values})(?![A-Za-z0-9_])"
+        self._first_mention = re.compile(mention).search
+        # A greedy lead backs off from the end: the last mention's start.
+        self._last_mention = re.compile(r"(?s:.*)" + mention).match
 
     @classmethod
     def for_task(cls, cfg: TaskConfig) -> "MockStructuredLm":
@@ -150,79 +184,82 @@ class MockStructuredLm(ChatClient):
         if not sep:
             raise ServiceError("mock request lacks a '## Text' section")
         if upto_options:
-            payload = payload.split("\n\n" + LABEL_MARKER, 1)[0]
+            payload = payload.split(_OPTIONS_SECTION, 1)[0]
         return payload
 
-    def _vary_pad(
-        self, st: StructuredText, request: ChatTurnRequest
-    ) -> tuple[StructuredText, bool]:
-        """At positive temperature a seeded draw rewrites the pad token only."""
-        if request.temperature > 0 and request.seed is not None and st.has(PAD_KEY):
-            return st.replace_value(PAD_KEY, f"r{request.seed % 97}"), True
-        return st, False
+    @staticmethod
+    def _kept_tokens(
+        pairs: tuple[tuple[str, str], ...], request: ChatTurnRequest
+    ) -> tuple[list[str], bool]:
+        """The tokens without ``ctx``, and whether any token changed.
+
+        At positive temperature a seeded draw rewrites the first ``pad``
+        token's value, and nothing else.
+        """
+        pad = None
+        if request.temperature > 0 and request.seed is not None:
+            pad = f"r{request.seed % 97}"
+        tokens, changed = [], False
+        for key, value in pairs:
+            if key == CTX_KEY:
+                changed = True
+            elif key == PAD_KEY and pad is not None:
+                tokens.append(f"{PAD_KEY}={pad}")
+                pad, changed = None, True
+            else:
+                tokens.append(f"{key}={value}")
+        return tokens, changed
 
     def _instruction_context(self, text: str, *, last: bool = False):
         """The context value named in the rewrite instruction (first line).
 
-        ``last`` picks the final mention instead of the first: the
-        single-pass rewrite instruction lists every context value before
-        naming the one to insert.
+        The earliest standalone mention wins, or with ``last`` the one that
+        starts last: the single-pass rewrite instruction lists every context
+        value before naming the one to insert.  Where two values start at one
+        place, the longer wins.
         """
-        line = text.split("\n", 1)[0]
-        best = None
-        for value, pattern in self._context_res:
-            for m in pattern.finditer(line):
-                better = best is None or (
-                    m.start() > best[0] if last else m.start() < best[0]
-                )
-                if better:
-                    best = (m.start(), value)
-        if best is None:
+        end = text.find("\n")
+        find = self._last_mention if last else self._first_mention
+        found = find(text, 0, len(text) if end < 0 else end)
+        if found is None:
             raise ServiceError(
                 f"mock found no context value among {list(self._contexts)} "
                 "in the rewrite instruction"
             )
-        return best[1]
+        return found.group(1)
 
     # -- role behaviors ----------------------------------------------------
 
     def _obfuscate(self, text: str, request: ChatTurnRequest) -> str:
         payload = self._payload(text, upto_options=False)
         st = parse_structured(payload)
-        changed = st.has(CTX_KEY)
-        if changed:
-            st = st.without(CTX_KEY)
-        st, varied = self._vary_pad(st, request)
-        if not (changed or varied):
-            return payload
-        return st.render()
+        tokens, changed = self._kept_tokens(st.pairs, request)
+        return render_tokens(tokens, st.tail) if changed else payload
 
     def _add(
         self, text: str, request: ChatTurnRequest, *, last_context: bool = False
     ) -> str:
         z_plus = self._instruction_context(text, last=last_context)
-        payload = self._payload(text, upto_options=False)
-        st = parse_structured(payload)
-        if st.has(CTX_KEY):
-            st = st.without(CTX_KEY)
-        st = st.with_front(CTX_KEY, z_plus)
-        st, _varied = self._vary_pad(st, request)
-        return st.render()
+        st = parse_structured(self._payload(text, upto_options=False))
+        tokens, _changed = self._kept_tokens(st.pairs, request)
+        return render_tokens([f"{CTX_KEY}={z_plus}", *tokens], st.tail)
 
     def _rewrite(self, text: str, request: ChatTurnRequest) -> str:
         # Single-pass ablation: removal and addition in one request.
         return self._add(text, request, last_context=True)
 
-    def _stratum(self, text: str) -> str:
+    def _first_values(self, text: str) -> dict[str, str]:
+        """The first value of each key in the payload's leading tokens."""
         payload = self._payload(text, upto_options=True)
-        st = parse_structured(payload)
-        value = st.get(self._stratum_key, self._default_stratum)
+        return dict(reversed(parse_structured(payload).pairs))
+
+    def _stratum(self, text: str) -> str:
+        value = self._first_values(text).get(self._stratum_key, self._default_stratum)
         return value if value is not None else _NO_ANSWER
 
     def _label(self, text: str) -> str:
-        payload = self._payload(text, upto_options=True)
-        st = parse_structured(payload)
+        tokens = self._first_values(text)
         for rule in self._rules:
-            if rule.matches(st):
-                return rule.answer(st)
+            if rule.matches(tokens):
+                return rule.answer(tokens)
         return _NO_ANSWER

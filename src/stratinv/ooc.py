@@ -542,6 +542,28 @@ def _param_values(cfg: TaskConfig, stratum, z_plus) -> dict[str, str]:
     return values
 
 
+def _frame(body: str, values: Mapping[str, str]) -> tuple[str, ...]:
+    """``body`` rendered with every placeholder but ``{X}``: the literal text
+    around each ``{X}`` slot.
+
+    A placeholder never spans a slot, so ``x.join(frame)`` gives the bytes of
+    ``render_template(body, {**values, "X": x})``, and a missing value raises
+    the same TemplateError.
+    """
+    return tuple(render_template(part, values) for part in body.split("{X}"))
+
+
+def _transform_frame(
+    cfg: TaskConfig, body: str, instruction: str, stratum=None, z_plus=None
+) -> tuple[str, ...]:
+    """The frame of a transform request: instruction into body, then parameters."""
+    values = _param_values(cfg, stratum, z_plus)
+    rendered_instruction = render_template(instruction, values)
+    secret = render_template(cfg.s_description, values)
+    values.update({"prompt": rendered_instruction, "S_description": secret})
+    return _frame(body, values)
+
+
 def render_transform_prompt(
     body: str,
     instruction: str,
@@ -555,13 +577,7 @@ def render_transform_prompt(
     Raises TemplateError when the secret-information text needs a stratum but
     none was supplied, or any other known placeholder stays unresolved.
     """
-    values = _param_values(cfg, stratum, z_plus)
-    rendered_instruction = render_template(instruction, values)
-    secret = render_template(cfg.s_description, values)
-    values.update(
-        {"prompt": rendered_instruction, "S_description": secret, "X": x}
-    )
-    return render_template(body, values)
+    return x.join(_transform_frame(cfg, body, instruction, stratum, z_plus))
 
 
 def _draw_instruction(
@@ -617,14 +633,22 @@ def _normalize(text: str) -> list[str]:
     return text.casefold().translate(_PUNCT_TABLE).split()
 
 
+def _normalize_options(options: Sequence[str]) -> tuple:
+    return tuple((_normalize(opt), opt) for opt in options)
+
+
 def parse_choice(answer: str, options: Sequence[str]):
     """Tolerant matcher: exact normalized equality first, then the one option
     whose words appear contiguously in the answer.  A mention lying inside a
     longer option's mention does not count ("non-toxic" is no "toxic"); an
     answer that mentions two options is ambiguous.  Returns the matched option
     or None."""
+    return _choose(answer, _normalize_options(options))
+
+
+def _choose(answer: str, normalized) -> str | None:
+    """``parse_choice`` on options already normalized by ``_normalize_options``."""
     answer_tokens = _normalize(answer)
-    normalized = [(_normalize(opt), opt) for opt in options]
     for opt_tokens, opt in normalized:
         if opt_tokens == answer_tokens:
             return opt
@@ -652,6 +676,32 @@ _RETRY_REMINDER = (
 )
 
 
+@dataclass(frozen=True)
+class _Question:
+    """A predict prompt's frame and its options, normalized once per stage."""
+
+    frame: tuple[str, ...]
+    options: tuple[str, ...]
+    normalized: tuple
+
+    @classmethod
+    def build(cls, body: str, prompt: str, options: tuple[str, ...]) -> "_Question":
+        frame = _frame(body, {"prompt": prompt, "alternatives": ", ".join(options)})
+        return cls(frame, options, _normalize_options(options))
+
+
+def _label_question(cfg: TaskConfig) -> _Question:
+    return _Question.build(LABEL_TEMPLATE, cfg.effective_prompt(), cfg.labels)
+
+
+def _stratifier_question(cfg: TaskConfig) -> _Question:
+    if not cfg.strata:
+        raise TemplateError(
+            f"task {cfg.name!r} needs a stratum but declares no stratum values"
+        )
+    return _Question.build(STRATIFIER_TEMPLATE, cfg.stratifier_question, cfg.strata)
+
+
 def _predict_request(cfg: TaskConfig, messages) -> ChatTurnRequest:
     return ChatTurnRequest(
         messages=messages,
@@ -664,73 +714,50 @@ def _predict_request(cfg: TaskConfig, messages) -> ChatTurnRequest:
 def _predict_many(
     cfg: TaskConfig,
     client: ChatClient,
-    jobs: Sequence[tuple[str, Sequence[str]]],
+    jobs: Sequence[tuple[str, _Question]],
 ) -> list:
-    """One predict stage over ``(prompt, options)`` jobs.
+    """One predict stage over ``(x, question)`` jobs.
 
-    One batch asks every prompt; one format-reminder batch re-asks those whose
-    answer did not parse.  Each entry of the result is the chosen option, a
-    ServiceError, or an UnparsableAnswer.
+    One batch asks every question about its input; one format-reminder batch
+    re-asks those whose answer did not parse.  Each entry of the result is
+    the chosen option, a ServiceError, or an UnparsableAnswer.
     """
-    firsts = _dispatch(client, [_predict_request(cfg, (("user", p),)) for p, _o in jobs])
+    prompts = [x.join(q.frame) for x, q in jobs]
+    firsts = _dispatch(
+        client, [_predict_request(cfg, (("user", p),)) for p in prompts]
+    )
     results = [
-        answer if isinstance(answer, ServiceError) else parse_choice(answer, options)
-        for (_p, options), answer in zip(jobs, firsts)
+        answer if isinstance(answer, ServiceError) else _choose(answer, q.normalized)
+        for (_x, q), answer in zip(jobs, firsts)
     ]
     retry = [i for i, choice in enumerate(results) if choice is None]
     reminders = [
         _predict_request(cfg, (
-            ("user", jobs[i][0]),
+            ("user", prompts[i]),
             ("assistant", firsts[i]),
-            ("user", _RETRY_REMINDER.format(alternatives=", ".join(jobs[i][1]))),
+            ("user", _RETRY_REMINDER.format(
+                alternatives=", ".join(jobs[i][1].options)
+            )),
         ))
         for i in retry
     ]
     for i, second in zip(retry, _dispatch(client, reminders)):
-        options = jobs[i][1]
+        q = jobs[i][1]
         if isinstance(second, ServiceError):
             results[i] = second
-        elif (choice := parse_choice(second, options)) is not None:
+        elif (choice := _choose(second, q.normalized)) is not None:
             results[i] = choice
         else:
             results[i] = UnparsableAnswer(
-                f"could not parse {second!r} into options {list(options)} "
+                f"could not parse {second!r} into options {list(q.options)} "
                 f"(first answer {firsts[i]!r})"
             )
     return results
 
 
-def _label_job(cfg: TaskConfig, x: str) -> tuple[str, Sequence[str]]:
-    prompt = render_template(
-        LABEL_TEMPLATE,
-        {
-            "prompt": cfg.effective_prompt(),
-            "X": x,
-            "alternatives": ", ".join(cfg.labels),
-        },
-    )
-    return prompt, cfg.labels
-
-
-def _stratifier_job(cfg: TaskConfig, x: str) -> tuple[str, Sequence[str]]:
-    if not cfg.strata:
-        raise TemplateError(
-            f"task {cfg.name!r} needs a stratum but declares no stratum values"
-        )
-    prompt = render_template(
-        STRATIFIER_TEMPLATE,
-        {
-            "prompt": cfg.stratifier_question,
-            "X": x,
-            "alternatives": ", ".join(cfg.strata),
-        },
-    )
-    return prompt, cfg.strata
-
-
 def predict_label(cfg: TaskConfig, client: ChatClient, x: str):
     """Ask for the task label on ``x`` at the prediction temperature."""
-    return _unwrap(_predict_many(cfg, client, [_label_job(cfg, x)])[0])
+    return _unwrap(_predict_many(cfg, client, [(x, _label_question(cfg))])[0])
 
 
 PROXY_CAVEAT = (
@@ -844,8 +871,11 @@ def ooc_predict_many(
     # Stage 1: standard labels and stratum predictions.
     n = len(xs)
     predicted = [i for i in range(n) if strata[i] is None and cfg.requires_stratum]
-    jobs = [_label_job(cfg, x) for x in xs] if standard else []
-    jobs += [_stratifier_job(cfg, xs[i]) for i in predicted]
+    label_question = _label_question(cfg)
+    jobs = [(x, label_question) for x in xs] if standard else []
+    if predicted:
+        stratum_question = _stratifier_question(cfg)
+        jobs += [(xs[i], stratum_question) for i in predicted]
     answers = _predict_many(cfg, client, jobs)
     standard_out = answers[:n] if standard else [None] * n
     stratum_errors = {}
@@ -857,22 +887,26 @@ def ooc_predict_many(
 
     # Stages 2 and 3: the transforms; then stage 4: labels.
     live = [c for c in chains if c.record not in stratum_errors]
+    stratum_keys = [None if s is None else str(s) for s in strata]
     for k, (body, _pool, writes_context) in enumerate(steps):
-        texts = _dispatch(client, [
-            _transform_request(
-                cfg,
-                render_transform_prompt(
-                    body, c.draws[k][0], cfg, c.texts[-1], strata[c.record],
-                    c.z_plus if writes_context else None,
-                ),
-                c.draws[k][1],
-            )
-            for c in live
-        ])
-        for c, text in _settle(live, texts):
+        # This stage's frames by (instruction, stratum, z_plus): at most
+        # |pool| x |strata| x |contexts| of them, whatever the batch size.
+        frames: dict[tuple, tuple[str, ...]] = {}
+        requests = []
+        for c in live:
+            instruction, seed = c.draws[k]
+            z_plus = c.z_plus if writes_context else None
+            key = (instruction, stratum_keys[c.record], z_plus)
+            frame = frames.get(key)
+            if frame is None:
+                frame = frames[key] = _transform_frame(cfg, body, *key)
+            requests.append(_transform_request(cfg, c.texts[-1].join(frame), seed))
+        for c, text in _settle(live, _dispatch(client, requests)):
             c.texts.append(text)
         live = [c for c in live if c.error is None]
-    labels = _predict_many(cfg, client, [_label_job(cfg, c.texts[-1]) for c in live])
+    labels = _predict_many(
+        cfg, client, [(c.texts[-1], label_question) for c in live]
+    )
     for c, label in _settle(live, labels):
         c.label = label
 

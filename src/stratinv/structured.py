@@ -31,10 +31,7 @@ class StructuredText:
     tail: str = ""
 
     def render(self) -> str:
-        head = " ".join(f"{k}={v}" for k, v in self.pairs)
-        if head and self.tail:
-            return head + " " + self.tail
-        return head or self.tail
+        return render_tokens([f"{k}={v}" for k, v in self.pairs], self.tail)
 
     def get(self, key: str, default: str | None = None) -> str | None:
         for k, v in self.pairs:
@@ -66,6 +63,14 @@ class StructuredText:
             else:
                 out.append((k, v))
         return StructuredText(tuple(out), self.tail)
+
+
+def render_tokens(tokens: list[str], tail: str) -> str:
+    """``key=value`` tokens joined by single spaces, then the tail."""
+    head = " ".join(tokens)
+    if head and tail:
+        return head + " " + tail
+    return head or tail
 
 
 def parse_structured(text: str) -> StructuredText:

@@ -336,6 +336,32 @@ def test_http_retry_after_date_and_garbage(monkeypatch, chat_server):
     assert chat._retry_after("soon") is None
 
 
+@pytest.mark.parametrize(
+    "value", ["inf", "-inf", "nan", "1e300", "1e10", "Fri, 31 Dec 9999 23:59:59 GMT"]
+)
+def test_http_retry_after_that_no_sleep_can_take_falls_back_to_backoff(
+    monkeypatch, chat_server, value
+):
+    sleeps = []
+
+    def sleep(seconds):  # as time.sleep refuses them
+        if not 0 <= seconds < 9e9:
+            raise OverflowError("timestamp out of range for platform time_t")
+        sleeps.append(seconds)
+
+    monkeypatch.setattr(chat.time, "sleep", sleep)
+    monkeypatch.setattr(chat.random, "uniform", lambda lo, hi: hi)
+    client, server = http_client(
+        chat_server, [(429, "", {"Retry-After": value})] * 2 + ["fine"],
+        backoff=0.5,
+    )
+    assert client.complete(req()) == "fine"
+    assert sleeps == [0.5, 1.0]  # the jittered backoff's caps
+    assert len(server.calls) == 3
+    assert chat._retry_after(value) is None
+    assert chat._retry_after("1e9") == 1e9
+
+
 # --- cache writes ------------------------------------------------------------
 
 

@@ -1,14 +1,17 @@
 """CLI behavior through main(): artifacts, exit codes, reproducible reruns."""
 
 import json
+import math
 import re
 import threading
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from stratinv import causal_graph as cg
-from stratinv import cli
+from stratinv import cli, ooc
 from stratinv.chat import ChatTurnRequest
 from stratinv.cli import main
 from stratinv.fixtures import chain_fixture
@@ -26,6 +29,7 @@ from stratinv.ooc import TaskConfig, dump_task, load_task
 from stratinv.reports import ReportRow, load_rows, write_rows_csv, write_rows_json
 from stratinv.scm import dump_scm
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 def write_scm(path, scm):
     path.write_text(json.dumps(dump_scm(scm), indent=2, sort_keys=True))
@@ -518,6 +522,67 @@ def test_ooc_run_checks_its_inputs_before_writing(
     assert code == 2
     assert message in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("single_call", [False, True], ids=["ooc", "single-call"])
+def test_ooc_run_builds_each_prompt_frame_once_per_stage(
+    tmp_path, monkeypatch, single_call
+):
+    """A stage renders one frame per (instruction, stratum, z_plus), not one
+    per request, and each predict frame once per batch of records."""
+    assert main([
+        "simulate", "--scm", str(CONFIGS / "demo_scm.json"), "--n", "300",
+        "--seed", "5", "--out-dir", str(tmp_path / "sim"),
+    ]) == 0
+    batches = []  # per ooc_predict_many call: the frames it built, in order
+    transforms = []
+    run_batch, build, build_transform = (
+        cli.ooc_predict_many, ooc._frame, ooc._transform_frame
+    )
+
+    def counted_batch(*args, **kwargs):
+        batches.append([])
+        transforms.append([])
+        return run_batch(*args, **kwargs)
+
+    def counted_frame(body, values):
+        batches[-1].append((body, tuple(sorted(values.items()))))
+        return build(body, values)
+
+    def counted_transform(cfg, body, instruction, stratum=None, z_plus=None):
+        transforms[-1].append((body, instruction, stratum, z_plus))
+        return build_transform(cfg, body, instruction, stratum, z_plus)
+
+    monkeypatch.setattr(cli, "ooc_predict_many", counted_batch)
+    monkeypatch.setattr(ooc, "_frame", counted_frame)
+    monkeypatch.setattr(ooc, "_transform_frame", counted_transform)
+    out = tmp_path / "out"
+    assert main([
+        "ooc-run", "--task", str(CONFIGS / "demo_task.json"), "--records",
+        str(tmp_path / "sim" / "records.jsonl"), "--client", "mock",
+        "--seed", "5", "--out-dir", str(out),
+        *(["--single-call"] if single_call else []),
+    ]) == 0
+
+    cfg = load_task(CONFIGS / "demo_task.json")
+    distinct = {  # |pool| x |strata| x |contexts| for each transform stage
+        ooc.OBFUSCATE_TEMPLATE: len(cfg.obfuscate_prompts) * len(cfg.strata),
+        ooc.ADD_TEMPLATE: len(cfg.add_prompts) * len(cfg.strata) * len(cfg.contexts),
+        ooc.REWRITE_TEMPLATE:
+            len(cfg.rewrite_prompts) * len(cfg.strata) * len(cfg.contexts),
+    }
+    assert len(batches) == math.ceil(300 / cli.STAGE_RECORDS)
+    for frames, built in zip(batches, transforms):
+        assert max(Counter(frames).values()) == 1
+        assert max(Counter(built).values()) == 1
+        assert len(frames) == 1 + len(built)  # the label frame, then these
+        stages = Counter(body for body, *_key in built)
+        assert len(stages) == (1 if single_call else 2)
+        assert all(n <= distinct[body] for body, n in stages.items())
+    requests = 300 * cfg.m * (1 if single_call else 2)
+    assert sum(map(len, transforms)) < requests / 10
+    traces = (out / "traces.jsonl").read_text(encoding="utf-8").splitlines()
+    assert len(traces) == 300
 
 
 # --- report ------------------------------------------------------------------

@@ -1,6 +1,11 @@
 """The offline mock service: role dispatch and exact per-role behavior."""
 
+import re
+from itertools import combinations, product
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from stratinv.chat import ChatTurnRequest
 from stratinv.errors import ServiceError, UnrecognizedRole
@@ -13,6 +18,7 @@ from stratinv.ooc import (
     STRATIFIER_MARKER,
     TEXT_SECTION,
 )
+from stratinv.structured import CTX_KEY, PAD_KEY, parse_structured
 
 
 def turn(text, temperature=0.0, seed=None):
@@ -185,3 +191,221 @@ def test_for_task_wiring():
 def test_mock_requires_contexts():
     with pytest.raises(ValueError, match="at least one"):
         MockStructuredLm(contexts=())
+
+
+# --- one pass against the per-step oracle ------------------------------------
+
+
+class StepwiseMock(MockStructuredLm):
+    """The roles as written before the one-pass rewrite, kept as the oracle: a
+    parsed ``StructuredText`` per step, and one pattern per context value."""
+
+    def __init__(self, **kw):
+        super().__init__(**kw)
+        self._context_res = tuple(
+            (z, re.compile(rf"(?<![A-Za-z0-9_]){re.escape(z)}(?![A-Za-z0-9_])"))
+            for z in sorted(self._contexts, key=len, reverse=True)
+        )
+
+    def _vary_pad(self, st, request):
+        if request.temperature > 0 and request.seed is not None and st.has(PAD_KEY):
+            return st.replace_value(PAD_KEY, f"r{request.seed % 97}"), True
+        return st, False
+
+    def _instruction_context(self, text, *, last=False):
+        line = text.split("\n", 1)[0]
+        best = None
+        for value, pattern in self._context_res:
+            for m in pattern.finditer(line):
+                better = best is None or (
+                    m.start() > best[0] if last else m.start() < best[0]
+                )
+                if better:
+                    best = (m.start(), value)
+        if best is None:
+            raise ServiceError(
+                f"mock found no context value among {list(self._contexts)} "
+                "in the rewrite instruction"
+            )
+        return best[1]
+
+    def _obfuscate(self, text, request):
+        payload = self._payload(text, upto_options=False)
+        st = parse_structured(payload)
+        changed = st.has(CTX_KEY)
+        if changed:
+            st = st.without(CTX_KEY)
+        st, varied = self._vary_pad(st, request)
+        if not (changed or varied):
+            return payload
+        return st.render()
+
+    def _add(self, text, request, *, last_context=False):
+        z_plus = self._instruction_context(text, last=last_context)
+        payload = self._payload(text, upto_options=False)
+        st = parse_structured(payload)
+        if st.has(CTX_KEY):
+            st = st.without(CTX_KEY)
+        st = st.with_front(CTX_KEY, z_plus)
+        st, _varied = self._vary_pad(st, request)
+        return st.render()
+
+    def _stratum(self, text):
+        payload = self._payload(text, upto_options=True)
+        st = parse_structured(payload)
+        value = st.get(self._stratum_key, self._default_stratum)
+        return value if value is not None else "unknown"
+
+    def _label(self, text):
+        payload = self._payload(text, upto_options=True)
+        st = parse_structured(payload)
+        for rule in self._rules:
+            if rule.matches(st):
+                return rule.answer(st)
+        return "unknown"
+
+
+_CONTEXT_SETS = (
+    ("male", "female"),
+    ("a b", "b"),  # one value inside another
+    ("unknown or undisclosed", "unknown"),  # one value a prefix of another
+    ("employed", "unemployed", "unknown or undisclosed", "removed"),
+    ("20:30", "60:100"),
+    ("unknown", "removed"),
+)
+_RULES = (
+    {"if": {"ctx": "a", "kind": "amb"}, "label": "1"},
+    {"if": {"kind": "amb"}, "label": "0"},
+    {"read": "topic", "map": {"0": "no", "1": "yes"}, "default": "dunno"},
+    {"read": "u1"},
+)
+
+
+def _payloads(contexts):
+    token = st.tuples(
+        st.sampled_from(["ctx", "pad", "s", "kind", "topic"]),
+        st.sampled_from(["a", "b", "0", "1", "amb", "", "k=v", *contexts]),
+    ).map("=".join)
+    # Mostly single spaces, so that a head of several tokens is common.
+    gap = st.sampled_from([" "] * 6 + ["  ", "\n ", " \n", "\t", "\n"])
+    tail = st.sampled_from(
+        ["", "tail", " spaced  tail ", "k=v late", "\n", "\u00e9t\u00e9 note"]
+    ) | st.text(max_size=6)
+    return st.tuples(st.lists(st.tuples(token, gap), max_size=8), tail).map(
+        lambda parts: "".join(t + g for t, g in parts[0]) + parts[1]
+    )
+
+
+def _instruction(contexts):
+    word = st.sampled_from(["Set", "the", "to", " ", ",", ".", "-", "_", "x", ";"])
+    return st.lists(st.sampled_from(contexts) | word, max_size=10).map("".join)
+
+
+_ROLES = {
+    "obfuscate": f"{OBFUSCATE_MARKER}. {{line}}\n{TEXT_SECTION}{{payload}}",
+    "add": f"{ADD_MARKER}. {{line}}\n\n{TEXT_SECTION}{{payload}}",
+    "rewrite": f"{REWRITE_MARKER}. {{line}}\n{TEXT_SECTION}{{payload}}",
+    "label": f"Classify.\n\n{TEXT_SECTION}{{payload}}\n\n{LABEL_MARKER} 0, 1.",
+    "stratum": (
+        f"{STRATIFIER_MARKER}. {{line}}\n\n{TEXT_SECTION}{{payload}}"
+        f"\n\n{LABEL_MARKER} a, b."
+    ),
+}
+
+
+def _answer(client, request):
+    try:
+        return client.complete(request)
+    except ServiceError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("role", list(_ROLES))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_one_pass_roles_answer_as_the_stepwise_oracle(role, data):
+    contexts = data.draw(st.sampled_from(_CONTEXT_SETS))
+    text = _ROLES[role].format(
+        line=data.draw(_instruction(contexts)), payload=data.draw(_payloads(contexts))
+    )
+    request = turn(
+        text,
+        temperature=data.draw(st.sampled_from([0.0, 0.7])),
+        seed=data.draw(st.none() | st.integers(0, 2**31 - 1)),
+    )
+    kw = dict(
+        contexts=contexts,
+        label_rules=_RULES,
+        stratum_key=data.draw(st.sampled_from(["s", "kind"])),
+        default_stratum=data.draw(st.sampled_from([None, "dflt"])),
+    )
+    assert _answer(mock(**kw), request) == _answer(StepwiseMock(**kw), request)
+
+
+_DRAWN_ALPHABET = "ab -:_\u00e9"
+
+
+@pytest.mark.parametrize(
+    "marker", [ADD_MARKER, REWRITE_MARKER], ids=["add", "rewrite"]
+)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_the_context_mention_is_the_oracle_s_for_any_accepted_values(marker, data):
+    # Add takes the first mention and rewrite the last; a set of values the
+    # mock accepts gets the oracle's answer in both.
+    value = st.text(alphabet=_DRAWN_ALPHABET, min_size=1, max_size=5)
+    contexts = data.draw(st.lists(value, min_size=1, max_size=3, unique=True))
+    try:
+        client = mock(contexts=contexts)
+    except ValueError:
+        assume(False)
+    # Loose characters between the values let mentions overlap.
+    piece = st.sampled_from(contexts) | st.text(alphabet=_DRAWN_ALPHABET, max_size=2)
+    line = data.draw(st.lists(piece, max_size=10).map("".join))
+    request = turn(f"{marker}: {line}\n{TEXT_SECTION}ctx=a pad=0 tail")
+    assert _answer(client, request) == _answer(
+        StepwiseMock(contexts=contexts), request
+    )
+
+
+def _last_mention(client, line):
+    try:
+        return client._instruction_context(line, last=True)
+    except ServiceError:
+        return None
+
+
+def test_accepted_values_give_the_oracle_s_last_mention_on_every_short_line():
+    # Every set of one or two values of up to four characters from "a-" (a
+    # word character and one that is not), on every line of up to seven: where
+    # the mock accepts the values, its last mention is the oracle's.
+    values = ["".join(p) for n in range(1, 5) for p in product("a-", repeat=n)]
+    lines = ["".join(p) for n in range(8) for p in product("a-", repeat=n)]
+    accepted = 0
+    for contexts in [(v,) for v in values] + list(combinations(values, 2)):
+        try:
+            client = mock(contexts=contexts)
+        except ValueError:
+            continue
+        accepted += 1
+        oracle = StepwiseMock(contexts=contexts)
+        for line in lines:
+            want = _last_mention(oracle, line)
+            assert _last_mention(client, line) == want, (contexts, line)
+    assert accepted > 100
+
+
+def test_a_context_value_that_overlaps_itself_is_refused():
+    # In "x a--a--a ." two standalone mentions of "a--a" overlap, and the
+    # oracle's loop, which finds each value's mentions without overlap,
+    # answers "a-" where the mention that starts last is "a--a".
+    with pytest.raises(ValueError, match="'a--a' can overlap its own mention"):
+        mock(contexts=("a--a", "a-"))
+    with pytest.raises(ValueError, match="overlap"):
+        mock(contexts=("male", "a a"))
+    # A shared border that a word character touches cannot end one
+    # standalone mention and start the next.
+    for value in ("aa", "abab", "a-ba", "z0"):
+        assert mock(contexts=(value,)).complete(
+            add_request(f"use {value}", "t")
+        ) == f"ctx={value} t"

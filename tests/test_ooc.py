@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stratinv.chat import ChatClient
@@ -15,14 +15,18 @@ from stratinv.errors import (
     UnparsableAnswer,
 )
 from stratinv.mock import MockStructuredLm
+from stratinv import ooc
 from stratinv.ooc import (
     ADD_PROMPTS,
     ADD_TEMPLATE,
+    LABEL_TEMPLATE,
     OBFUSCATE_PROMPTS,
     OBFUSCATE_TEMPLATE,
     PROXY_CAVEAT,
     REWRITE_PROMPTS,
+    REWRITE_TEMPLATE,
     SAFETY_PROMPTS,
+    STRATIFIER_TEMPLATE,
     TaskConfig,
     _draw_instruction,
     builtin_task,
@@ -40,6 +44,7 @@ from stratinv.ooc import (
 )
 
 GOLDEN = Path(__file__).parent / "golden"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def toy_task(**kw):
@@ -101,6 +106,143 @@ def test_unknown_braces_survive_and_values_are_literal():
     assert render_template("A {X} B", {"X": "{S_lm}"}) == "A {S_lm} B"
     with pytest.raises(TemplateError, match="unresolved"):
         render_template("{X}", {})
+
+
+# --- prompt frames against render_template ------------------------------------
+
+
+def _oracle_transform_prompt(body, instruction, cfg, x, stratum=None, z_plus=None):
+    """One request rendered as three ``render_template`` calls, frame-free."""
+    values = {"Z_description": cfg.z_description, "Z_list": ", ".join(cfg.contexts)}
+    if z_plus is not None:
+        values["random_Z"] = str(z_plus)
+    if stratum is not None:
+        values["S_lm"] = str(stratum)
+    rendered_instruction = render_template(instruction, values)
+    secret = render_template(cfg.s_description, values)
+    values.update({"prompt": rendered_instruction, "S_description": secret, "X": x})
+    return render_template(body, values)
+
+
+def _outcome(render, *args):
+    """The rendered text, or the error's type and message."""
+    try:
+        return render(*args)
+    except TemplateError as exc:
+        return type(exc), str(exc)
+
+
+_FRAME_TASKS = (
+    *(builtin_task(name) for name in builtin_task_names()),
+    builtin_task("bios", safety_prompt="precog"),
+    builtin_task("clinical", safety_prompt="ignore"),
+    load_task(CONFIGS / "demo_task.json"),
+    toy_task(
+        z_description="the {X} marker, {S_lm} and {weird} braces",
+        s_description="A {S_lm} note with {weird} braces",
+        strata=("s{X}", "\u00e9t\u00e9"),
+    ),
+    toy_task(s_description="A note about {prompt}", strata=("a",)),
+)
+_BODY_NAMES = {
+    OBFUSCATE_TEMPLATE: "obfuscate", ADD_TEMPLATE: "add", REWRITE_TEMPLATE: "rewrite",
+}
+_POOLED = (
+    (OBFUSCATE_TEMPLATE, "obfuscate_prompts", False),
+    (ADD_TEMPLATE, "add_prompts", True),
+    (REWRITE_TEMPLATE, "rewrite_prompts", True),
+)
+_POOL_INSTRUCTIONS = [
+    (body, instruction, writes)
+    for body, pool, writes in _POOLED
+    for instruction in dict.fromkeys(
+        i for task in _FRAME_TASKS for i in getattr(task, pool)
+    )
+]
+_INSTRUCTIONS = _POOL_INSTRUCTIONS + [
+    (body, instruction, writes)
+    for body, _pool, writes in _POOLED
+    for instruction in (
+        "Drop {X} from {Z_list}", "Mind {weird} {Z_description} and {{S_lm}}",
+        "Set it to {random_Z}\nfor a {S_lm}", "Use {alternatives}", "{prompt}",
+    )
+]
+_TEXT = st.lists(
+    st.sampled_from([
+        "{X}", "{S_lm}", "{prompt}", "{random_Z}", "{weird}", "{", "}", "{{X}}",
+        "\n", "\n\n", "## Text\n> ", "\u00e9", "\u65e5\u672c", " ", "ctx=a",
+    ]) | st.text(max_size=4),
+    max_size=8,
+).map("".join)
+
+
+def _ids(cases):
+    return [f"{_BODY_NAMES[body]}-{k}" for k, (body, *_rest) in enumerate(cases)]
+
+
+@pytest.mark.parametrize(
+    "body, instruction, writes_context", _INSTRUCTIONS, ids=_ids(_INSTRUCTIONS)
+)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), x=_TEXT)
+def test_a_filled_frame_is_the_render_template_bytes(
+    body, instruction, writes_context, data, x
+):
+    cfg = data.draw(st.sampled_from(_FRAME_TASKS))
+    stratum = data.draw(st.none() | st.sampled_from(cfg.strata or ("a",)) | _TEXT)
+    z_plus = None
+    if writes_context:
+        z_plus = data.draw(st.none() | st.sampled_from(cfg.contexts) | _TEXT)
+    want = _outcome(
+        _oracle_transform_prompt, body, instruction, cfg, x, stratum, z_plus
+    )
+    assert _outcome(
+        render_transform_prompt, body, instruction, cfg, x, stratum, z_plus
+    ) == want
+    key = (instruction, None if stratum is None else str(stratum), z_plus)
+    assert _outcome(
+        lambda: x.join(ooc._transform_frame(cfg, body, *key))
+    ) == want
+
+
+@pytest.mark.parametrize(
+    "body, instruction, _writes", _POOL_INSTRUCTIONS, ids=_ids(_POOL_INSTRUCTIONS)
+)
+def test_a_stratified_frame_without_its_stratum_fails_as_render_template_does(
+    body, instruction, _writes
+):
+    cfg = builtin_task("bios")
+    want = _outcome(
+        _oracle_transform_prompt, body, instruction, cfg, "x", None, "male"
+    )
+    assert want == (TemplateError, "unresolved placeholder {S_lm}")
+    assert _outcome(
+        render_transform_prompt, body, instruction, cfg, "x", None, "male"
+    ) == want
+    assert _outcome(
+        lambda: "x".join(ooc._transform_frame(cfg, body, instruction, None, "male"))
+    ) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), x=_TEXT)
+def test_a_filled_question_is_the_render_template_bytes(data, x):
+    cfg = data.draw(st.sampled_from(_FRAME_TASKS))
+    label = ooc._label_question(cfg)
+    assert x.join(label.frame) == render_template(LABEL_TEMPLATE, {
+        "prompt": cfg.effective_prompt(), "X": x,
+        "alternatives": ", ".join(cfg.labels),
+    })
+    assert label.options == cfg.labels
+    if cfg.strata:
+        stratifier = ooc._stratifier_question(cfg)
+        assert x.join(stratifier.frame) == render_template(STRATIFIER_TEMPLATE, {
+            "prompt": cfg.stratifier_question, "X": x,
+            "alternatives": ", ".join(cfg.strata),
+        })
+    else:
+        with pytest.raises(TemplateError, match="declares no stratum values"):
+            ooc._stratifier_question(cfg)
 
 
 def test_prompt_pool_uniform_draws():
