@@ -27,12 +27,7 @@ from .causal_graph import (
     SELECTED,
     AdjustmentReport,
     CausalDag,
-    anticausal_graph,
-    causal_confounded_graph,
-    causal_selection_graph,
-    d_separated,
     dag,
-    dump_dag,
     format_path,
     is_adjustment_set,
     load_dag,
@@ -67,8 +62,6 @@ from .metrics import (
     LabeledRecord,
     RecordTable,
     balanced_subsample,
-    check_counterfactual_invariance_exact,
-    check_positivity,
     check_stratified_invariance_exact,
     ci_permutation_test,
     ci_probability,
@@ -86,11 +79,9 @@ from .ooc import (
     TaskConfig,
     builtin_task,
     builtin_task_names,
-    dump_task,
     load_task,
     ooc_predict,
     ooc_predict_many,
-    parse_choice,
     predict_label,
     render_template,
 )
@@ -109,6 +100,6 @@ from .scm import (
     sample_world,
     scm_from_tables,
 )
-from .structured import StructuredText, is_structured, parse_structured
+from .structured import StructuredText, parse_structured
 
 __all__ = [name for name in dir() if not name.startswith("_")]

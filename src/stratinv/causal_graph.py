@@ -6,9 +6,9 @@ collider it sits on open for every query).
 
 Verdicts use Bayes-ball reachability (Shachter, UAI 1998; Koller & Friedman,
 Alg. 3.1): a search over (node, direction) states that is linear in the size
-of the graph, so `d_separated`, the validity test in `is_adjustment_set` and
-every candidate of `minimal_adjustment_sets` cost O(V + E) however many paths
-the graph has. A rejection still names the concrete open paths behind it:
+of the graph, so the validity test in `is_adjustment_set` and every
+candidate of `minimal_adjustment_sets` cost O(V + E) however many paths the
+graph has. A rejection still names the concrete open paths behind it:
 `open_paths` walks simple paths depth-first over the sorted adjacency and
 drops a prefix at its first blocked triple. Blocking is local to a triple, so
 the walk yields exactly the open paths in the order of a full simple-path
@@ -262,11 +262,6 @@ def open_paths(
     return list(_open_walk(g, a, b, cond))
 
 
-def d_separated(g: CausalDag, a: str, b: str, given: Iterable[str] = ()) -> bool:
-    """True when every path between a and b is blocked by given + selected."""
-    return not _connected(g, a, b, _conditioning(g, a, b, given))
-
-
 # --- adjustment sets ---------------------------------------------------------
 
 
@@ -377,51 +372,6 @@ def minimal_adjustment_sets(
     return sorted(valid, key=lambda c: (len(c), sorted(c)))
 
 
-# --- reference structures ----------------------------------------------------
-
-
-def anticausal_graph() -> CausalDag:
-    """Label causes the input; context and label share a latent confounder.
-
-    Z <- L -> Y with Z -> X <- Y and latent input noise U -> X. The label is
-    the textbook stratifier here: it blocks the confounded path.
-    """
-    return dag(
-        {"Z": OBSERVED, "X": OBSERVED, "Y": OBSERVED, "L": LATENT, "U": LATENT},
-        [("L", "Z"), ("L", "Y"), ("Z", "X"), ("Y", "X"), ("U", "X")],
-    )
-
-
-def causal_confounded_graph() -> CausalDag:
-    """Input causes the label; the confounder reaches Y, not X.
-
-    Z <- L -> Y, Z -> X -> Y, U -> X. No stratification is needed: the only
-    non-causal Z..X path runs through the collider Y and is closed.
-    """
-    return dag(
-        {"Z": OBSERVED, "X": OBSERVED, "Y": OBSERVED, "L": LATENT, "U": LATENT},
-        [("L", "Z"), ("L", "Y"), ("Z", "X"), ("U", "X"), ("X", "Y")],
-    )
-
-
-def causal_selection_graph() -> CausalDag:
-    """Input causes the label; the sample is selected on context and label.
-
-    Z -> X -> Y, U -> X, and a selection node B with Z -> B <- Y. Selection
-    keeps the collider open, so the label must be conditioned on.
-    """
-    return dag(
-        {
-            "Z": OBSERVED,
-            "X": OBSERVED,
-            "Y": OBSERVED,
-            "U": LATENT,
-            "B": SELECTED,
-        },
-        [("Z", "X"), ("U", "X"), ("X", "Y"), ("Z", "B"), ("Y", "B")],
-    )
-
-
 # --- json io -----------------------------------------------------------------
 
 
@@ -433,10 +383,3 @@ def load_dag(source) -> CausalDag:
     nodes = tuple((n["name"], n.get("mark", OBSERVED)) for n in source["nodes"])
     edges = tuple((a, b) for a, b in source["edges"])
     return CausalDag(nodes, edges)
-
-
-def dump_dag(g: CausalDag) -> dict:
-    return {
-        "nodes": [{"name": n, "mark": m} for n, m in g.nodes],
-        "edges": [list(e) for e in g.edges],
-    }

@@ -380,6 +380,12 @@ def cmd_ooc_run(args) -> int:
         raise StratinvError(f"--permutations must be >= 1, got {args.permutations}")
     cfg = load_task(args.task)
     records_all = load_records(args.records)
+    for record in records_all:
+        if not isinstance(record.x, str):
+            raise ValueError(
+                f"{args.records}: record {record.record_id!r} has x {record.x!r}, "
+                "but ooc-run prompts with text, so x must be a string"
+            )
     metrics = _parse_metrics(args.metrics)
     manifest = run_manifest(
         "ooc-run",

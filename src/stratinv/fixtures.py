@@ -363,6 +363,15 @@ class AdjustmentCase:
     certified: bool
 
 
+def _anticausal_graph() -> cg.CausalDag:
+    # The label causes the input; context and label share a latent confounder.
+    return cg.dag(
+        {"Z": cg.OBSERVED, "X": cg.OBSERVED, "Y": cg.OBSERVED,
+         "L": cg.LATENT, "U": cg.LATENT},
+        [("L", "Z"), ("L", "Y"), ("Z", "X"), ("Y", "X"), ("U", "X")],
+    )
+
+
 def _exogenous_graph() -> cg.CausalDag:
     return cg.dag(
         {"Z": cg.OBSERVED, "X": cg.OBSERVED, "Y": cg.OBSERVED,
@@ -408,7 +417,7 @@ def adjustment_fixture_cases(seed: int = 20_240_617) -> list[AdjustmentCase]:
     cases = [
         AdjustmentCase(
             "anticausal-label", anticausal_fixture([seed, 0], "y"),
-            cg.anticausal_graph(), ("Y",), True,
+            _anticausal_graph(), ("Y",), True,
         ),
         AdjustmentCase(
             "exogenous-empty", exogenous_fixture([seed, 1], "const"),
@@ -433,7 +442,7 @@ def adjustment_fixture_cases(seed: int = 20_240_617) -> list[AdjustmentCase]:
         ),
         AdjustmentCase(
             "anticausal-unadjusted", anticausal_fixture([seed, 6], "const"),
-            cg.anticausal_graph(), (), False,
+            _anticausal_graph(), (), False,
         ),
         AdjustmentCase(
             "direct-effect-label", direct_effect_fixture([seed, 7]),

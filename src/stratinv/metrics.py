@@ -454,38 +454,6 @@ def max_context_deviation(table: Mapping[tuple, Mapping[Any, float]]) -> float:
     return float(_context_gaps(rates).max())
 
 
-@dataclass(frozen=True)
-class CounterfactualReport:
-    invariant: bool
-    agreement_mass: float  # probability of worlds whose potentials all agree
-    witness: tuple | None  # (u, z1, z2, y1, y2)
-
-
-def check_counterfactual_invariance_exact(
-    model: "scm_mod.DiscreteScm", predictor: Predictor
-) -> CounterfactualReport:
-    """Do all contexts give the same prediction in every positive-mass world?
-
-    The predictor must be deterministic here (a kernel has no almost-sure
-    statement attached). The stratum fed to the predictor is the world's
-    observed one.
-    """
-    witness = None
-    agree_mass = 0.0
-    total = 0.0
-    zs = model.z_domain.values
-    index = model.index
-    for xs, (w, m), s_obs in zip(index.potentials, index.worlds, index.strata):
-        labels = [predictor(x, s_obs) for x in xs]
-        total += m
-        if all(lab == labels[0] for lab in labels):
-            agree_mass += m
-        elif witness is None:
-            bad = next(i for i, lab in enumerate(labels) if lab != labels[0])
-            witness = (w.u, zs[0], zs[bad], labels[0], labels[bad])
-    return CounterfactualReport(witness is None, agree_mass / total, witness)
-
-
 # --- counterfactual-invariance probability -----------------------------------
 
 
@@ -608,33 +576,7 @@ def ci_permutation_test(
     return TestReport(observed.value, p, permutations, observed.per_stratum)
 
 
-# --- estimation, positivity, accuracy ----------------------------------------
-
-
-@dataclass(frozen=True)
-class PositivityReport:
-    ok: bool
-    witnesses: tuple[tuple, ...]  # (stratum, context, conditional prob)
-
-
-def check_positivity(model: scm_mod.DiscreteScm) -> PositivityReport:
-    """Check 0 < P(z | s) < 1 for every stratum and context of ``model``, by
-    enumeration. A stratum where some context is absent, or where one context
-    has all the mass, is a violation; both make the stratified comparison at
-    that cell meaningless."""
-    mass: dict[tuple, float] = {}
-    s_total: dict[Any, float] = {}
-    index = model.index
-    for (w, m), s_obs in zip(index.worlds, index.strata):
-        mass[(s_obs, w.z)] = mass.get((s_obs, w.z), 0.0) + m
-        s_total[s_obs] = s_total.get(s_obs, 0.0) + m
-    witnesses = []
-    for s in s_total:
-        for z in model.z_domain.values:
-            p = mass.get((s, z), 0.0) / s_total[s]
-            if not (0.0 < p < 1.0):
-                witnesses.append((s, z, p))
-    return PositivityReport(not witnesses, tuple(witnesses))
+# --- estimation, accuracy ----------------------------------------------------
 
 
 def macro_f1(data: Records, labels: Sequence | None = None) -> float:

@@ -9,7 +9,6 @@ vote over replicates gives the final answer.  Stratum information travels as
 
 from __future__ import annotations
 
-import json
 import re
 import string
 from dataclasses import MISSING, dataclass, field, fields
@@ -25,7 +24,6 @@ from .errors import (
     TemplateError,
     UnparsableAnswer,
     json_input,
-    text_output,
 )
 
 # ---------------------------------------------------------------------------
@@ -353,6 +351,11 @@ _FIELD_TYPES = {
     "predict_temperature": ((int, float), "a number"),
     **{name: ((list, tuple), "a list") for name in _TUPLE_FIELDS},
     "mock": ((Mapping, type(None)), "an object or null"),
+    **{name: (str, "a string") for name in (
+        "name", "z_description", "s_description", "standard_prompt",
+        "stratifier_question", "model",
+    )},
+    "safety_prompt": ((str, type(None)), "a string or null"),
 }
 
 
@@ -397,28 +400,9 @@ def task_from_dict(doc: Mapping) -> TaskConfig:
     return TaskConfig(**kwargs)
 
 
-def task_to_dict(cfg: TaskConfig) -> dict:
-    doc: dict = {}
-    inverse = {v: k for k, v in _TASK_KEY_MAP.items()}
-    for f in fields(TaskConfig):
-        value = getattr(cfg, f.name)
-        if f.name in _TUPLE_FIELDS:
-            value = list(value)
-        elif isinstance(value, Mapping):
-            value = dict(value)
-        doc[inverse.get(f.name, f.name)] = value
-    return doc
-
-
 def load_task(path) -> TaskConfig:
     with json_input(path) as doc:
         return task_from_dict(doc)
-
-
-def dump_task(cfg: TaskConfig, path) -> None:
-    text = json.dumps(task_to_dict(cfg), indent=2, sort_keys=True) + "\n"
-    with text_output(path) as fh:
-        fh.write(text)
 
 
 # Ready-made configurations mirroring the evaluated tasks.  Each entry maps a
@@ -637,17 +621,12 @@ def _normalize_options(options: Sequence[str]) -> tuple:
     return tuple((_normalize(opt), opt) for opt in options)
 
 
-def parse_choice(answer: str, options: Sequence[str]):
-    """Tolerant matcher: exact normalized equality first, then the one option
-    whose words appear contiguously in the answer.  A mention lying inside a
-    longer option's mention does not count ("non-toxic" is no "toxic"); an
-    answer that mentions two options is ambiguous.  Returns the matched option
-    or None."""
-    return _choose(answer, _normalize_options(options))
-
-
 def _choose(answer: str, normalized) -> str | None:
-    """``parse_choice`` on options already normalized by ``_normalize_options``."""
+    """Tolerant matcher over options normalized by ``_normalize_options``:
+    exact normalized equality first, then the one option whose words appear
+    contiguously in the answer.  A mention lying inside a longer option's
+    mention does not count ("non-toxic" is no "toxic"); an answer that
+    mentions two options is ambiguous.  Returns the matched option or None."""
     answer_tokens = _normalize(answer)
     for opt_tokens, opt in normalized:
         if opt_tokens == answer_tokens:

@@ -21,10 +21,19 @@ UNIT_INTERVAL_METRICS = frozenset(
     {"si_bias", "macro_f1", "ci_probability", "p_value", "failure_rate"}
 )
 
-_FIELDS = (
-    "dataset", "z_pair", "method", "metric",
-    "value", "dispersion", "n", "manifest",
-)
+# Each field of a rows file, in column order, and its JSON type; a bool is no
+# number.
+_FIELD_TYPES = {
+    "dataset": (str, "a string"),
+    "z_pair": (str, "a string"),
+    "method": (str, "a string"),
+    "metric": (str, "a string"),
+    "value": ((int, float), "a number"),
+    "dispersion": ((int, float, type(None)), "a number or null"),
+    "n": ((int, type(None)), "an integer or null"),
+    "manifest": (str, "a string"),
+}
+_FIELDS = tuple(_FIELD_TYPES)
 
 
 @dataclass(frozen=True)
@@ -62,6 +71,10 @@ def row_from_dict(doc: dict) -> ReportRow:
     unknown = set(doc) - set(_FIELDS)
     if unknown:
         raise ValueError(f"unknown report fields: {sorted(unknown)}")
+    for key, value in doc.items():
+        kinds, what = _FIELD_TYPES[key]
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise TypeError(f"report field {key!r} must be {what}, got {value!r}")
     return ReportRow(
         dataset=doc["dataset"],
         z_pair=doc.get("z_pair", "all"),

@@ -39,31 +39,6 @@ class StructuredText:
                 return v
         return default
 
-    def has(self, key: str) -> bool:
-        return any(k == key for k, _ in self.pairs)
-
-    def without(self, key: str) -> "StructuredText":
-        """Drop every token with the given key."""
-        return StructuredText(
-            tuple((k, v) for k, v in self.pairs if k != key), self.tail
-        )
-
-    def with_front(self, key: str, value: str) -> "StructuredText":
-        """Insert a token at the canonical front position (used for ctx)."""
-        return StructuredText(((key, value),) + self.pairs, self.tail)
-
-    def replace_value(self, key: str, value: str) -> "StructuredText":
-        """Rewrite the value of the first token with the given key."""
-        out = []
-        done = False
-        for k, v in self.pairs:
-            if k == key and not done:
-                out.append((k, value))
-                done = True
-            else:
-                out.append((k, v))
-        return StructuredText(tuple(out), self.tail)
-
 
 def render_tokens(tokens: list[str], tail: str) -> str:
     """``key=value`` tokens joined by single spaces, then the tail."""
@@ -81,8 +56,3 @@ def parse_structured(text: str) -> StructuredText:
     """
     end = _HEAD_RE.match(text).end()
     return StructuredText(tuple(_PAIR_RE.findall(text, 0, end)), text[end:])
-
-
-def is_structured(text: str) -> bool:
-    """True when the text carries at least one key=value token."""
-    return bool(parse_structured(text).pairs)

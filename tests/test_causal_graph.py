@@ -1,6 +1,7 @@
 """d-separation and adjustment checks against independent oracles."""
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,18 +12,28 @@ from stratinv.causal_graph import (
     SELECTED,
     AdjustmentReport,
     CausalDag,
-    anticausal_graph,
-    causal_confounded_graph,
-    causal_selection_graph,
-    d_separated,
+    _conditioning,
+    _connected,
     dag,
-    dump_dag,
     is_adjustment_set,
     load_dag,
     minimal_adjustment_sets,
     open_paths,
 )
 from stratinv.errors import GraphError, UnknownNode
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def reference_graph(name):
+    """One of the shipped ``configs/graph_*.json`` graphs."""
+    return load_dag(CONFIGS / f"graph_{name}.json")
+
+
+def d_separated(g, a, b, given=()):
+    """The reachability verdict behind every adjustment check: no active
+    trail joins a and b given ``given`` plus the selection nodes."""
+    return not _connected(g, a, b, _conditioning(g, a, b, given))
 
 
 # --- independent Bayes-ball d-separation oracle -----------------------------
@@ -303,7 +314,7 @@ def test_paths_blocked_only_at_their_last_collider_are_never_walked():
 
 def test_minimal_sets_reject_a_negative_size():
     with pytest.raises(ValueError, match="max_size"):
-        minimal_adjustment_sets(anticausal_graph(), "Z", "X", max_size=-1)
+        minimal_adjustment_sets(reference_graph("anticausal"), "Z", "X", max_size=-1)
 
 
 def test_d_separated_hand_cases():
@@ -370,60 +381,60 @@ def test_adjustment_matches_backdoor_oracle_on_childless_outcomes():
 
 def test_reference_graph_verdicts():
     cases = [
-        (anticausal_graph(), ("Y",), True),
-        (anticausal_graph(), (), False),
-        (causal_confounded_graph(), (), True),
-        (causal_selection_graph(), ("Y",), True),
-        (causal_selection_graph(), (), False),
+        (reference_graph("anticausal"), ("Y",), True),
+        (reference_graph("anticausal"), (), False),
+        (reference_graph("confounded"), (), True),
+        (reference_graph("selection"), ("Y",), True),
+        (reference_graph("selection"), (), False),
     ]
     for g, cand, want in cases:
         assert is_adjustment_set(g, "Z", "X", cand).valid is want
 
 
 def test_anticausal_rejection_names_the_confounding_path():
-    report = is_adjustment_set(anticausal_graph(), "Z", "X", ())
+    report = is_adjustment_set(reference_graph("anticausal"), "Z", "X", ())
     assert not report.valid
     assert any("Z <- L -> Y -> X" in p for p in report.open_path_names)
     assert any("Z <- L -> Y -> X" in r for r in report.reasons)
 
 
 def test_selection_rejection_mentions_selection_path():
-    report = is_adjustment_set(causal_selection_graph(), "Z", "X", ())
+    report = is_adjustment_set(reference_graph("selection"), "Z", "X", ())
     assert not report.valid
     # the opened path runs through the always-conditioned selection collider
     assert any("B" in p for p in report.open_path_names)
 
 
 def test_minimal_sets_reference_graphs():
-    assert minimal_adjustment_sets(anticausal_graph(), "Z", "X") == [
+    assert minimal_adjustment_sets(reference_graph("anticausal"), "Z", "X") == [
         frozenset({"Y"})
     ]
-    assert minimal_adjustment_sets(causal_confounded_graph(), "Z", "X") == [
+    assert minimal_adjustment_sets(reference_graph("confounded"), "Z", "X") == [
         frozenset()
     ]
-    assert minimal_adjustment_sets(causal_selection_graph(), "Z", "X") == [
+    assert minimal_adjustment_sets(reference_graph("selection"), "Z", "X") == [
         frozenset({"Y"})
     ]
 
 
 def test_latent_candidate_rejected_with_reason():
-    report = is_adjustment_set(anticausal_graph(), "Z", "X", ("L",))
+    report = is_adjustment_set(reference_graph("anticausal"), "Z", "X", ("L",))
     assert not report.valid
     assert any("latent" in r.lower() for r in report.reasons)
 
 
 def test_treatment_or_outcome_in_candidate_rejected():
-    g = anticausal_graph()
+    g = reference_graph("anticausal")
     assert not is_adjustment_set(g, "Z", "X", ("Z",)).valid
     assert not is_adjustment_set(g, "Z", "X", ("X",)).valid
 
 
 def test_unknown_node_errors():
-    g = anticausal_graph()
+    g = reference_graph("anticausal")
     with pytest.raises(UnknownNode):
         is_adjustment_set(g, "Z", "Nope", ())
     with pytest.raises(UnknownNode):
-        d_separated(g, "Z", "X", ["Nope"])
+        open_paths(g, "Z", "X", ["Nope"])
 
 
 def test_cycle_rejected():
@@ -439,11 +450,12 @@ def test_open_paths_lists_each_unblocked_route():
 
 
 def test_dag_json_round_trip(tmp_path):
-    g = causal_selection_graph()
-    path = tmp_path / "g.json"
     import json
 
-    path.write_text(json.dumps(dump_dag(g)))
+    doc = json.loads((CONFIGS / "graph_selection.json").read_text(encoding="utf-8"))
+    g = load_dag(doc)
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
     again = load_dag(path)
     assert again.nodes == g.nodes
-    assert set(again.edges) == set(g.edges)
+    assert again.edges == g.edges

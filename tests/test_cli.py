@@ -10,7 +10,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stratinv import causal_graph as cg
 from stratinv import cli, ooc
 from stratinv.chat import ChatTurnRequest
 from stratinv.cli import main
@@ -25,7 +24,7 @@ from stratinv.metrics import (
     si_bias,
 )
 from stratinv.mock import MockStructuredLm
-from stratinv.ooc import TaskConfig, dump_task, load_task
+from stratinv.ooc import load_task
 from stratinv.reports import ReportRow, load_rows, write_rows_csv, write_rows_json
 from stratinv.scm import dump_scm
 
@@ -36,25 +35,20 @@ def write_scm(path, scm):
     return path
 
 
-def write_graph(path, g):
-    path.write_text(json.dumps(cg.dump_dag(g), indent=2, sort_keys=True))
-    return path
-
-
 def write_task(path, **overrides):
-    kw = dict(
-        name="toy",
-        contexts=("male", "female"),
-        z_description="The channel marker token at the front of the note",
-        s_description="A synthetic note",
-        labels=("0", "1"),
-        standard_prompt="Classify the topic bit of the note.",
-        transform_temperature=0.0,
-        m=1,
-        mock={"label_rules": [{"read": "topic"}]},
-    )
-    kw.update(overrides)
-    dump_task(TaskConfig(**kw), path)
+    doc = {
+        "name": "toy",
+        "sampled_contexts": ["male", "female"],
+        "Z_description": "The channel marker token at the front of the note",
+        "S_description": "A synthetic note",
+        "labels": ["0", "1"],
+        "standard_prompt": "Classify the topic bit of the note.",
+        "transform_temperature": 0.0,
+        "m": 1,
+        "mock": {"label_rules": [{"read": "topic"}]},
+        **overrides,
+    }
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True))
     return path
 
 
@@ -144,7 +138,7 @@ def test_simulate_requires_a_config(tmp_path, capsys):
 
 
 def test_check_adjustment_valid_candidate(tmp_path, capsys):
-    graph = write_graph(tmp_path / "g.json", cg.anticausal_graph())
+    graph = CONFIGS / "graph_anticausal.json"
     out = tmp_path / "out"
     code = main(
         ["check-adjustment", "--graph", str(graph), "--treatment", "Z",
@@ -164,7 +158,7 @@ def test_check_adjustment_valid_candidate(tmp_path, capsys):
 
 
 def test_check_adjustment_unknown_node(tmp_path, capsys):
-    graph = write_graph(tmp_path / "g.json", cg.anticausal_graph())
+    graph = CONFIGS / "graph_anticausal.json"
     code = main(
         ["check-adjustment", "--graph", str(graph), "--treatment", "Z",
          "--outcome", "X", "--candidate", "Bogus", "--out-dir", str(tmp_path / "o")]
@@ -174,7 +168,7 @@ def test_check_adjustment_unknown_node(tmp_path, capsys):
 
 
 def test_check_adjustment_rejects_a_negative_max_size(tmp_path, capsys):
-    graph = write_graph(tmp_path / "g.json", cg.anticausal_graph())
+    graph = CONFIGS / "graph_anticausal.json"
     out = tmp_path / "o"
     code = main(
         ["check-adjustment", "--graph", str(graph), "--treatment", "Z",
@@ -602,6 +596,18 @@ def test_report_single_method_gives_zero_deltas(tmp_path):
     assert (out / "deltas.csv").exists()
 
 
+def test_report_reads_the_rows_ooc_run_writes(tmp_path):
+    run = tmp_path / "run"
+    assert main(["ooc-run", "--task", str(write_task(tmp_path / "task.json")),
+                 "--records", str(write_toy_records(tmp_path / "records.jsonl")),
+                 "--out-dir", str(run)]) == 0
+    out = tmp_path / "out"
+    assert main(["report", "--rows", str(run / "rows.json"), "--out-dir", str(out)]) == 0
+    rows = load_rows(run / "rows.json")
+    assert {r.method for r in rows} == {"standard", "ooc"}
+    assert len(load_rows(out / "deltas.json")) == len(rows)
+
+
 def test_report_missing_baseline(tmp_path, capsys):
     rows_path = tmp_path / "rows.json"
     write_rows_json(
@@ -673,9 +679,24 @@ _ROW = {"dataset": "toy", "method": "standard", "metric": "si_bias", "value": 0.
          "label_rules is a list of objects with object 'if' and 'map', got 5"),
         ("ooc-run", {"mock": {"label_rules": [5]}},
          "label_rules is a list of objects with object 'if' and 'map', got [5]"),
+        ("report", [_ROW, {**_ROW, "dataset": 5}],
+         "report field 'dataset' must be a string, got 5"),
+        ("report", [{**_ROW, "value": True}],
+         "report field 'value' must be a number, got True"),
+        ("report", [{**_ROW, "n": 1.5}],
+         "report field 'n' must be an integer or null, got 1.5"),
+        ("ooc-run", {"standard_prompt": 5},
+         "task config key 'standard_prompt' must be a string, got 5"),
+        ("ooc-run", {"Z_description": 5},
+         "task config key 'Z_description' must be a string, got 5"),
+        ("ooc-run", {"name": 5}, "task config key 'name' must be a string, got 5"),
+        ("ooc-run", {"model": 5}, "task config key 'model' must be a string, got 5"),
     ],
     ids=["graph-node-number", "row-value-list", "task-mock-list",
-         "task-label-rules-number", "task-label-rules-number-list"],
+         "task-label-rules-number", "task-label-rules-number-list",
+         "row-dataset-number", "row-value-bool", "row-n-fraction",
+         "task-prompt-number", "task-z-description-number", "task-name-number",
+         "task-model-number"],
 )
 def test_a_value_of_the_wrong_json_type_is_named_and_nothing_is_written(
     tmp_path, capsys, command, content, message
@@ -711,6 +732,33 @@ def test_a_task_file_cannot_replace_the_prompt_frame(tmp_path, capsys, key):
     assert not out.exists()
 
 
+def _set_x(path, x):
+    """Give the second record of the JSON-lines file at ``path`` the input ``x``."""
+    lines = path.read_text().splitlines()
+    lines[1] = json.dumps({**json.loads(lines[1]), "x": x})
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("x", [5, None])
+def test_ooc_run_refuses_a_record_whose_x_is_not_text(tmp_path, capsys, chat_server, x):
+    """The refusal names the file and record before any call is sent; audit
+    still takes any JSON input."""
+    records = _set_x(write_toy_records(tmp_path / "records.jsonl"), x)
+    server = chat_server(lambda doc: "0")
+    out = tmp_path / "out"
+    code = main(["ooc-run", "--task", str(write_task(tmp_path / "task.json")),
+                 "--records", str(records), "--client", "http",
+                 "--endpoint", server.url, "--out-dir", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {records}: record 'r1' has x {x!r}")
+    assert server.calls == []
+    assert not out.exists()
+    audited = _set_x(biased_records(tmp_path / "audit.jsonl"), x)
+    assert main(["audit", "--records", str(audited), "--out-dir", str(out)]) == 0
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -722,10 +770,11 @@ def test_version_flag(capsys):
 
 
 def _two_confounder_graph(path):
-    return write_graph(path, cg.dag(
-        ["Z", "X", "A", "B"],
-        [("A", "Z"), ("A", "X"), ("B", "Z"), ("B", "X"), ("Z", "X")],
-    ))
+    path.write_text(json.dumps({
+        "nodes": [{"name": n, "mark": "observed"} for n in ("Z", "X", "A", "B")],
+        "edges": [["A", "Z"], ["A", "X"], ["B", "Z"], ["B", "X"], ["Z", "X"]],
+    }))
+    return path
 
 
 def test_shared_parser_carries_nothing_between_calls(tmp_path, capsys, monkeypatch):

@@ -13,24 +13,35 @@ import stratinv
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _referenced_names(path) -> set[str]:
+    """Names read as a ``Name``, an ``Attribute`` or an import in ``path``;
+    words in docstrings and comments do not count."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(a.name.split(".")[-1] for a in node.names)
+    return names
+
+
 def test_every_export_is_referenced():
-    """Each exported name is used somewhere in the package or the tests,
-    not counting the line that defines it and the package ``__init__``."""
-    files = [*(ROOT / "src" / "stratinv").glob("*.py"), *(ROOT / "tests").glob("*.py")]
-    lines = [
-        line
-        for path in files
-        if path.name != "__init__.py"
-        for line in path.read_text(encoding="utf-8").splitlines()
+    """Each exported name is used by a package module other than the
+    ``__init__``, by the acceptance criteria or by the benchmark; a name only
+    its own unit test calls is dead."""
+    files = [
+        *(p for p in (ROOT / "src" / "stratinv").glob("*.py") if p.name != "__init__.py"),
+        ROOT / "tests" / "test_acceptance.py",
+        *(ROOT / "perfbench").glob("*.py"),
     ]
-    unused = []
-    for name in stratinv.__all__:
-        if isinstance(getattr(stratinv, name), types.ModuleType):
-            continue
-        word = re.compile(rf"\b{re.escape(name)}\b")
-        definition = re.compile(rf"^\s*(def|class)\s+{re.escape(name)}\b")
-        if not any(word.search(line) and not definition.match(line) for line in lines):
-            unused.append(name)
+    used = set().union(*map(_referenced_names, files))
+    unused = [
+        name
+        for name in stratinv.__all__
+        if not isinstance(getattr(stratinv, name), types.ModuleType) and name not in used
+    ]
     assert unused == []
 
 

@@ -2,8 +2,11 @@
 
 import hashlib
 import json
+from pathlib import Path
 
+from stratinv.causal_graph import load_dag
 from stratinv.fixtures import (
+    _anticausal_graph,
     adjustment_fixture_cases,
     chain_fixture,
     fixture_suite,
@@ -11,6 +14,8 @@ from stratinv.fixtures import (
     sampled_fixture_suite,
 )
 from stratinv.scm import dump_scm
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 FIXTURE_DIGEST = "a52b423b7b740e686b9382194fb20b262d24b3ed9d2510fbf406e11d4b22219e"
 
@@ -27,3 +32,12 @@ def test_fixture_models_keep_their_bytes():
     for model in models:
         h.update(json.dumps(dump_scm(model), sort_keys=True).encode("utf-8"))
     assert h.hexdigest() == FIXTURE_DIGEST
+
+
+def test_the_anticausal_fixture_graph_is_the_shipped_config():
+    """Criterion 4 reads the config file; the adjustment cases build the same
+    graph in code, node and edge order included."""
+    shipped = load_dag(CONFIGS / "graph_anticausal.json")
+    built = _anticausal_graph()
+    assert built.nodes == shipped.nodes
+    assert built.edges == shipped.edges

@@ -20,8 +20,6 @@ from stratinv.metrics import (
     _random_tables,
     _rates,
     balanced_subsample,
-    check_counterfactual_invariance_exact,
-    check_positivity,
     check_stratified_invariance_exact,
     ci_permutation_test,
     ci_probability,
@@ -271,20 +269,6 @@ def test_invariance_check_flags_context_reader():
     assert good.invariant and good.deviation == 0.0
 
 
-def test_counterfactual_check_and_witness():
-    from stratinv.fixtures import ctx_reader, metric_predictor, u1_reader
-    from tests_support import tiny_confounded
-
-    scm = tiny_confounded()
-    good = check_counterfactual_invariance_exact(scm, metric_predictor(u1_reader))
-    assert good.invariant and good.agreement_mass == pytest.approx(1.0)
-    bad = check_counterfactual_invariance_exact(scm, metric_predictor(ctx_reader))
-    assert not bad.invariant
-    assert bad.witness is not None
-    u, z1, z2, y1, y2 = bad.witness
-    assert y1 != y2
-
-
 def test_ci_probability_counts_agreeing_profiles():
     pred = {
         ("za", (0,)): "1", ("zb", (0,)): "1",   # agrees
@@ -312,30 +296,6 @@ def test_potential_prediction_map_shares_streams_across_contexts():
         by_u.setdefault(u, set()).add(label)
     assert all(len(labels) == 1 for labels in by_u.values())
     assert ci_probability(pm) == 1.0
-
-
-def test_positivity_check():
-    from stratinv.scm import DiscreteScm, FiniteDomain
-    from tests_support import tiny_confounded
-
-    assert check_positivity(tiny_confounded()).ok
-    # degenerate context assignment: stratum "all" never sees zb
-    rigged = DiscreteScm(
-        u_domains=(FiniteDomain("u1", (0, 1)),),
-        z_domain=FiniteDomain("z", ("za", "zb")),
-        p_u={(0,): 0.5, (1,): 0.5},
-        z_parents=("u1",),
-        p_z_given_parents={
-            (0,): {"za": 1.0, "zb": 0.0},
-            (1,): {"za": 1.0, "zb": 0.0},
-        },
-        x_fn=lambda z, u: f"ctx={z}",
-        y_fn=lambda z, u: u[0],
-        s_fn=lambda z, u, y: "all",
-    )
-    bad = check_positivity(rigged)
-    assert not bad.ok
-    assert ("all", "zb", 0.0) in bad.witnesses
 
 
 def test_permutation_test_rejects_context_copy():

@@ -18,7 +18,7 @@ from stratinv.ooc import (
     STRATIFIER_MARKER,
     TEXT_SECTION,
 )
-from stratinv.structured import CTX_KEY, PAD_KEY, parse_structured
+from stratinv.structured import CTX_KEY, PAD_KEY, StructuredText, parse_structured
 
 
 def turn(text, temperature=0.0, seed=None):
@@ -196,6 +196,27 @@ def test_mock_requires_contexts():
 # --- one pass against the per-step oracle ------------------------------------
 
 
+def _has(st, key):
+    return any(k == key for k, _ in st.pairs)
+
+
+def _without(st, key):
+    """Drop every token with the given key."""
+    return StructuredText(tuple((k, v) for k, v in st.pairs if k != key), st.tail)
+
+
+def _with_front(st, key, value):
+    """Insert a token at the canonical front position."""
+    return StructuredText(((key, value),) + st.pairs, st.tail)
+
+
+def _replace_value(st, key, value):
+    """Rewrite the value of the first token with the given key."""
+    keys = [k for k, _ in st.pairs]
+    i = keys.index(key)
+    return StructuredText(st.pairs[:i] + ((key, value),) + st.pairs[i + 1:], st.tail)
+
+
 class StepwiseMock(MockStructuredLm):
     """The roles as written before the one-pass rewrite, kept as the oracle: a
     parsed ``StructuredText`` per step, and one pattern per context value."""
@@ -208,8 +229,8 @@ class StepwiseMock(MockStructuredLm):
         )
 
     def _vary_pad(self, st, request):
-        if request.temperature > 0 and request.seed is not None and st.has(PAD_KEY):
-            return st.replace_value(PAD_KEY, f"r{request.seed % 97}"), True
+        if request.temperature > 0 and request.seed is not None and _has(st, PAD_KEY):
+            return _replace_value(st, PAD_KEY, f"r{request.seed % 97}"), True
         return st, False
 
     def _instruction_context(self, text, *, last=False):
@@ -232,9 +253,9 @@ class StepwiseMock(MockStructuredLm):
     def _obfuscate(self, text, request):
         payload = self._payload(text, upto_options=False)
         st = parse_structured(payload)
-        changed = st.has(CTX_KEY)
+        changed = _has(st, CTX_KEY)
         if changed:
-            st = st.without(CTX_KEY)
+            st = _without(st, CTX_KEY)
         st, varied = self._vary_pad(st, request)
         if not (changed or varied):
             return payload
@@ -244,9 +265,9 @@ class StepwiseMock(MockStructuredLm):
         z_plus = self._instruction_context(text, last=last_context)
         payload = self._payload(text, upto_options=False)
         st = parse_structured(payload)
-        if st.has(CTX_KEY):
-            st = st.without(CTX_KEY)
-        st = st.with_front(CTX_KEY, z_plus)
+        if _has(st, CTX_KEY):
+            st = _without(st, CTX_KEY)
+        st = _with_front(st, CTX_KEY, z_plus)
         st, _varied = self._vary_pad(st, request)
         return st.render()
 

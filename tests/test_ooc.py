@@ -1,5 +1,6 @@
 """Prompt rendering, answer parsing, and the replicate pipeline on the mock."""
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -28,19 +29,18 @@ from stratinv.ooc import (
     SAFETY_PROMPTS,
     STRATIFIER_TEMPLATE,
     TaskConfig,
+    _choose,
     _draw_instruction,
+    _normalize_options,
     builtin_task,
     builtin_task_names,
-    dump_task,
     load_task,
     ooc_predict,
     ooc_predict_many,
-    parse_choice,
     predict_label,
     render_template,
     render_transform_prompt,
     task_from_dict,
-    task_to_dict,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -269,6 +269,11 @@ def test_task_rejects_an_empty_prompt_pool(pool):
 # --- answer parsing ----------------------------------------------------------
 
 
+def parse_choice(answer, options):
+    """The predict stages' parser, on options normalized as a stage does."""
+    return _choose(answer, _normalize_options(options))
+
+
 def test_parse_choice():
     options = ("toxic", "non-toxic")
     assert parse_choice("Toxic.", options) == "toxic"
@@ -471,16 +476,20 @@ def test_builtin_catalog():
         builtin_task("nope")
 
 
+def demo_task_doc():
+    return json.loads((CONFIGS / "demo_task.json").read_text(encoding="utf-8"))
+
+
 def test_task_round_trip(tmp_path):
-    cfg = builtin_task("bios", m=5, safety_prompt="unbiased")
-    doc = task_to_dict(cfg)
-    assert doc["sampled_contexts"] == ["male", "female"]
-    assert doc["Z_description"] == cfg.z_description
-    assert doc["S_description"] == cfg.s_description
-    assert task_to_dict(task_from_dict(doc)) == doc
+    doc = {**demo_task_doc(), "m": 5, "safety_prompt": "unbiased"}
+    cfg = task_from_dict(doc)
+    assert cfg.contexts == ("unknown", "removed")
+    assert cfg.z_description == doc["Z_description"]
+    assert cfg.s_description == doc["S_description"]
+    assert (cfg.m, cfg.safety_prompt) == (5, "unbiased")
     path = tmp_path / "task.json"
-    dump_task(cfg, path)
-    assert task_to_dict(load_task(path)) == doc
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert vars(load_task(path)) == vars(cfg)
     with pytest.raises(ValueError, match="bogus"):
         task_from_dict({**doc, "bogus": 1})
 
@@ -503,10 +512,18 @@ def test_task_round_trip(tmp_path):
         ("mock", {"label_rules": [5]}),
         ("mock", {"label_rules": [{"if": 5}]}),
         ("mock", {"label_rules": [{"read": "topic", "map": ["a"]}]}),
+        ("name", 5),
+        ("Z_description", 5),
+        ("S_description", ["a"]),
+        ("standard_prompt", 5),
+        ("stratifier_question", None),
+        ("model", 5),
+        ("safety_prompt", 5),
+        ("safety_prompt", True),
     ],
 )
 def test_task_rejects_a_field_of_the_wrong_type(key, value):
-    doc = {**task_to_dict(toy_task()), key: value}
+    doc = {**demo_task_doc(), key: value}
     with pytest.raises(ValueError, match=f"task config key '{key}' must be"):
         task_from_dict(doc)
 

@@ -1,16 +1,11 @@
-"""Round-trip and editing behavior of the key=value micro-format."""
+"""Parsing and round-trip behavior of the key=value micro-format."""
 
 import re
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stratinv.structured import (
-    CTX_KEY,
-    StructuredText,
-    is_structured,
-    parse_structured,
-)
+from stratinv.structured import StructuredText, parse_structured
 
 KEY_RE = r"\A[A-Za-z_][A-Za-z0-9_]{0,5}\Z"
 
@@ -36,31 +31,6 @@ def test_value_may_contain_equals():
     st_text = parse_structured("k=a=b x=1")
     assert st_text.get("k") == "a=b"
     assert parse_structured(st_text.render()) == st_text
-
-
-def test_without_drops_every_occurrence():
-    st_text = parse_structured("ctx=a u=1 ctx=b tailword")
-    out = st_text.without("ctx")
-    assert out.pairs == (("u", "1"),)
-    assert out.tail == "tailword"
-
-
-def test_with_front_and_replace_value():
-    st_text = parse_structured("u=1 pad=0")
-    fronted = st_text.with_front(CTX_KEY, "zb")
-    assert fronted.render() == "ctx=zb u=1 pad=0"
-    assert fronted.replace_value("pad", "r9").render() == "ctx=zb u=1 pad=r9"
-
-
-def test_replace_value_touches_first_occurrence_only():
-    st_text = parse_structured("k=1 k=2")
-    assert st_text.replace_value("k", "9").render() == "k=9 k=2"
-
-
-def test_is_structured():
-    assert is_structured("a=1 b=2")
-    assert not is_structured("plain sentence")
-    assert not is_structured("")
 
 
 @settings(max_examples=60, deadline=None)
