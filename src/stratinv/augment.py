@@ -14,19 +14,13 @@ so the constancy can be asserted to machine precision.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    AmbiguousContext,
-    DomainMismatch,
-    InconsistentEvidence,
-    SamplerFailure,
-)
-from .scm import AMBIGUOUS, DiscreteScm, ExactConditionalSampler, first_seen
+from .errors import AmbiguousContext, DomainMismatch, SamplerFailure
+from .scm import AMBIGUOUS, DiscreteScm, ExactConditionalSampler
 from .metrics import PairLaws, exact_prediction_law, law_over_worlds
 # max_context_deviation lives with the exact checks and is public here too
 from .metrics import max_context_deviation  # noqa: F401
@@ -155,20 +149,12 @@ def augmented_kernel(ap: AugmentedPredictor) -> Callable[[Any, Any], dict]:
     the sampler's ``conditional_tables`` does.
     """
     model = _sampler_model(ap)
-
-    @functools.cache
-    def every_pair() -> tuple[np.ndarray, PairLaws]:
-        seen = _seen_contexts(model.index.codes)
-        return seen, _pair_laws(model, ap, seen)
+    every_pair = functools.cache(lambda: _pair_laws(model, ap))
 
     def kernel(x, s) -> dict:
         _check_contexts(model, ap)
-        c = model.index.codes.pairs.get((x, s))
-        if c is None:
-            raise InconsistentEvidence(f"no world consistent with x={x!r}, s={s!r}")
-        seen, law = every_pair()
-        if seen[c].sum() > 1:
-            raise _ambiguous(model, seen[c], x, s)
+        c = model.index.recover(x, s)
+        law = every_pair()
         a, b = law.start[c], law.start[c + 1]
         return dict(zip(
             [law.labels[y] for y in law.label[a:b].tolist()], law.prob[a:b].tolist()
@@ -195,13 +181,10 @@ def exact_augmented_distribution(
         return exact_prediction_law(model, augmented_kernel(ap))
     _check_contexts(model, ap)
     codes = model.index.codes
-    seen = _seen_contexts(codes)
-    several = np.flatnonzero(seen.sum(1) > 1)
+    several = np.flatnonzero(codes.context < 0)
     if len(several):
-        c = several[0]
-        x, s = next(pair for pair, code in codes.pairs.items() if code == c)
-        raise _ambiguous(model, seen[c], x, s)
-    return law_over_worlds(model, _pair_laws(model, ap, seen))
+        model.index.recover(*list(codes.pairs)[several[0]])  # raises
+    return law_over_worlds(model, _pair_laws(model, ap))
 
 
 def _sampler_model(ap: AugmentedPredictor) -> DiscreteScm:
@@ -218,61 +201,41 @@ def _check_contexts(model: DiscreteScm, ap: AugmentedPredictor) -> None:
             raise DomainMismatch(f"context {z_plus!r} outside the domain")
 
 
-def _seen_contexts(codes) -> np.ndarray:
-    """(pairs, contexts): whether some world shows the pair at the context."""
-    seen = np.zeros((len(codes.pairs), codes.pair.shape[1]), dtype=bool)
-    seen[codes.pair, np.arange(codes.pair.shape[1])] = True
-    return seen
-
-
-def _ambiguous(model: DiscreteScm, seen: np.ndarray, x, s) -> AmbiguousContext:
-    found = [z for z, hit in zip(model.z_domain.values, seen.tolist()) if hit]
-    return AmbiguousContext(f"contexts {found!r} all consistent with x={x!r}, s={s!r}")
-
-
-def _pair_laws(model: DiscreteScm, ap: AugmentedPredictor, seen: np.ndarray) -> PairLaws:
+def _pair_laws(model: DiscreteScm, ap: AugmentedPredictor) -> PairLaws:
     """The augmented kernel's law at every (x, s) pair of the model that
-    one context z0 shows; a pair several contexts show gets no law.
+    one context shows; a pair several contexts show gets no law.
 
-    The pair's evidence is the worlds that show it at z0. For each fresh
-    context z+, in ``ap.contexts`` order, its conditional table is the mass
-    of those worlds per potential input at z+, added in world order and
-    divided by their total, with the support in first-seen order; then
-    w * p goes onto the label the base gives that input, one running sum per
-    label. So every float is built as ``conditional_tables`` and a loop over
-    the tables would build it. The pairs are worked one z0 at a time, and
-    each of them one fresh context at a time, so no array is longer than
-    the worlds. The base is called once per distinct input the laws need.
+    For each fresh context z+, in ``ap.contexts`` order, the pair's law of
+    X(z+) (``WorldIndex.conditional_laws``) puts w * p onto the label the
+    base gives each input of its support, one running sum per label. So
+    every float is built as a loop over the sampler's ``conditional_tables``
+    would build it. The base is called once per distinct input the laws
+    need, in input-code order.
     """
     codes = model.index.codes
-    n_pairs, n_z = seen.shape
-    recovered = np.where(seen.sum(1) == 1, seen.argmax(1), -1)
-    ks = [model.z_domain.values.index(z) for z in ap.contexts]
-    evidence = [  # per z0, the worlds showing a pair recovered to it
-        np.flatnonzero(recovered[codes.pair[:, k0]] == k0) for k0 in range(n_z)
+    laws = [
+        model.index.conditional_laws(model.z_domain.values.index(z))
+        for z in ap.contexts
     ]
     needed = np.zeros(len(codes.inputs), dtype=bool)
-    for world, k in itertools.product(evidence, ks):
-        needed[codes.input[world, k]] = True
+    for law in laws:
+        needed[law.input] = True
     labels: dict[Any, int] = {}
     label_of = np.full(len(codes.inputs), -1, dtype=np.intp)
     for i in np.flatnonzero(needed).tolist():
         label_of[i] = labels.setdefault(ap.base(codes.inputs[i]), len(labels))
     w = 1.0 / len(ap.contexts)
-    n_labels, n_inputs = len(labels), len(codes.inputs)
-    unseen = len(codes.mass) * len(ks)
+    n_pairs, n_labels = len(codes.pairs), len(labels)
+    unseen = sum(len(law.input) for law in laws)
     acc = np.zeros(n_pairs * n_labels)
     first = np.full(n_pairs * n_labels, unseen)
-    for k0, world in enumerate(evidence):
-        pair, mass = codes.pair[world, k0], codes.mass[world]
-        total = np.bincount(pair, weights=mass, minlength=n_pairs)
-        for j, k in enumerate(ks):
-            key = pair * n_inputs + codes.input[world, k]
-            support, at = first_seen(key)
-            p_of, x_of = np.divmod(key[at], n_inputs)
-            cell = p_of * n_labels + label_of[x_of]
-            np.add.at(acc, cell, w * (np.bincount(support, weights=mass) / total[p_of]))
-            np.minimum.at(first, cell, j * len(world) + at)
+    offset = 0
+    for law in laws:
+        pair = np.repeat(np.arange(n_pairs), np.diff(law.start))
+        cell = pair * n_labels + label_of[law.input]
+        np.add.at(acc, cell, w * law.prob)
+        np.minimum.at(first, cell, np.arange(offset, offset + len(cell)))
+        offset += len(cell)
     # each pair's labels in the order its terms first name them
     named = first < unseen
     start = np.zeros(n_pairs + 1, dtype=np.intp)

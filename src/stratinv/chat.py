@@ -118,9 +118,11 @@ class HttpChatClient(ChatClient):
     ``complete_many`` keeps at most ``max_in_flight`` requests in flight,
     on worker threads that live as long as the client and each keep one
     keep-alive connection from one batch to the next; one the service closed
-    while idle is reopened without a wait or a retry. Every batch, even one
-    of a single request, goes to those threads, so the calling thread holds
-    no connection. With ``max_in_flight`` 1 it starts no thread.
+    while idle is reopened without a wait or a retry. With ``max_in_flight``
+    above 1, every batch, even one of a single request, goes to those
+    threads, so the calling thread holds no connection. With
+    ``max_in_flight`` 1 it starts no thread: batches run serially in the
+    calling thread, which then holds the connection.
     """
 
     max_backoff = 8.0  # seconds; cap on the jittered wait before a retry

@@ -104,10 +104,6 @@ class EmptyCell(StratinvError):
     """A required (stratum, context) cell has no records."""
 
 
-class NonBinaryLabel(StratinvError):
-    """A strictly binary metric was given more than two label values."""
-
-
 class ZeroMassStratum(StratinvError):
     """Conditioning on a stratum with zero probability mass."""
 

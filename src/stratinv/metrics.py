@@ -27,7 +27,6 @@ from .errors import (
     EmptyCell,
     MissingCell,
     MissingLabels,
-    NonBinaryLabel,
     text_output,
 )
 from . import scm as scm_mod
@@ -59,11 +58,11 @@ def _read_fields(path):
     """Each record line of a JSON-lines dataset, as ``(record_id, x, (s, z,
     y, y_hat))``; blank lines are skipped but counted.
 
-    Each line holds one JSON object with at least ``record_id`` and ``x``;
-    malformed JSON, another value there, or a missing field raises ValueError
-    naming the file and the line. The fields that metrics group and count by
-    (s, z, y, y_hat) must be scalars; a list or an object there raises
-    ValueError naming the record.
+    Each line holds one JSON object with at least ``record_id``, a string,
+    and ``x``; malformed JSON, another value there, a missing field or an id
+    that is not a string raises ValueError naming the file and the line. The
+    fields that metrics group and count by (s, z, y, y_hat) must be scalars;
+    a list or an object there raises ValueError naming the record.
     """
     scan = json.decoder.JSONDecoder().scan_once
     with open(path, "r", encoding="utf-8") as fh:
@@ -105,6 +104,11 @@ def _read_fields(path):
                     f"record {doc['record_id']!r}: field {name!r} must be a "
                     f"scalar, got {doc[name]!r}"
                 ) from None
+            if record_id.__class__ is not str:
+                raise ValueError(
+                    f"{path} line {lineno}: record_id must be a string, "
+                    f"got {record_id!r:.40}"
+                )
             yield record_id, x, fields
 
 
@@ -260,7 +264,7 @@ class SiBiasReport:
     caveat: str = ADJUSTMENT_CAVEAT
 
 
-def _bias_table(data: Records, strict_binary: bool = False):
+def _bias_table(data: Records):
     """Prediction counts over (stratum, context, label), each axis in
     first-seen order, and the bias statistic they determine."""
     table = as_table(data)
@@ -271,10 +275,6 @@ def _bias_table(data: Records, strict_binary: bool = False):
     if row is not None:
         raise MissingLabels(f"record {table.record_ids[row]!r} has no prediction")
     strata, contexts, labels = table.s.values, table.z.values, table.y_hat.values
-    if strict_binary and len(labels) > 2:
-        raise NonBinaryLabel(
-            f"strict binary mode with labels {sorted(map(str, labels))}"
-        )
     n_s, n_z, n_y = len(strata), len(contexts), len(labels)
     # one new record-length array, added to in place
     cells = table.s.codes * n_z
@@ -297,7 +297,7 @@ def _bias_table(data: Records, strict_binary: bool = False):
     return counts, SiBiasReport(value, per_stratum, n)
 
 
-def si_bias(data: Records, *, strict_binary: bool = False) -> SiBiasReport:
+def si_bias(data: Records) -> SiBiasReport:
     """Max over strata and context pairs of the prediction-rate gap.
 
     For each stratum s and pair of contexts z1, z2, the gap is
@@ -306,7 +306,7 @@ def si_bias(data: Records, *, strict_binary: bool = False) -> SiBiasReport:
     populated (EmptyCell otherwise); a dataset with a single context has
     statistic 0 by convention.
     """
-    return _bias_table(data, strict_binary)[1]
+    return _bias_table(data)[1]
 
 
 # --- exact checks against a model --------------------------------------------

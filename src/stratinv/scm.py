@@ -178,6 +178,21 @@ class WorldCodes(NamedTuple):
     inputs: tuple  # distinct potential inputs, first seen first
     pair: np.ndarray  # (worlds, contexts) code of (x at z, observed s)
     pairs: dict  # (x, s) -> its code; codes follow stratum, context, world
+    context: np.ndarray  # (pairs,) the one context showing the pair, or -1
+
+
+class ConditionalLaws(NamedTuple):
+    """Every pair's law of X(z+) at one context z+, given the pair as
+    evidence (``WorldIndex.conditional_laws``).
+
+    Pair ``c``'s law gives ``inputs[input[i]]`` probability ``prob[i]`` for
+    i in ``start[c]:start[c + 1]``, its support in first-seen order; a pair
+    that several contexts show has an empty law.
+    """
+
+    start: np.ndarray
+    input: np.ndarray
+    prob: np.ndarray
 
 
 class WorldIndex:
@@ -190,6 +205,7 @@ class WorldIndex:
 
     def __init__(self, scm: DiscreteScm):
         self._scm = scm
+        self._laws: dict[int, ConditionalLaws] = {}
 
     @cached_property
     def worlds(self) -> tuple[tuple[World, float], ...]:
@@ -219,43 +235,19 @@ class WorldIndex:
         return tuple(out)
 
     @cached_property
-    def strata(self) -> tuple:
-        """The observed stratum of each world, in world order."""
-        return tuple(observed(self._scm, w)[2] for w, _ in self.worlds)
-
-    @cached_property
-    def potentials(self) -> tuple[tuple, ...]:
-        """Each world's potential inputs, x at every context in domain order."""
-        x_fn, zs = self._scm.x_fn, self._scm.z_domain.values
-        return tuple(tuple(x_fn(z, w.u) for z in zs) for w, _ in self.worlds)
-
-    @cached_property
-    def evidence(self) -> dict[tuple, list[int]]:
-        """(x at z, observed s, z) -> positions of the worlds showing it."""
-        zs = self._scm.z_domain.values
-        out: dict[tuple, list[int]] = {}
-        for i, (xs, s_obs) in enumerate(zip(self.potentials, self.strata)):
-            for z, x in zip(zs, xs):
-                out.setdefault((x, s_obs, z), []).append(i)
-        return out
-
-    def consistent_contexts(self, x, s) -> list:
-        """Contexts z, in domain order, under which some world shows x and s."""
-        evidence = self.evidence
-        return [z for z in self._scm.z_domain.values if (x, s, z) in evidence]
-
-    @cached_property
     def codes(self) -> WorldCodes:
         """The worlds as integer codes, for array sums over them."""
-        potentials, n_z = self.potentials, len(self._scm.z_domain)
-        n_w = len(potentials)
+        scm, worlds = self._scm, self.worlds
+        x_fn, zs = scm.x_fn, scm.z_domain.values
+        n_w, n_z = len(worlds), len(zs)
         strata: dict = {}
         stratum = np.fromiter(
-            (strata.setdefault(s, len(strata)) for s in self.strata), np.intp, n_w
+            (strata.setdefault(observed(scm, w)[2], len(strata)) for w, _ in worlds),
+            np.intp, n_w,
         )
         inputs: dict = {}
         input_code = np.fromiter(
-            (inputs.setdefault(x, len(inputs)) for xs in potentials for x in xs),
+            (inputs.setdefault(x_fn(z, w.u), len(inputs)) for w, _ in worlds for z in zs),
             np.intp, n_w * n_z,
         )
         # (x, s) pairs are numbered in the order the exact law visits them:
@@ -267,9 +259,11 @@ class WorldIndex:
         pair = np.empty(n_w * n_z, np.intp)
         pair[visit] = pair_code
         s_of, x_of = np.divmod(key[at], len(inputs))
+        shown = np.zeros((len(at), n_z), dtype=bool)
+        shown[pair, cols] = True
         xs, ss = tuple(inputs), tuple(strata)
         return WorldCodes(
-            mass=np.fromiter((m for _w, m in self.worlds), float, n_w),
+            mass=np.fromiter((m for _w, m in worlds), float, n_w),
             stratum=stratum,
             strata=ss,
             input=input_code.reshape(n_w, n_z),
@@ -279,14 +273,68 @@ class WorldIndex:
                 (xs[x], ss[s]): c
                 for c, (x, s) in enumerate(zip(x_of.tolist(), s_of.tolist()))
             },
+            context=np.where(shown.sum(1) == 1, shown.argmax(1), -1),
         )
+
+    def recover(self, x, s) -> int:
+        """The code of the evidence pair (x, s), which one context shows.
+
+        Raises InconsistentEvidence when no world shows the pair, and
+        AmbiguousContext, naming the contexts in domain order, when several
+        contexts do.
+        """
+        codes = self.codes
+        c = codes.pairs.get((x, s))
+        if c is None:
+            raise InconsistentEvidence(f"no world consistent with x={x!r}, s={s!r}")
+        if codes.context[c] < 0:
+            shown = (codes.pair == c).any(0).tolist()
+            found = [z for z, hit in zip(self._scm.z_domain.values, shown) if hit]
+            raise AmbiguousContext(
+                f"contexts {found!r} all consistent with x={x!r}, s={s!r}"
+            )
+        return c
+
+    def conditional_laws(self, k: int) -> ConditionalLaws:
+        """Every pair's law of X(z+) at the context of domain position k.
+
+        A pair's evidence is the worlds that show it at its one context z0.
+        Its law is their mass per potential input at z+, added in world order
+        and divided by their total, likewise added, with the support in
+        first-seen order. All pairs come from one pass over the worlds, and
+        each context's laws are kept, so at most |Z| are.
+        """
+        laws = self._laws.get(k)
+        if laws is None:
+            laws = self._laws[k] = self._conditional_laws(k)
+        return laws
+
+    def _conditional_laws(self, k: int) -> ConditionalLaws:
+        codes = self.codes
+        n_pairs, n_inputs = len(codes.pairs), len(codes.inputs)
+        # each world at each context whose pair that context alone shows,
+        # world by world; a pair's evidence is its own entries, in world order
+        world, z0 = np.nonzero(
+            codes.context[codes.pair] == np.arange(codes.pair.shape[1])
+        )
+        evidence, mass = codes.pair[world, z0], codes.mass[world]
+        total = np.bincount(evidence, weights=mass, minlength=n_pairs)
+        key = evidence * n_inputs + codes.input[world, k]
+        support, at = first_seen(key)
+        p_of, x_of = np.divmod(key[at], n_inputs)
+        by_pair = np.argsort(p_of, kind="stable")
+        start = np.zeros(n_pairs + 1, dtype=np.intp)
+        np.cumsum(np.bincount(p_of, minlength=n_pairs), out=start[1:])
+        prob = np.bincount(support, weights=mass) / total[p_of]
+        return ConditionalLaws(start, x_of[by_pair], prob[by_pair])
 
     @cached_property
     def groups(self) -> dict[tuple, tuple[tuple[World, ...], np.ndarray]]:
         """(observed s, z) -> its worlds and their normalized masses."""
+        strata = self.codes.strata
         members: dict[tuple, tuple[list, list]] = {}
-        for (w, mass), s_obs in zip(self.worlds, self.strata):
-            worlds, masses = members.setdefault((s_obs, w.z), ([], []))
+        for (w, mass), s in zip(self.worlds, self.codes.stratum.tolist()):
+            worlds, masses = members.setdefault((strata[s], w.z), ([], []))
             worlds.append(w)
             masses.append(mass)
         out = {}
@@ -357,7 +405,7 @@ def stratum_values(scm: DiscreteScm) -> tuple:
     """Stratum domain: declared order, or first-seen enumeration order."""
     if scm.s_values is not None:
         return tuple(scm.s_values)
-    return tuple(dict.fromkeys(scm.index.strata))
+    return scm.index.codes.strata
 
 
 # --- sampling ---------------------------------------------------------------
@@ -405,10 +453,13 @@ class ExactRecoverer:
 
     def __init__(self, scm: DiscreteScm):
         self._index = scm.index
+        self._zs = scm.z_domain.values
 
     def recover(self, x, s):
-        found = self._index.consistent_contexts(x, s)
-        return found[0] if len(found) == 1 else AMBIGUOUS
+        try:
+            return self._zs[self._index.codes.context[self._index.recover(x, s)]]
+        except (InconsistentEvidence, AmbiguousContext):
+            return AMBIGUOUS
 
 
 class ExactConditionalSampler:
@@ -416,60 +467,41 @@ class ExactConditionalSampler:
 
     Given evidence (x, s), the unique consistent context z is recovered, the
     posterior over worlds w with x_fn(z, u_w) = x and observed stratum s is
-    formed, and X(z+) = x_fn(z+, u_w) is pushed through it.
-    ``conditional_tables`` builds the tables of several contexts from one walk
-    over the consistent worlds, afresh, for analytic use;
-    ``conditional_table`` is its one-context case. ``draw`` samples from the
-    one-context table and keeps each table it draws from.
+    formed, and X(z+) = x_fn(z+, u_w) is pushed through it. Every table is
+    read from the model's ``WorldIndex.conditional_laws``.
     """
 
     def __init__(self, scm: DiscreteScm):
         self.scm = scm
         self._index = scm.index
-        self._tables: dict[tuple, tuple[tuple, np.ndarray]] = {}
 
     def recover(self, x, s):
-        found = self._index.consistent_contexts(x, s)
-        if not found:
-            raise InconsistentEvidence(f"no world consistent with x={x!r}, s={s!r}")
-        if len(found) > 1:
-            raise AmbiguousContext(
-                f"contexts {found!r} all consistent with x={x!r}, s={s!r}"
-            )
-        return found[0]
+        index = self._index
+        return self.scm.z_domain.values[index.codes.context[index.recover(x, s)]]
 
     def conditional_tables(self, x, s, contexts) -> dict:
         """{z+: (support, probabilities) of X(z+) given the evidence} for each
         context in ``contexts``, in that order."""
+        zs = self.scm.z_domain.values
         for z_plus in contexts:
             if z_plus not in self.scm.z_domain:
                 raise DomainMismatch(f"context {z_plus!r} outside the domain")
-        ks = [self.scm.z_domain.values.index(z_plus) for z_plus in contexts]
-        z0 = self.recover(x, s)
-        worlds, potentials = self._index.worlds, self._index.potentials
-        masses: list[dict[Any, float]] = [{} for _ in ks]
-        total = 0.0
-        for i in self._index.evidence[(x, s, z0)]:
-            m = worlds[i][1]
-            xs = potentials[i]
-            for k, mass in zip(ks, masses):
-                xp = xs[k]
-                mass[xp] = mass.get(xp, 0.0) + m
-            total += m
-        return {
-            z_plus: (tuple(mass), np.array([m / total for m in mass.values()]))
-            for z_plus, mass in zip(contexts, masses)
-        }
+        c, inputs = self._index.recover(x, s), self._index.codes.inputs
+        out = {}
+        for z_plus in contexts:
+            law = self._index.conditional_laws(zs.index(z_plus))
+            a, b = law.start[c], law.start[c + 1]
+            out[z_plus] = (
+                tuple(inputs[i] for i in law.input[a:b].tolist()), law.prob[a:b].copy()
+            )
+        return out
 
     def conditional_table(self, x, s, z_plus):
         """Support and probabilities of X(z+) given the evidence."""
         return self.conditional_tables(x, s, (z_plus,))[z_plus]
 
     def draw(self, x, s, z_plus, rng: np.random.Generator):
-        key = (x, s, z_plus)
-        if key not in self._tables:
-            self._tables[key] = self.conditional_table(x, s, z_plus)
-        values, probs = self._tables[key]
+        values, probs = self.conditional_table(x, s, z_plus)
         return values[rng.choice(len(values), p=probs)]
 
 

@@ -219,6 +219,55 @@ def test_ambiguous_context_fails_the_call():
         augment_predict(ap, "ctx=za u1=1", "all", np.random.default_rng(0))
 
 
+def half_blind():
+    """Three contexts; the input names zb only, so za and zc show the same
+    pairs and zb's pairs recover."""
+    return DiscreteScm(
+        u_domains=(FiniteDomain("u1", (0, 1)),),
+        z_domain=FiniteDomain("z", ("za", "zb", "zc")),
+        p_u={(0,): 0.5, (1,): 0.5},
+        z_parents=(),
+        p_z_given_parents={(): {"za": 0.25, "zb": 0.5, "zc": 0.25}},
+        x_fn=lambda z, u: f"ctx=zb u1={u[0]}" if z == "zb" else f"u1={u[0]}",
+        y_fn=lambda z, u: u[0],
+        s_fn=lambda z, u, y: "all",
+    )
+
+
+def test_recovery_errors_keep_their_text():
+    model = half_blind()
+    recoverer, sampler = ExactRecoverer(model), ExactConditionalSampler(model)
+    ap = AugmentedPredictor(
+        recoverer=recoverer, sampler=sampler, base=u1_reader,
+        contexts=("za", "zb", "zc"),
+    )
+    ambiguous = "contexts ['za', 'zc'] all consistent with x='u1=1', s='all'"
+    inconsistent = "no world consistent with x='u1=7', s='all'"
+    rng = np.random.default_rng(0)
+    for x, error, text in (
+        ("u1=1", AmbiguousContext, ambiguous), ("u1=7", InconsistentEvidence, inconsistent)
+    ):
+        assert recoverer.recover(x, "all") is AMBIGUOUS
+        with pytest.raises(AmbiguousContext) as got:
+            augment_predict(ap, x, "all", rng)
+        assert str(got.value) == f"context not recoverable from x={x!r}, s='all'"
+        for call in (
+            lambda: sampler.recover(x, "all"),
+            lambda: sampler.conditional_table(x, "all", "zb"),
+            lambda: sampler.conditional_tables(x, "all", ("zc", "za")),
+            lambda: sampler.draw(x, "all", "zb", rng),
+            lambda: augmented_kernel(ap)(x, "all"),
+        ):
+            with pytest.raises(error) as got:
+                call()
+            assert str(got.value) == text
+    assert recoverer.recover("ctx=zb u1=1", "all") == "zb"
+    assert sampler.recover("ctx=zb u1=1", "all") == "zb"
+    with pytest.raises(AmbiguousContext) as got:
+        exact_augmented_distribution(model, ap)
+    assert str(got.value) == "contexts ['za', 'zc'] all consistent with x='u1=0', s='all'"
+
+
 def test_hoeffding_envelope_formula():
     assert hoeffding_envelope(100, 2, 3) == pytest.approx(
         3 * math.sqrt(math.log(24) / 100)

@@ -311,6 +311,28 @@ def test_audit_names_a_line_that_is_not_a_record(tmp_path, capsys, line, message
 
 
 @pytest.mark.parametrize("command", ["audit", "ooc-run"])
+@pytest.mark.parametrize(
+    "record_id", [5, [1], None, True], ids=["int", "list", "null", "bool"]
+)
+def test_a_record_id_that_is_not_a_string_is_refused(
+    tmp_path, capsys, command, record_id
+):
+    """The refusal names the file and the line, and nothing is written."""
+    path = write_toy_records(tmp_path / "records.jsonl")
+    lines = path.read_text().splitlines()
+    lines[1] = json.dumps({**json.loads(lines[1]), "record_id": record_id})
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    argv = [command, "--records", str(path), "--out-dir", str(out)]
+    if command == "ooc-run":
+        argv += ["--task", str(write_task(tmp_path / "task.json"))]
+    assert main(argv) == 2
+    want = f"{path} line 2: record_id must be a string, got {record_id!r}"
+    assert want in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["audit", "ooc-run"])
 @pytest.mark.parametrize("permutations", ["0", "-1"])
 def test_permutations_below_one_are_refused_before_any_work(
     tmp_path, capsys, monkeypatch, command, permutations

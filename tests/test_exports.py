@@ -45,6 +45,50 @@ def test_every_export_is_referenced():
     assert unused == []
 
 
+def _defined_privates(statement) -> list[str]:
+    """The ``_private`` names a module-level statement defines: a function, a
+    class or an assigned constant; dunder names are not private."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [statement.name]
+    elif isinstance(statement, ast.Assign):
+        names = [t.id for t in statement.targets if isinstance(t, ast.Name)]
+    elif isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name):
+        names = [statement.target.id]
+    else:
+        names = []
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _read_names(node) -> set[str]:
+    """Names read in ``node``: a loaded ``Name`` or ``Attribute``, or an import."""
+    names = set()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name) and not isinstance(child.ctx, ast.Store):
+            names.add(child.id)
+        elif isinstance(child, ast.Attribute) and not isinstance(child.ctx, ast.Store):
+            names.add(child.attr)
+        elif isinstance(child, (ast.Import, ast.ImportFrom)):
+            names.update(a.name.split(".")[-1] for a in child.names)
+    return names
+
+
+def test_every_private_module_name_is_read():
+    """Each module-level ``_private`` function, class or constant of the
+    package is read by some package module, outside its own definition; a
+    helper that only tests call is dead."""
+    defined, reads = [], []
+    for path in sorted((ROOT / "src" / "stratinv").glob("*.py")):
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+            defined += [(n, statement, path.name) for n in _defined_privates(statement)]
+            reads.append((statement, _read_names(statement)))
+    unread = [
+        f"{module}:{name}"
+        for name, own, module in defined
+        if not any(name in names for statement, names in reads if statement is not own)
+    ]
+    assert unread == []
+
+
 def _imports_fixtures(node) -> bool:
     if isinstance(node, ast.Import):
         return any(a.name == "stratinv.fixtures" for a in node.names)

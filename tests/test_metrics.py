@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stratinv.errors import BalanceError, EmptyCell, MissingLabels, NonBinaryLabel
+from stratinv.errors import BalanceError, EmptyCell, MissingLabels
 from stratinv.metrics import (
     LabeledRecord,
     RecordTable,
@@ -82,7 +82,7 @@ def test_si_bias_none_stratum_is_single_stratum():
     assert report.value == pytest.approx(0.5)
 
 
-def test_si_bias_multiclass_and_strict_flag():
+def test_si_bias_multiclass():
     records = (
         block(0, "s", "za", "a", 2) + block(10, "s", "za", "b", 1)
         + block(20, "s", "za", "c", 1)
@@ -91,8 +91,6 @@ def test_si_bias_multiclass_and_strict_flag():
     )
     # max over labels: P(a|za)=1/2 vs 1/4 -> 0.25; c likewise
     assert si_bias(records).value == pytest.approx(0.25)
-    with pytest.raises(NonBinaryLabel):
-        si_bias(records, strict_binary=True)
 
 
 def test_macro_f1_hand_computed():
@@ -347,7 +345,7 @@ def test_si_bias_bounded_and_symmetric(flips):
 # them exactly: same floats, same per-stratum order, same errors.
 
 
-def reference_si_bias(records, *, strict_binary=False):
+def reference_si_bias(records):
     if not records:
         raise MissingLabels("no records")
     for r in records:
@@ -360,10 +358,6 @@ def reference_si_bias(records, *, strict_binary=False):
     for r in records:
         key = (r.s, r.z, r.y_hat)
         counts[key] = counts.get(key, 0) + 1
-    if strict_binary and len(labels) > 2:
-        raise NonBinaryLabel(
-            f"strict binary mode with labels {sorted(map(str, labels))}"
-        )
 
     def total(s, z):
         return sum(counts.get((s, z, y), 0) for y in labels)
@@ -484,20 +478,19 @@ _cells = st.lists(
 
 
 @settings(max_examples=300, deadline=None)
-@given(cells=_cells, strict=st.booleans())
+@given(cells=_cells)
 # 3/5 rounds differently from 3 * (1/5), so the rates must be divided alike
-@example(cells=[("s", "za", "1")] * 3 + [("s", "za", "0")] * 2 + [("s", "zb", "0")],
-         strict=False)
-def test_si_bias_matches_the_loop_reference(cells, strict):
+@example(cells=[("s", "za", "1")] * 3 + [("s", "za", "0")] * 2 + [("s", "zb", "0")])
+def test_si_bias_matches_the_loop_reference(cells):
     records = [rec(i, s, z, y_hat) for i, (s, z, y_hat) in enumerate(cells)]
     try:
-        expected = reference_si_bias(records, strict_binary=strict)
-    except (MissingLabels, NonBinaryLabel, EmptyCell) as exc:
+        expected = reference_si_bias(records)
+    except (MissingLabels, EmptyCell) as exc:
         with pytest.raises(type(exc)) as got:
-            si_bias(records, strict_binary=strict)
+            si_bias(records)
         assert str(got.value) == str(exc)
         return
-    report = si_bias(records, strict_binary=strict)
+    report = si_bias(records)
     assert repr(report.value) == repr(expected.value)
     assert repr(report.per_stratum) == repr(expected.per_stratum)
     assert report.n == expected.n
@@ -716,7 +709,7 @@ def _same_column(got, want):
 def _result(statistic, data):
     try:
         return repr(statistic(data))
-    except (MissingLabels, NonBinaryLabel, EmptyCell) as exc:
+    except (MissingLabels, EmptyCell) as exc:
         return type(exc), str(exc)
 
 
@@ -776,12 +769,12 @@ def test_the_table_loader_matches_the_records_it_replaces(
         _same_column(getattr(sub, name), getattr(again, name))
 
 
-def test_a_record_without_a_prediction_is_named_even_with_a_null_id(tmp_path):
-    path = tmp_path / "records.jsonl"
-    docs = [{"record_id": "r0", "x": 0, "s": "s", "z": "za", "y": "1", "y_hat": "1"},
-            {"record_id": None, "x": 1, "s": "s", "z": "zb", "y": "1"}]
-    path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
-    table = load_record_table(path)
+def test_a_record_without_a_prediction_is_named_even_with_a_null_id():
+    # a file refuses a null id, so the table is built from records
+    table = RecordTable.from_records([
+        LabeledRecord("r0", x=0, s="s", z="za", y="1", y_hat="1"),
+        LabeledRecord(None, x=1, s="s", z="zb", y="1"),
+    ])
     with pytest.raises(MissingLabels, match="^record None has no prediction$"):
         si_bias(table)
     with pytest.raises(MissingLabels, match="^record None lacks a label or a prediction$"):

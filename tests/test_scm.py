@@ -9,7 +9,11 @@ import numpy as np
 import pytest
 
 from stratinv import scm as scm_mod
-from stratinv.augment import AugmentedPredictor, exact_augmented_distribution
+from stratinv.augment import (
+    AugmentedPredictor,
+    augmented_kernel,
+    exact_augmented_distribution,
+)
 from stratinv.errors import (
     AmbiguousContext,
     DomainMismatch,
@@ -295,20 +299,39 @@ def test_recoverer_matches_the_set_index_reference():
 # --- one evidence pass per pair: the per-context walk as the oracle ----------
 
 
+@functools.lru_cache(maxsize=1)
+def evidence_walk(scm):
+    """(x at z, observed s, z) -> the mass and potential inputs at every
+    context of each world showing it, in world order: a walk over the
+    worlds that shares nothing with the model's index."""
+    zs = scm.z_domain.values
+    out = {}
+    for w, m in enumerate_joint(scm):
+        xs = [scm.x_fn(z, w.u) for z in zs]
+        s_obs = observed(scm, w)[2]
+        for z, x in zip(zs, xs):
+            out.setdefault((x, s_obs, z), []).append((m, xs))
+    return out
+
+
 def per_context_table(scm, x, s, z_plus):
     """One context's conditional table from its own walk over the evidence
     pair's worlds, as the sampler computed each table before it built every
     context's table of a pair in one pass."""
     if z_plus not in scm.z_domain:
         raise DomainMismatch(f"context {z_plus!r} outside the domain")
-    z0 = ExactConditionalSampler(scm).recover(x, s)
+    evidence = evidence_walk(scm)
+    found = [z for z in scm.z_domain.values if (x, s, z) in evidence]
+    if not found:
+        raise InconsistentEvidence(f"no world consistent with x={x!r}, s={s!r}")
+    if len(found) > 1:
+        raise AmbiguousContext(
+            f"contexts {found!r} all consistent with x={x!r}, s={s!r}"
+        )
     k = scm.z_domain.values.index(z_plus)
-    index = scm.index
     mass, total = {}, 0.0
-    for i in index.evidence[(x, s, z0)]:
-        m = index.worlds[i][1]
-        xp = index.potentials[i][k]
-        mass[xp] = mass.get(xp, 0.0) + m
+    for m, xs in evidence[(x, s, found[0])]:
+        mass[xs[k]] = mass.get(xs[k], 0.0) + m
         total += m
     values = tuple(mass)
     return values, np.array([mass[v] for v in values], dtype=float) / total
@@ -361,7 +384,7 @@ def test_one_pass_tables_match_the_per_context_walk():
     for name, scm in _one_pass_models():
         zs = scm.z_domain.values
         sampler = ExactConditionalSampler(scm)
-        pairs = list(dict.fromkeys((x, s) for x, s, _z in scm.index.evidence))
+        pairs = list(dict.fromkeys((x, s) for x, s, _z in evidence_walk(scm)))
         rng_new, rng_old = np.random.default_rng(3), np.random.default_rng(3)
         for x, s in pairs:
             tables = _outcome(sampler.conditional_tables, x, s, zs)
@@ -395,7 +418,7 @@ def test_one_pass_tables_match_the_per_context_walk():
 
 def test_one_pass_tables_refuse_a_context_outside_the_domain():
     scm = random_fixture_scm([1, 59, 0], n_contexts=3, n_factors=4)
-    x, s, _z = next(iter(scm.index.evidence))
+    x, s, _z = next(iter(evidence_walk(scm)))
     sampler = ExactConditionalSampler(scm)
     with pytest.raises(DomainMismatch, match="'zq' outside the domain"):
         sampler.conditional_table(x, s, "zq")
@@ -441,3 +464,35 @@ def test_the_coded_index_is_built_on_first_use_and_once(tmp_path, monkeypatch):
     exact_prediction_law(model, lambda x, s: ctx_reader(x))
     assert exact_augmented_distribution(model, ap) == first
     assert builds == [model.index]
+
+
+def test_conditional_laws_are_built_at_most_once_per_context(monkeypatch):
+    builds = []
+    build = scm_mod.WorldIndex._conditional_laws
+
+    def counted(index, k):
+        builds.append((index, k))
+        return build(index, k)
+
+    monkeypatch.setattr(scm_mod.WorldIndex, "_conditional_laws", counted)
+    model = random_fixture_scm([1, 59, 2], n_contexts=3, n_factors=6)
+    zs = model.z_domain.values
+    w, _mass = enumerate_joint(model)[0]
+    x, _y, s = observed(model, w)
+    samplers = [ExactConditionalSampler(model), ExactConditionalSampler(model)]
+    assert builds == []
+    rng = np.random.default_rng(0)
+    for sampler in samplers:
+        for _ in range(5):
+            sampler.draw(x, s, zs[1], rng)
+    assert builds == [(model.index, 1)]
+    for sampler in samplers:
+        sampler.conditional_tables(x, s, zs)
+        sampler.conditional_table(x, s, zs[0])
+        ap = AugmentedPredictor(
+            recoverer=ExactRecoverer(model), sampler=sampler, base=ctx_reader,
+            contexts=tuple(reversed(zs)),
+        )
+        exact_augmented_distribution(model, ap)
+        augmented_kernel(ap)(x, s)
+    assert builds == [(model.index, 1), (model.index, 0), (model.index, 2)]
