@@ -264,8 +264,12 @@ def _parse_metrics(raw: str) -> tuple[str, ...]:
 def cmd_audit(args) -> int:
     if args.permutations < 1:
         raise StratinvError(f"--permutations must be >= 1, got {args.permutations}")
-    table = load_record_table(args.records)
     metrics = _parse_metrics(args.metrics)
+    if not metrics:
+        raise StratinvError(
+            f"audit needs at least one metric; choose from {_METRIC_CHOICES}"
+        )
+    table = load_record_table(args.records)
     rng = np.random.default_rng(args.seed)
     if args.balance is not None:
         table = balanced_subsample(table, args.balance, rng)

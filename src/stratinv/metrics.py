@@ -234,26 +234,13 @@ def _first_missing(table: RecordTable, *columns: Column) -> int | None:
 # --- the bias statistic ------------------------------------------------------
 
 
-def _rates(counts: np.ndarray) -> np.ndarray:
-    """P(yhat = y | s, z) from (..., S, Z, Y) counts."""
-    return counts / counts.sum(axis=-1, keepdims=True)
-
-
 def _context_gaps(rates: np.ndarray) -> np.ndarray:
-    """Per stratum of (..., S, Z, Y) rates, the largest spread over contexts
-    of P(y | s, z). Rounding is monotone, so max - min is the largest
-    pairwise |difference| bit for bit."""
-    # Elementwise over slices: numpy reduces a short middle axis slowly, and
-    # max and min are exact, so the floats are the same.
-    high = low = rates[..., 0, :]
-    for z in range(1, rates.shape[-2]):
-        high = np.maximum(high, rates[..., z, :])
-        low = np.minimum(low, rates[..., z, :])
-    spread = high - low
-    gaps = spread[..., 0]
-    for y in range(1, spread.shape[-1]):
-        gaps = np.maximum(gaps, spread[..., y])
-    return gaps
+    """Per stratum of (Z, Y, ...) rates, the largest spread over contexts of
+    P(y | s, z). Rounding is monotone, so max - min is the largest pairwise
+    |difference| bit for bit. The context and label axes come first, so each
+    reduction runs over whole contiguous slices."""
+    spread = rates.max(axis=0) - rates.min(axis=0)
+    return spread.max(axis=0)
 
 
 @dataclass(frozen=True)
@@ -265,7 +252,7 @@ class SiBiasReport:
 
 
 def _bias_table(data: Records):
-    """Prediction counts over (stratum, context, label), each axis in
+    """Prediction counts as a (context, label, stratum) array, each axis in
     first-seen order, and the bias statistic they determine."""
     table = as_table(data)
     n = len(table)
@@ -276,7 +263,7 @@ def _bias_table(data: Records):
         raise MissingLabels(f"record {table.record_ids[row]!r} has no prediction")
     strata, contexts, labels = table.s.values, table.z.values, table.y_hat.values
     n_s, n_z, n_y = len(strata), len(contexts), len(labels)
-    # one new record-length array, added to in place
+    # each cell code is one new record-length array, added to in place
     cells = table.s.codes * n_z
     cells += table.z.codes
     # Checked before the dense table, which is huge when most cells are empty.
@@ -289,10 +276,13 @@ def _bias_table(data: Records):
             f"no records with stratum={strata[first // n_z]!r}, "
             f"context={contexts[first % n_z]!r}"
         )
-    cells *= n_y
+    cells = table.z.codes * n_y
     cells += table.y_hat.codes
-    counts = np.bincount(cells, minlength=n_s * n_z * n_y).reshape(n_s, n_z, n_y)
-    per_stratum = tuple(zip(strata, _context_gaps(_rates(counts)).tolist()))
+    cells *= n_s
+    cells += table.s.codes
+    counts = np.bincount(cells, minlength=n_z * n_y * n_s).reshape(n_z, n_y, n_s)
+    rates = counts / counts.sum(axis=1)[:, None]
+    per_stratum = tuple(zip(strata, _context_gaps(rates).tolist()))
     value = max(g for _, g in per_stratum)
     return counts, SiBiasReport(value, per_stratum, n)
 
@@ -448,8 +438,8 @@ def max_context_deviation(table: Mapping[tuple, Mapping[Any, float]]) -> float:
     if not labels:
         return 0.0
     rates = np.array([
-        [[table[(z, s)].get(y, 0.0) for y in labels] for z in zs]
-        for s in strata
+        [[table[(z, s)].get(y, 0.0) for s in strata] for y in labels]
+        for z in zs
     ], dtype=float)
     return float(_context_gaps(rates).max())
 
@@ -513,6 +503,7 @@ class TestReport:
 
 # Cells (permutations x strata x contexts x labels) per batch: enough to spread
 # numpy's per-call cost over many tables, few enough to stay under a megabyte.
+# With the draw order in _random_tables it fixes the p-values for a seed.
 PERMUTATION_BATCH_CELLS = 1 << 16
 
 
@@ -520,25 +511,28 @@ def _random_tables(
     context_totals: np.ndarray, label_totals: np.ndarray, size: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """``size`` random (S, Z, Y) tables, stratum s's uniform over the record
-    shufflings with context totals ``context_totals[s]`` and label totals
-    ``label_totals[s]``. Each context's row takes hypergeometric draws from the
-    labels still unplaced (Patefield, AS 159, 1981), vectorised over the batch
-    and the strata."""
-    n_s, n_z = context_totals.shape
-    n_y = label_totals.shape[1]
-    tables = np.empty((size, n_s, n_z, n_y), dtype=np.int64)
-    unplaced = np.repeat(label_totals[None], size, axis=0)
+    """``size`` random tables as one (Z, Y, size, S) array, stratum s's
+    uniform over the record shufflings with context totals
+    ``context_totals[:, s]`` and label totals ``label_totals[:, s]``. Each
+    context's row takes hypergeometric draws from the labels still unplaced
+    (Patefield, AS 159, 1981), vectorised over the batch and the strata: one
+    draw fills one contiguous ``[z, y]`` plane."""
+    n_z, n_s = context_totals.shape
+    n_y = label_totals.shape[0]
+    tables = np.empty((n_z, n_y, size, n_s), dtype=np.int64)
+    # the last context takes the labels left unplaced
+    unplaced = tables[n_z - 1]
+    unplaced[...] = label_totals[:, None]
     for z in range(n_z - 1):
-        need = np.repeat(context_totals[None, :, z], size, axis=0)
-        rest = unplaced.sum(axis=2)
+        rest = unplaced.sum(axis=0)
+        # the last label fills what the row still needs
+        need = tables[z, n_y - 1]
+        need[...] = context_totals[z]
         for y in range(n_y - 1):
-            rest -= unplaced[..., y]
-            tables[..., z, y] = rng.hypergeometric(unplaced[..., y], rest, need)
-            need -= tables[..., z, y]
-        tables[..., z, n_y - 1] = need
-        unplaced -= tables[..., z, :]
-    tables[..., n_z - 1, :] = unplaced
+            rest -= unplaced[y]
+            tables[z, y] = rng.hypergeometric(unplaced[y], rest, need)
+            need -= tables[z, y]
+        unplaced -= tables[z]
     return tables
 
 
@@ -553,8 +547,10 @@ def ci_permutation_test(
     which realizes conditional independence; the statistic is the max-gap
     bias. A shuffle matters only through the count table it leaves, so each
     permutation is drawn directly as a random table with the stratum's
-    observed context and label totals: exactly the shuffle's law, at a cost
-    that does not grow with the number of records. The p-value uses the
+    observed context and label totals: exactly the shuffle's law, at about
+    the cost of its hypergeometric draws, whatever the number of records.
+    The batch size and the draw order fix the p-value for a given seed, so a
+    refactor must keep both. The p-value uses the
     add-one estimator (1 + #{permuted >= observed}) / (1 + permutations) and
     is therefore never zero and conservative under ties. Completeness
     (rejecting exactly when stratified invariance fails) additionally needs
@@ -564,13 +560,15 @@ def ci_permutation_test(
         raise ValueError("permutations must be >= 1")
     rng = np.random.default_rng(rng)
     counts, observed = _bias_table(data)
-    context_totals, label_totals = counts.sum(axis=2), counts.sum(axis=1)
+    context_totals, label_totals = counts.sum(axis=1), counts.sum(axis=0)
     batch = max(1, PERMUTATION_BATCH_CELLS // counts.size)
     exceed = 0
     for done in range(0, permutations, batch):
         size = min(batch, permutations - done)
         tables = _random_tables(context_totals, label_totals, size, rng)
-        stats = _context_gaps(_rates(tables)).max(axis=1)
+        # Each table's (s, z) row sums to context_totals[z, s], as the
+        # observed one does, so these are the rates its own sums would give.
+        stats = _context_gaps(tables / context_totals[:, None, None]).max(axis=1)
         exceed += int(np.count_nonzero(stats >= observed.value - 1e-12))
     p = (1 + exceed) / (1 + permutations)
     return TestReport(observed.value, p, permutations, observed.per_stratum)

@@ -621,12 +621,20 @@ def _normalize_options(options: Sequence[str]) -> tuple:
     return tuple((_normalize(opt), opt) for opt in options)
 
 
+# "t" is what _normalize leaves of any n't contraction ("isn't" -> isn, t).
+_NEGATORS = frozenset({"not", "never", "cannot", "t"})
+
+
 def _choose(answer: str, normalized) -> str | None:
     """Tolerant matcher over options normalized by ``_normalize_options``:
     exact normalized equality first, then the one option whose words appear
     contiguously in the answer.  A mention lying inside a longer option's
     mention does not count ("non-toxic" is no "toxic"); an answer that
-    mentions two options is ambiguous.  Returns the matched option or None."""
+    mentions two options is ambiguous.  So is an answer with a negator
+    anywhere before an option's mention ("Not toxic." is no "toxic"):
+    the negators are "not", "never", "cannot", the "t" of an n't contraction,
+    and "no" unless "no" is itself an option; a negator inside an option's
+    mention does not count.  Returns the matched option or None."""
     answer_tokens = _normalize(answer)
     for opt_tokens, opt in normalized:
         if opt_tokens == answer_tokens:
@@ -639,6 +647,16 @@ def _choose(answer: str, normalized) -> str | None:
         for start in range(len(answer_tokens) - width + 1):
             if answer_tokens[start:start + width] == opt_tokens:
                 spans.append((start, start + width, opt))
+    no_is_option = any(opt_tokens == ["no"] for opt_tokens, _opt in normalized)
+    negators = _NEGATORS if no_is_option else _NEGATORS | {"no"}
+    mentioned = {i for lo, hi, _opt in spans for i in range(lo, hi)}
+    negated = next(
+        (i for i, token in enumerate(answer_tokens)
+         if token in negators and i not in mentioned),
+        len(answer_tokens),
+    )
+    if any(lo > negated for lo, _hi, _opt in spans):
+        return None
     found = {
         opt
         for lo, hi, opt in spans

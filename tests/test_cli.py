@@ -238,6 +238,19 @@ def test_audit_empty_cell_fails_cleanly(tmp_path, capsys):
     assert "no records with stratum=" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("metrics", ["", ",", ",,"])
+def test_audit_refuses_an_empty_metric_list(tmp_path, capsys, metrics):
+    records = biased_records(tmp_path / "records.jsonl")
+    out = tmp_path / "o"
+    code = main(["audit", "--records", str(records), "--metrics", metrics,
+                 "--out-dir", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "audit needs at least one metric" in err
+    assert "'si_bias', 'macro_f1', 'permutation'" in err
+    assert not out.exists()
+
+
 def test_audit_infeasible_balance(tmp_path, capsys):
     records = biased_records(tmp_path / "records.jsonl")
     code = main(

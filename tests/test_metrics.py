@@ -10,6 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tests_support
+from stratinv import metrics
 from stratinv.errors import BalanceError, EmptyCell, MissingLabels
 from stratinv.metrics import (
     LabeledRecord,
@@ -18,7 +20,6 @@ from stratinv.metrics import (
     _bias_table,
     _context_gaps,
     _random_tables,
-    _rates,
     balanced_subsample,
     check_stratified_invariance_exact,
     ci_permutation_test,
@@ -228,20 +229,26 @@ def test_records_round_trip_keeping_types_and_sharing_equal_strings(
 @settings(max_examples=300, deadline=None)
 @given(
     shape=st.tuples(
-        st.integers(1, 4), st.integers(1, 5), st.integers(1, 4), st.integers(1, 4)
+        st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.integers(1, 5)
     ),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(shape=(3, 4, 1, 3), seed=0)
-@example(shape=(3, 4, 3, 1), seed=0)
+@example(shape=(1, 3, 3, 4), seed=0)
+@example(shape=(3, 1, 3, 4), seed=0)
 def test_context_gaps_match_the_axis_reductions(shape, seed):
+    # (Z, Y, batch, S), as the permutation test lays its null tables out
     rng = np.random.default_rng(seed)
     counts = rng.integers(0, 4, size=shape)
-    counts[..., 0] += 1  # no empty (s, z) row
+    counts[:, 0] += 1  # no empty (s, z) row
     # random floats, and rates from small counts, which tie often
-    for rates in (rng.random(shape), _rates(counts)):
-        expected = (rates.max(axis=-2) - rates.min(axis=-2)).max(axis=-1)
+    for rates in (rng.random(shape), counts / counts.sum(axis=1, keepdims=True)):
+        expected = (rates.max(axis=0) - rates.min(axis=0)).max(axis=0)
         assert np.array_equal(_context_gaps(rates), expected)
+        # the (..., S, Z, Y) slice loops it replaced
+        old_layout = rates.transpose(2, 3, 0, 1)
+        assert _context_gaps(rates).tobytes() == tests_support._context_gaps(
+            old_layout
+        ).tobytes()
 
 
 def test_exact_prediction_law_tiny_model():
@@ -564,15 +571,15 @@ def test_random_tables_keep_every_stratum_margin(shape, data):
     n_s, n_z, n_y, size = shape
     flat = data.draw(st.lists(st.integers(0, 6), min_size=n_s * n_z * n_y,
                               max_size=n_s * n_z * n_y))
-    counts = np.array(flat, dtype=np.int64).reshape(n_s, n_z, n_y)
+    counts = np.array(flat, dtype=np.int64).reshape(n_z, n_y, n_s)
     seed = data.draw(st.integers(0, 2**32 - 1))
     tables = _random_tables(
-        counts.sum(axis=2), counts.sum(axis=1), size, np.random.default_rng(seed)
+        counts.sum(axis=1), counts.sum(axis=0), size, np.random.default_rng(seed)
     )
-    assert tables.shape == (size, n_s, n_z, n_y)
+    assert tables.shape == (n_z, n_y, size, n_s)
     assert (tables >= 0).all()
-    assert (tables.sum(axis=3) == counts.sum(axis=2)).all()
-    assert (tables.sum(axis=2) == counts.sum(axis=1)).all()
+    assert (tables.sum(axis=1) == counts.sum(axis=1)[:, None]).all()
+    assert (tables.sum(axis=0) == counts.sum(axis=0)[:, None]).all()
 
 
 def test_random_tables_follow_the_exact_permutation_law():
@@ -592,14 +599,134 @@ def test_random_tables_follow_the_exact_permutation_law():
     counts, _report = _bias_table(records)
     draws = 20_000
     tables = _random_tables(
-        counts.sum(axis=2), counts.sum(axis=1), draws, np.random.default_rng(20)
+        counts.sum(axis=1), counts.sum(axis=0), draws, np.random.default_rng(20)
     )
     for k, law in enumerate(laws):
-        seen = Counter(tuple(t.ravel().tolist()) for t in tables[:, k])
+        # stratum k's draws, each a (Z, Y) table
+        seen = Counter(
+            tuple(t.ravel().tolist()) for t in tables[..., k].transpose(2, 0, 1)
+        )
         assert set(seen) <= set(law)
         for table, p in law.items():
             se = np.sqrt(p * (1 - p) / draws)
             assert abs(seen[table] / draws - p) <= 5 * se, (k, table)
+
+
+def reference_permutation_test(records, permutations, seed):
+    """The (batch, S, Z, Y) permutation test: its observed per-stratum gaps,
+    each batch's (batch, S) null gaps, the statistic and the p-value."""
+    strata = list(dict.fromkeys(r.s for r in records))
+    contexts = list(dict.fromkeys(r.z for r in records))
+    labels = list(dict.fromkeys(r.y_hat for r in records))
+    counts = np.zeros((len(strata), len(contexts), len(labels)), dtype=np.int64)
+    for r in records:
+        counts[strata.index(r.s), contexts.index(r.z), labels.index(r.y_hat)] += 1
+    observed = tests_support._context_gaps(tests_support._rates(counts))
+    statistic = max(observed.tolist())
+    rng = np.random.default_rng(seed)
+    batch = max(1, metrics.PERMUTATION_BATCH_CELLS // counts.size)
+    null, exceed = [], 0
+    for done in range(0, permutations, batch):
+        tables = tests_support._random_tables(
+            counts.sum(axis=2), counts.sum(axis=1), min(batch, permutations - done), rng
+        )
+        null.append(tests_support._context_gaps(tests_support._rates(tables)))
+        exceed += int(np.count_nonzero(null[-1].max(axis=1) >= statistic - 1e-12))
+    return observed, null, statistic, (1 + exceed) / (1 + permutations)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 5), st.integers(1, 4), st.integers(1, 4)),
+    data=st.data(),
+)
+def test_the_permutation_test_matches_the_batch_major_kernel(shape, data):
+    n_s, n_z, n_y = shape
+    # (Z, Y, S) counts: a label may be missing from a stratum or from them all,
+    # but every (s, z) row holds a record
+    flat = data.draw(st.lists(st.integers(0, 4), min_size=n_s * n_z * n_y,
+                              max_size=n_s * n_z * n_y))
+    counts = np.array(flat, dtype=np.int64).reshape(n_z, n_y, n_s)
+    counts[:, data.draw(st.integers(0, n_y - 1))] += counts.sum(axis=1) == 0
+    context_totals, label_totals = counts.sum(axis=1), counts.sum(axis=0)
+    sizes = data.draw(st.lists(st.integers(1, 40), min_size=1, max_size=4))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for size in sizes:
+        tables = _random_tables(context_totals, label_totals, size, rng)
+        expected = tests_support._random_tables(
+            context_totals.T, label_totals.T, size, reference_rng
+        )
+        assert np.array_equal(tables.transpose(2, 3, 0, 1), expected)
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    # the whole test, batch after batch, often with a partial last batch
+    cells = [
+        (s, z, y) for s in range(n_s) for z in range(n_z) for y in range(n_y)
+        for _ in range(counts[z, y, s])
+    ]
+    records = [rec(i, f"s{s}", f"z{z}", f"y{y}") for i, (s, z, y) in enumerate(cells)]
+    batch_cells = data.draw(st.sampled_from([metrics.PERMUTATION_BATCH_CELLS, 1])
+                            | st.integers(2, 200))
+    permutations = data.draw(st.integers(1, 120))
+    gaps = []
+
+    def context_gaps(rates):
+        gaps.append(_context_gaps(rates))
+        return gaps[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "PERMUTATION_BATCH_CELLS", batch_cells)
+        patch.setattr(metrics, "_context_gaps", context_gaps)
+        report = ci_permutation_test(records, permutations, seed)
+        observed, null, statistic, p_value = reference_permutation_test(
+            records, permutations, seed
+        )
+    # every stratum's gap in every permuted table, byte for byte
+    assert gaps[0].tobytes() == observed.tobytes()
+    assert [g.tobytes() for g in gaps[1:]] == [g.tobytes() for g in null]
+    assert [g.max(axis=1).tobytes() for g in gaps[1:]] == [
+        g.max(axis=1).tobytes() for g in null
+    ]
+    assert report.statistic.hex() == statistic.hex()
+    assert report.p_value.hex() == p_value.hex()
+
+
+def _synthetic_log(seed, n_strata, contexts, labels, n=600):
+    """Records whose prediction leans a little on the context."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for i in range(n):
+        s = int(rng.integers(n_strata))
+        z = int(rng.integers(len(contexts)))
+        weight = np.ones(len(labels)) + 0.15 * (np.arange(len(labels)) == z % len(labels))
+        y_hat = int(rng.choice(len(labels), p=weight / weight.sum()))
+        records.append(rec(i, f"s{s}", contexts[z], labels[y_hat]))
+    return records
+
+
+@pytest.mark.parametrize(
+    "shape, seed, statistic, p_value",
+    [
+        # 20 strata of 2 x 2 cells: 80 cells, batches of 819 and 180 tables
+        ((20, 2), 1, "0x1.35c81135c8114p-2", "0x1.d0e5604189375p-1"),
+        ((20, 2), 2, "0x1.ad4ad4ad4ad4cp-2", "0x1.978d4fdf3b646p-2"),
+        ((20, 2), 3, "0x1.97bf2197bf21ap-2", "0x1.1a1cac083126fp-1"),
+        # 12 strata of 3 x 3 cells: 108 cells, batches of 606 and 393 tables
+        ((12, 3), 1, "0x1.3777777777777p-1", "0x1.6872b020c49bap-5"),
+        ((12, 3), 2, "0x1.16c16c16c16c1p-1", "0x1.95810624dd2f2p-4"),
+        ((12, 3), 3, "0x1.7c57c57c57c58p-2", "0x1.cfdf3b645a1cbp-1"),
+    ],
+)
+def test_the_p_value_stream_is_pinned(shape, seed, statistic, p_value):
+    # A change to the draw order, the batch size or the arithmetic moves
+    # these: the seed alone must keep fixing every p-value.
+    n_strata, width = shape
+    contexts, labels = ("za", "zb", "zc")[:width], ("0", "1", "2")[:width]
+    records = _synthetic_log(seed, n_strata, contexts, labels)
+    report = ci_permutation_test(records, 999, np.random.default_rng(seed))
+    assert 1 / 1000 < report.p_value < 1
+    assert (report.statistic.hex(), report.p_value.hex()) == (statistic, p_value)
 
 
 # --- the table loader --------------------------------------------------------

@@ -1,12 +1,15 @@
 """Prompt rendering, answer parsing, and the replicate pipeline on the mock."""
 
 import json
+import string
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import tests_support
 
 from stratinv.chat import ChatClient
 from stratinv.errors import (
@@ -289,6 +292,27 @@ def test_parse_choice():
     assert parse_choice("toxic, not non-toxic", options) is None
     assert parse_choice("I would say no, not yes", ("yes", "no")) is None
     assert parse_choice("no idea", options) is None
+
+
+def test_a_negated_option_does_not_parse():
+    assert parse_choice("Not toxic.", ("toxic", "non-toxic")) is None
+    assert parse_choice("I would not say yes", ("yes", "no")) is None
+    assert parse_choice("It is not positive.", ("positive", "negative")) is None
+    assert parse_choice("It isn't toxic", ("toxic", "non-toxic")) is None
+    assert parse_choice("No, surgeon", ("nurse", "surgeon")) is None
+    # a negator after the mention, or inside an option, does not count
+    assert parse_choice("Toxic, no doubt", ("toxic", "non-toxic")) == "toxic"
+    assert parse_choice("It is not toxic", ("not toxic", "toxic")) == "not toxic"
+    # "no" is no negator where it is an option, and an exact match wins first
+    assert parse_choice("No.", ("yes", "no")) == "no"
+    assert parse_choice("I would say no", ("yes", "no")) == "no"
+
+
+def test_a_negated_reminder_answer_is_unparsable():
+    client = ScriptedClient(["Not a nurse.", "not a surgeon"])
+    with pytest.raises(UnparsableAnswer, match="could not parse 'not a surgeon'"):
+        predict_label(builtin_task("bios"), client, "text")
+    assert len(client.requests) == 2
 
 
 class ScriptedClient(ChatClient):
@@ -675,3 +699,55 @@ def test_parse_choice_two_mentions_are_ambiguous(options, data):
     a, b = data.draw(st.permutations(options))[:2]
     answer = f"{a}, not {b}"
     assert parse_choice(answer, options) is None
+
+
+def _option_sets():
+    tasks = [builtin_task(name) for name in builtin_task_names()]
+    tasks.append(load_task(CONFIGS / "demo_task.json"))
+    sets = {options for t in tasks for options in (t.labels, t.strata) if options}
+    return sorted(sets) + [("positive", "negative"), ("not toxic", "toxic")]
+
+
+_FILLER_WORDS = ("i", "would", "say", "it", "is", "the", "answer", "a", "really", "think")
+_NEGATOR_WORDS = ("not", "never", "cannot", "isn't", "don't", "can't", "wouldn't")
+
+
+def _cased(draw, word):
+    return draw(st.sampled_from([word, word.upper(), word.title()]))
+
+
+def _joined(draw, words):
+    joints = st.text(alphabet=string.punctuation + " ", min_size=1, max_size=3)
+    out = _cased(draw, words[0])
+    for word in words[1:]:
+        out += draw(joints) + _cased(draw, word)
+    return out + draw(st.sampled_from(["", ".", "!", "?"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_an_answer_without_a_negator_parses_as_before(data):
+    options = data.draw(st.sampled_from(_option_sets()))
+    vocabulary = _FILLER_WORDS + tuple(
+        w for opt in options for w in opt.replace("-", " ").split()
+    ) + ("no", "yes", "non", "toxic")
+    words = data.draw(st.lists(st.sampled_from(vocabulary), min_size=1, max_size=6))
+    answer = _joined(data.draw, words)
+    normalized = _normalize_options(options)
+    negators = {"not", "never", "cannot", "t"} | ({"no"} - set(options))
+    if negators & set(ooc._normalize(answer)):
+        return
+    assert _choose(answer, normalized) == tests_support._choose(answer, normalized)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_a_negated_option_never_parses_to_itself(data):
+    options = data.draw(st.sampled_from(_option_sets()))
+    option = data.draw(st.sampled_from(options))
+    negator = data.draw(st.sampled_from(
+        _NEGATOR_WORDS + (() if "no" in options else ("no",))
+    ))
+    filler = data.draw(st.lists(st.sampled_from(_FILLER_WORDS), max_size=3))
+    answer = _joined(data.draw, [negator, *filler, option])
+    assert parse_choice(answer, options) != option
