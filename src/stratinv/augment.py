@@ -20,7 +20,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .errors import AmbiguousContext, DomainMismatch, SamplerFailure
-from .scm import AMBIGUOUS, DiscreteScm, ExactConditionalSampler
+from .scm import AMBIGUOUS, DiscreteScm, ExactConditionalSampler, first_seen
 from .metrics import PairLaws, exact_prediction_law, law_over_worlds
 # max_context_deviation lives with the exact checks and is public here too
 from .metrics import max_context_deviation  # noqa: F401
@@ -226,24 +226,19 @@ def _pair_laws(model: DiscreteScm, ap: AugmentedPredictor) -> PairLaws:
         label_of[i] = labels.setdefault(ap.base(codes.inputs[i]), len(labels))
     w = 1.0 / len(ap.contexts)
     n_pairs, n_labels = len(codes.pairs), len(labels)
-    unseen = sum(len(law.input) for law in laws)
-    acc = np.zeros(n_pairs * n_labels)
-    first = np.full(n_pairs * n_labels, unseen)
-    offset = 0
-    for law in laws:
-        pair = np.repeat(np.arange(n_pairs), np.diff(law.start))
-        cell = pair * n_labels + label_of[law.input]
-        np.add.at(acc, cell, w * law.prob)
-        np.minimum.at(first, cell, np.arange(offset, offset + len(cell)))
-        offset += len(cell)
+    cell = np.concatenate([
+        np.repeat(np.arange(n_pairs), np.diff(law.start)) * n_labels
+        + label_of[law.input]
+        for law in laws
+    ])
+    code, at = first_seen(cell)
+    acc = np.bincount(code, weights=np.concatenate([w * law.prob for law in laws]))
     # each pair's labels in the order its terms first name them
-    named = first < unseen
+    pair_of, label = np.divmod(cell[at], n_labels)
+    order = np.argsort(pair_of, kind="stable")
     start = np.zeros(n_pairs + 1, dtype=np.intp)
-    np.cumsum(named.reshape(n_pairs, n_labels).sum(1), out=start[1:])
-    cells = np.flatnonzero(named)
-    pair_of, label = np.divmod(cells, n_labels)
-    order = np.argsort(pair_of * unseen + first[cells], kind="stable")
-    return PairLaws(start, label[order], acc[cells[order]], tuple(labels))
+    np.cumsum(np.bincount(pair_of, minlength=n_pairs), out=start[1:])
+    return PairLaws(start, label[order], acc[order], tuple(labels))
 
 
 def hoeffding_envelope(n: int, n_strata: int, n_contexts: int) -> float:

@@ -118,11 +118,8 @@ class HttpChatClient(ChatClient):
     ``complete_many`` keeps at most ``max_in_flight`` requests in flight,
     on worker threads that live as long as the client and each keep one
     keep-alive connection from one batch to the next; one the service closed
-    while idle is reopened without a wait or a retry. With ``max_in_flight``
-    above 1, every batch, even one of a single request, goes to those
-    threads, so the calling thread holds no connection. With
-    ``max_in_flight`` 1 it starts no thread: batches run serially in the
-    calling thread, which then holds the connection.
+    while idle is reopened without a wait or a retry. Every batch, even one
+    of a single request, goes to those threads.
     """
 
     max_backoff = 8.0  # seconds; cap on the jittered wait before a retry
@@ -218,10 +215,8 @@ class HttpChatClient(ChatClient):
     def complete_many(
         self, requests: Sequence[ChatTurnRequest]
     ) -> list[str | ServiceError]:
-        if self.max_in_flight == 1:
-            return super().complete_many(requests)
         if self._pool is None:
-            # Imported here so runs that never fan out never load it.
+            # Imported here so runs that send no HTTP batch never load it.
             from concurrent.futures import ThreadPoolExecutor
 
             self._pool = ThreadPoolExecutor(

@@ -199,11 +199,8 @@ def cmd_check_adjustment(args) -> int:
     if not args.graph:
         raise ValueError("need --graph pointing at a graph file")
     g = cg.load_dag(args.graph)
-    candidate = tuple(
-        name
-        for chunk in (args.candidate or [])
-        for name in chunk.split(",")
-        if name
+    candidate = sorted(
+        {name for chunk in args.candidate for name in chunk.split(",") if name}
     )
     report = cg.is_adjustment_set(g, args.treatment, args.outcome, candidate)
     verdict = "VALID" if report.valid else "INVALID"
@@ -230,7 +227,7 @@ def cmd_check_adjustment(args) -> int:
             "graph": str(args.graph),
             "treatment": args.treatment,
             "outcome": args.outcome,
-            "candidate": sorted(candidate),
+            "candidate": candidate,
         },
         args.seed,
         [args.graph],

@@ -373,16 +373,12 @@ def law_over_worlds(
     s_mass = np.bincount(codes.stratum, weights=codes.mass)
     zs = model.z_domain.values
     table = {(z, s): {} for z in zs for s in codes.strata}
-    n_cells = len(s_mass) * len(laws.labels)
     for k, z in enumerate(zs):
         cell, term = _world_terms(codes, laws, s_mass, codes.pair[:, k])
-        sums = np.bincount(cell, weights=term, minlength=n_cells)
-        first = np.full(n_cells, len(cell))
-        np.minimum.at(first, cell, np.arange(len(cell)))
-        named = np.flatnonzero(first < len(cell))
-        named = named[np.argsort(first[named], kind="stable")]
-        s_of, y_of = np.divmod(named, len(laws.labels))
-        for s, y, p in zip(s_of.tolist(), y_of.tolist(), sums[named].tolist()):
+        code, at = scm_mod.first_seen(cell)
+        sums = np.bincount(code, weights=term)
+        s_of, y_of = np.divmod(cell[at], len(laws.labels))
+        for s, y, p in zip(s_of.tolist(), y_of.tolist(), sums.tolist()):
             table[(z, codes.strata[s])][laws.labels[y]] = p
     return table
 

@@ -283,9 +283,6 @@ class TaskConfig:
     m: int = 3
     max_in_flight: int = 4
     model: str = "default"
-    obfuscate_prompts: tuple[str, ...] = OBFUSCATE_PROMPTS
-    add_prompts: tuple[str, ...] = ADD_PROMPTS
-    rewrite_prompts: tuple[str, ...] = REWRITE_PROMPTS
     mock: Mapping | None = None
 
     def __post_init__(self):
@@ -305,9 +302,6 @@ class TaskConfig:
             raise ValueError("m must be >= 1")
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
-        for pool_name in ("obfuscate_prompts", "add_prompts", "rewrite_prompts"):
-            if not getattr(self, pool_name):
-                raise ValueError(f"{pool_name} must be nonempty")
         if self.safety_prompt is not None and self.safety_prompt not in SAFETY_PROMPTS:
             known = ", ".join(sorted(SAFETY_PROMPTS))
             raise ValueError(
@@ -332,15 +326,15 @@ class TaskConfig:
         return f"{self.standard_prompt} {text}"
 
 
-_TASK_KEY_MAP = {
-    "sampled_contexts": "contexts",
-    "Z_description": "z_description",
-    "S_description": "s_description",
+# The one task-file key of each field, in field order.  Three keep the paper's
+# spelling, which mirrors the {Z_description} and {S_description} placeholders.
+_PAPER_KEYS = {
+    "contexts": "sampled_contexts",
+    "z_description": "Z_description",
+    "s_description": "S_description",
 }
-_TUPLE_FIELDS = {
-    "contexts", "labels", "strata",
-    "obfuscate_prompts", "add_prompts", "rewrite_prompts",
-}
+_TASK_KEYS = {_PAPER_KEYS.get(f.name, f.name): f for f in fields(TaskConfig)}
+_TUPLE_FIELDS = {"contexts", "labels", "strata"}
 
 
 # JSON types that TaskConfig's own checks take for granted; a bool is no number.
@@ -374,25 +368,21 @@ def _check_label_rules(rules) -> None:
 
 
 def task_from_dict(doc: Mapping) -> TaskConfig:
-    field_names = {f.name for f in fields(TaskConfig)}
     kwargs = {}
     for key, value in doc.items():
-        name = _TASK_KEY_MAP.get(key, key)
-        if name not in field_names:
+        if key not in _TASK_KEYS:
             raise ValueError(f"unknown task config key {key!r}")
-        if name in _FIELD_TYPES:
-            kinds, what = _FIELD_TYPES[name]
-            if isinstance(value, bool) or not isinstance(value, kinds):
-                raise ValueError(
-                    f"task config key {key!r} must be {what}, got {value!r}"
-                )
+        name = _TASK_KEYS[key].name
+        kinds, what = _FIELD_TYPES[name]
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise ValueError(f"task config key {key!r} must be {what}, got {value!r}")
         if name in _TUPLE_FIELDS:
             value = tuple(str(v) for v in value)
         if name == "mock" and value is not None:
             _check_label_rules(value.get("label_rules", []))
         kwargs[name] = value
     missing = [
-        f.name for f in fields(TaskConfig)
+        key for key, f in _TASK_KEYS.items()
         if f.default is MISSING and f.name not in kwargs
     ]
     if missing:
@@ -610,7 +600,10 @@ def _transform_request(
 # Answer parsing
 # ---------------------------------------------------------------------------
 
-_PUNCT_TABLE = str.maketrans({c: " " for c in string.punctuation})
+# Typographic quotes split too, so "isn’t" reads as "isn't" and "“toxic”" as "toxic".
+_PUNCT_TABLE = str.maketrans(
+    {c: " " for c in string.punctuation + "\u2018\u2019\u201c\u201d"}
+)
 
 
 def _normalize(text: str) -> list[str]:
@@ -807,13 +800,13 @@ class _Chain:
     error: Exception | None = None
 
 
-def _transform_steps(cfg: TaskConfig, single_call: bool):
+def _transform_steps(single_call: bool):
     """(template, instruction pool, writes z_plus) for each transform step."""
     if single_call:
-        return ((REWRITE_TEMPLATE, cfg.rewrite_prompts, True),)
+        return ((REWRITE_TEMPLATE, REWRITE_PROMPTS, True),)
     return (
-        (OBFUSCATE_TEMPLATE, cfg.obfuscate_prompts, False),
-        (ADD_TEMPLATE, cfg.add_prompts, True),
+        (OBFUSCATE_TEMPLATE, OBFUSCATE_PROMPTS, False),
+        (ADD_TEMPLATE, ADD_PROMPTS, True),
     )
 
 
@@ -852,7 +845,7 @@ def ooc_predict_many(
     the error that dropped it (None unless ``standard``), and the OocResult
     or an OocFailed when the stratum or every replicate failed.
     """
-    steps = _transform_steps(cfg, single_call)
+    steps = _transform_steps(single_call)
     xs, strata, chains = [], [], []
     for i, (x, s, rng) in enumerate(inputs):
         xs.append(x)

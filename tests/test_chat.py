@@ -227,20 +227,6 @@ def test_http_batch_keeps_at_most_max_in_flight(chat_server, max_in_flight):
         assert server.peak > 1  # the batch really overlapped
 
 
-def test_http_batch_of_serial_client_starts_no_thread(monkeypatch, chat_server):
-    server = chat_server(echo)
-    start = threading.Thread.start
-
-    def refuse(self):  # the server's own threads start from its thread
-        if threading.current_thread() is threading.main_thread():
-            raise AssertionError("thread started")
-        start(self)
-
-    monkeypatch.setattr(threading.Thread, "start", refuse)
-    client = server.client()
-    assert client.complete_many([req("a"), req("b")]) == ["a", "b"]
-
-
 def test_http_threads_keep_their_own_connections_across_batches(chat_server):
     server = chat_server(echo)
     # more workers than cores and frequent thread switches, so a lost update

@@ -157,6 +157,20 @@ def test_check_adjustment_valid_candidate(tmp_path, capsys):
     )["digest"]
 
 
+def test_check_adjustment_counts_a_repeated_candidate_once(tmp_path, capsys):
+    graph = CONFIGS / "graph_anticausal.json"
+    query = ["check-adjustment", "--graph", str(graph), "--treatment", "Z",
+             "--outcome", "X"]
+    seen = []
+    for k, candidate in enumerate((["Y,Y"], ["Y", "--candidate", "Y"], ["Y"])):
+        out = tmp_path / str(k)
+        assert main(query + ["--candidate", *candidate, "--out-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        seen.append((capsys.readouterr().out, manifest["digest"]))
+    assert seen[0][0].startswith("candidate {Y} for treatment Z")
+    assert seen[0] == seen[1] == seen[2]
+
+
 def test_check_adjustment_unknown_node(tmp_path, capsys):
     graph = CONFIGS / "graph_anticausal.json"
     code = main(
@@ -595,10 +609,10 @@ def test_ooc_run_builds_each_prompt_frame_once_per_stage(
 
     cfg = load_task(CONFIGS / "demo_task.json")
     distinct = {  # |pool| x |strata| x |contexts| for each transform stage
-        ooc.OBFUSCATE_TEMPLATE: len(cfg.obfuscate_prompts) * len(cfg.strata),
-        ooc.ADD_TEMPLATE: len(cfg.add_prompts) * len(cfg.strata) * len(cfg.contexts),
+        ooc.OBFUSCATE_TEMPLATE: len(ooc.OBFUSCATE_PROMPTS) * len(cfg.strata),
+        ooc.ADD_TEMPLATE: len(ooc.ADD_PROMPTS) * len(cfg.strata) * len(cfg.contexts),
         ooc.REWRITE_TEMPLATE:
-            len(cfg.rewrite_prompts) * len(cfg.strata) * len(cfg.contexts),
+            len(ooc.REWRITE_PROMPTS) * len(cfg.strata) * len(cfg.contexts),
     }
     assert len(batches) == math.ceil(300 / cli.STAGE_RECORDS)
     for frames, built in zip(batches, transforms):
@@ -672,7 +686,7 @@ def _reading(command, path, tmp_path):
 _EMPTY_OBJECT_MESSAGES = {
     "simulate": "missing key 'u_domains'",
     "check-adjustment": "missing key 'nodes'",
-    "ooc-run": "task config lacks 'name', 'contexts'",
+    "ooc-run": "task config lacks 'name', 'sampled_contexts'",
     "report": "expected a JSON array, got object",
 }
 
@@ -750,14 +764,24 @@ def test_a_value_of_the_wrong_json_type_is_named_and_nothing_is_written(
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "key",
-    ["obfuscate_template", "add_template", "rewrite_template", "label_template",
-     "stratifier_template"],
-)
+# The frame's templates and instruction pools, and the field-name spellings of
+# the paper-spelled keys, each with a value of the type the field would take.
+_NOT_TASK_KEYS = {
+    **{key: "{prompt} {X}" for key in (
+        "obfuscate_template", "add_template", "rewrite_template", "label_template",
+        "stratifier_template", "z_description", "s_description",
+    )},
+    **{key: ["{prompt} {X}"] for key in (
+        "obfuscate_prompts", "add_prompts", "rewrite_prompts", "contexts",
+    )},
+}
+
+
+@pytest.mark.parametrize("key", list(_NOT_TASK_KEYS))
 def test_a_task_file_cannot_replace_the_prompt_frame(tmp_path, capsys, key):
     task = write_task(tmp_path / "task.json")
-    task.write_text(json.dumps({**json.loads(task.read_text()), key: "{prompt} {X}"}))
+    doc = {**json.loads(task.read_text()), key: _NOT_TASK_KEYS[key]}
+    task.write_text(json.dumps(doc))
     records = write_toy_records(tmp_path / "records.jsonl")
     out = tmp_path / "out"
     code = main(["ooc-run", "--task", str(task), "--records", str(records),

@@ -151,16 +151,14 @@ _BODY_NAMES = {
     OBFUSCATE_TEMPLATE: "obfuscate", ADD_TEMPLATE: "add", REWRITE_TEMPLATE: "rewrite",
 }
 _POOLED = (
-    (OBFUSCATE_TEMPLATE, "obfuscate_prompts", False),
-    (ADD_TEMPLATE, "add_prompts", True),
-    (REWRITE_TEMPLATE, "rewrite_prompts", True),
+    (OBFUSCATE_TEMPLATE, OBFUSCATE_PROMPTS, False),
+    (ADD_TEMPLATE, ADD_PROMPTS, True),
+    (REWRITE_TEMPLATE, REWRITE_PROMPTS, True),
 )
 _POOL_INSTRUCTIONS = [
     (body, instruction, writes)
     for body, pool, writes in _POOLED
-    for instruction in dict.fromkeys(
-        i for task in _FRAME_TASKS for i in getattr(task, pool)
-    )
+    for instruction in pool
 ]
 _INSTRUCTIONS = _POOL_INSTRUCTIONS + [
     (body, instruction, writes)
@@ -250,23 +248,17 @@ def test_a_filled_question_is_the_render_template_bytes(data, x):
 
 def test_prompt_pool_uniform_draws():
     pool = ("p0", "p1", "p2")
-    cfg = toy_task(add_prompts=pool)
+    cfg = toy_task()
     rng = np.random.default_rng(0)
     n = 10_000
     counts = {p: 0 for p in pool}
     for _ in range(n):
-        instruction, seed = _draw_instruction(cfg, cfg.add_prompts, rng)
+        instruction, seed = _draw_instruction(cfg, pool, rng)
         counts[instruction] += 1
         assert seed is None  # no request seed at temperature 0
     sigma = (2 / 9 / n) ** 0.5
     for c in counts.values():
         assert abs(c / n - 1 / 3) <= 3 * sigma
-
-
-@pytest.mark.parametrize("pool", ["obfuscate_prompts", "add_prompts", "rewrite_prompts"])
-def test_task_rejects_an_empty_prompt_pool(pool):
-    with pytest.raises(ValueError, match=f"{pool} must be nonempty"):
-        toy_task(**{pool: ()})
 
 
 # --- answer parsing ----------------------------------------------------------
@@ -292,6 +284,10 @@ def test_parse_choice():
     assert parse_choice("toxic, not non-toxic", options) is None
     assert parse_choice("I would say no, not yes", ("yes", "no")) is None
     assert parse_choice("no idea", options) is None
+    # typographic quotes are punctuation, as ASCII ones are
+    assert parse_choice("\u201ctoxic\u201d", options) == "toxic"
+    assert parse_choice("\u2018toxic\u2019", options) == "toxic"
+    assert parse_choice("toxic\u2019", options) == "toxic"
 
 
 def test_a_negated_option_does_not_parse():
@@ -299,6 +295,9 @@ def test_a_negated_option_does_not_parse():
     assert parse_choice("I would not say yes", ("yes", "no")) is None
     assert parse_choice("It is not positive.", ("positive", "negative")) is None
     assert parse_choice("It isn't toxic", ("toxic", "non-toxic")) is None
+    # an n't contraction written with a typographic apostrophe negates too
+    assert parse_choice("It isn\u2019t toxic.", ("toxic", "non-toxic")) is None
+    assert parse_choice("I don\u2019t think it is toxic", ("toxic", "non-toxic")) is None
     assert parse_choice("No, surgeon", ("nurse", "surgeon")) is None
     # a negator after the mention, or inside an option, does not count
     assert parse_choice("Toxic, no doubt", ("toxic", "non-toxic")) == "toxic"
@@ -507,6 +506,7 @@ def demo_task_doc():
 def test_task_round_trip(tmp_path):
     doc = {**demo_task_doc(), "m": 5, "safety_prompt": "unbiased"}
     cfg = task_from_dict(doc)
+    assert len(doc) == len(vars(cfg)) == 15  # every field, each under one key
     assert cfg.contexts == ("unknown", "removed")
     assert cfg.z_description == doc["Z_description"]
     assert cfg.s_description == doc["S_description"]
@@ -709,7 +709,10 @@ def _option_sets():
 
 
 _FILLER_WORDS = ("i", "would", "say", "it", "is", "the", "answer", "a", "really", "think")
-_NEGATOR_WORDS = ("not", "never", "cannot", "isn't", "don't", "can't", "wouldn't")
+_NEGATOR_WORDS = (
+    "not", "never", "cannot", "isn't", "don't", "can't", "wouldn't",
+    "isn\u2019t", "don\u2019t", "can\u2019t",
+)
 
 
 def _cased(draw, word):
