@@ -308,7 +308,7 @@ def is_adjustment_set(
     cand = frozenset(candidate)
     g.mark(treatment)
     g.mark(outcome)
-    for v in cand:
+    for v in sorted(cand):  # the first unknown node is named whatever the hash seed
         g.mark(v)
     reasons: list[str] = []
     if treatment in cand or outcome in cand:

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Sequence
 from urllib.parse import urlsplit
 
-from .errors import ServiceError
+from .errors import _JSON_TYPES, ServiceError
 
 TOKEN_ENV = "STRATINV_API_TOKEN"
 
@@ -195,11 +195,17 @@ class HttpChatClient(ChatClient):
             else:
                 if resp.status == 200:
                     try:
-                        return json.loads(data)["choices"][0]["message"]["content"]
+                        content = json.loads(data)["choices"][0]["message"]["content"]
                     except (KeyError, IndexError, TypeError, ValueError) as exc:
                         raise ServiceError(
                             f"malformed completion payload: {exc}"
                         ) from exc
+                    if not isinstance(content, str):
+                        raise ServiceError(
+                            "malformed completion payload: content is "
+                            f"{_JSON_TYPES[type(content)]}, not a string"
+                        )
+                    return content
                 last = f"HTTP {resp.status}: {data.decode('utf-8', 'replace')[:200]}"
                 if resp.status == 429:
                     wait = _retry_after(resp.getheader("Retry-After"))

@@ -19,15 +19,29 @@ _JSON_TYPES = {
 }
 
 
+def _distinct_keys(pairs: list) -> dict:
+    """A JSON object, refused when it repeats a key (which ``json`` would
+    otherwise settle silently by keeping the last value)."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen = set()
+        for key, _value in pairs:
+            if key in seen:
+                raise ValueError(f"repeated key {key!r}")
+            seen.add(key)
+    return doc
+
+
 @contextmanager
 def json_input(path, kind: type = dict):
     """Yield the JSON document in the file at ``path``, which must be a
-    ``kind``. Malformed JSON, a document of another type, and a KeyError,
-    ValueError or TypeError raised while it is read (a value of the wrong
-    JSON type inside the document) become a ValueError naming the file."""
+    ``kind``. Malformed JSON (an object that repeats a key included), a
+    document of another type, and a KeyError, ValueError or TypeError raised
+    while it is read (a value of the wrong JSON type inside the document)
+    become a ValueError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_distinct_keys)
         except ValueError as exc:
             raise ValueError(f"{path}: malformed JSON: {exc}") from None
     if not isinstance(doc, kind):

@@ -21,7 +21,6 @@ from .scm import (
     DiscreteScm,
     FiniteDomain,
     conditional_world_table,
-    scm_from_tables,
     stratum_values,
 )
 from .structured import parse_structured
@@ -31,10 +30,6 @@ _CONTEXT_NAMES = ("za", "zb", "zc", "zd")
 #: Stratifier shapes for randomized models: a constant, the first factor,
 #: the label, or the (first factor, label) pair.
 S_MODES = ("const", "u1", "y", "pair")
-
-
-def _tkey(*parts) -> str:
-    return "|".join(str(p) for p in parts)
 
 
 def _random_row(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -77,24 +72,17 @@ def _stratum_entry(s_mode: str, u: tuple, y) -> str:
 
 
 def _tabulate(u_domains, contexts, p_u, z_parents, p_z, cell) -> DiscreteScm:
-    """A table-backed model whose ``cell(z, u)`` gives (x, y, s).
+    """The model whose ``cell(z, u)`` gives (x, y, s).
 
     Cells are visited z-major, then in factor-grid order, so a cell that
     draws from a seeded stream always draws in the same sequence.
     """
-    x_table: dict[str, str] = {}
-    y_table: dict[str, int] = {}
-    s_table: dict[str, str] = {}
-    for z in contexts:
-        for u in itertools.product(*(d.values for d in u_domains)):
-            x, y, s = cell(z, u)
-            x_table[_tkey(z, *u)] = x
-            y_table[_tkey(z, *u)] = y
-            s_table[_tkey(z, *u, y)] = s
-    return scm_from_tables(
+    grid = list(itertools.product(*(d.values for d in u_domains)))
+    by_z = [[cell(z, u) for u in grid] for z in contexts]
+    return DiscreteScm(
         u_domains, FiniteDomain("z", contexts), p_u, z_parents, p_z,
-        x_table, y_table, s_table, y_values=(0, 1),
-        s_values=tuple(sorted(set(s_table.values()))),
+        cells=dict(zip(grid, zip(*by_z))), y_values=(0, 1),
+        s_values=tuple(sorted({s for row in by_z for _x, _y, s in row})),
     )
 
 
@@ -332,14 +320,14 @@ def direct_effect_fixture(seed) -> DiscreteScm:
     which no valid adjustment set may do.
     """
     base = exogenous_fixture(seed, s_mode="y")
-    x_table = base.tables["x"]
-    # Rebuild the label table forcing a z-dependence on the first profile.
-    y_table = dict(base.tables["y"])
-    y_table[_tkey("zb", 0, 0)] = 1 - y_table[_tkey("za", 0, 0)]
+    zs = base.z_domain.values
+    # Rebuild the labels forcing a z-dependence on the first profile.
+    flipped = 1 - base.cells[(0, 0)][zs.index("za")][1]
 
     def cell(z, u):
-        y = y_table[_tkey(z, *u)]
-        return x_table[_tkey(z, *u)], y, str(y)
+        x, y, _s = base.cells[u][zs.index(z)]
+        y = flipped if (z, u) == ("zb", (0, 0)) else y
+        return x, y, str(y)
 
     return _tabulate(
         base.u_domains, base.z_domain.values, base.p_u, base.z_parents,

@@ -2,25 +2,25 @@
 
 A model has finite exogenous factors U = (U1..Uk) with joint table p_u, a
 finite context Z drawn from a table conditioned on a declared subset of the
-factors, and deterministic mechanisms
+factors, and deterministic mechanisms, held as one cell (x, y, s) per (z, u):
 
-    x = x_fn(z, u)      input shown to a predictor
-    y = y_fn(z, u)      true label
-    s = s_fn(z, u, y)   stratifier measurement
+    x   input shown to a predictor
+    y   true label
+    s   stratifier measurement, at that label
 
 All stochasticity lives in p_u and p_z_given_parents, so a world (u, z) pins
 down every observed and potential value: the potential triple at z* is just
-the mechanisms evaluated at (z*, u). Exact distributions are computed by
-enumerating worlds; nothing in this module is approximate.
+the cell at (z*, u). Exact distributions are computed by enumerating worlds;
+nothing in this module is approximate.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, NamedTuple
+from typing import Any, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -75,9 +75,10 @@ class DiscreteScm:
     ``p_u`` maps full factor tuples to probabilities. ``p_z_given_parents``
     maps tuples of the ``z_parents`` factor values (in declared order; the
     empty tuple when Z is exogenous) to rows over the context domain.
-    ``y_values`` / ``s_values`` optionally declare label and stratum order
-    (used for deterministic tie-breaks); when absent they are derived in
-    enumeration order.
+    ``cells`` maps each factor tuple to its (x, y, s) cell at every context,
+    in domain order. ``y_values`` / ``s_values`` optionally declare label and
+    stratum order (used for deterministic tie-breaks); when absent they are
+    derived in enumeration order.
     """
 
     u_domains: tuple[FiniteDomain, ...]
@@ -85,12 +86,9 @@ class DiscreteScm:
     p_u: Mapping[tuple, float]
     z_parents: tuple[str, ...]
     p_z_given_parents: Mapping[tuple, Mapping[Any, float]]
-    x_fn: Callable[[Any, tuple], Any]
-    y_fn: Callable[[Any, tuple], Any]
-    s_fn: Callable[[Any, tuple, Any], Any]
+    cells: Mapping[tuple, tuple[tuple, ...]]
     y_values: tuple | None = None
     s_values: tuple | None = None
-    tables: Mapping[str, Any] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         names = [d.name for d in self.u_domains]
@@ -237,17 +235,21 @@ class WorldIndex:
     @cached_property
     def codes(self) -> WorldCodes:
         """The worlds as integer codes, for array sums over them."""
-        scm, worlds = self._scm, self.worlds
-        x_fn, zs = scm.x_fn, scm.z_domain.values
+        worlds, cells = self.worlds, self._scm.cells
+        zs = self._scm.z_domain.values
         n_w, n_z = len(worlds), len(zs)
+        at = {z: k for k, z in enumerate(zs)}
         strata: dict = {}
         stratum = np.fromiter(
-            (strata.setdefault(observed(scm, w)[2], len(strata)) for w, _ in worlds),
+            (strata.setdefault(cells[w.u][at[w.z]][2], len(strata)) for w, _ in worlds),
             np.intp, n_w,
         )
         inputs: dict = {}
         input_code = np.fromiter(
-            (inputs.setdefault(x_fn(z, w.u), len(inputs)) for w, _ in worlds for z in zs),
+            (
+                inputs.setdefault(x, len(inputs))
+                for w, _ in worlds for x, _y, _s in cells[w.u]
+            ),
             np.intp, n_w * n_z,
         )
         # (x, s) pairs are numbered in the order the exact law visits them:
@@ -390,10 +392,7 @@ def potential(scm: DiscreteScm, world: World, z_star: Any) -> tuple:
     for value, dom in zip(world.u, scm.u_domains):
         if value not in dom:
             raise DomainMismatch(f"value {value!r} not in domain {dom.name!r}")
-    x = scm.x_fn(z_star, world.u)
-    y = scm.y_fn(z_star, world.u)
-    s = scm.s_fn(z_star, world.u, y)
-    return x, y, s
+    return scm.cells[tuple(world.u)][scm.z_domain.values.index(z_star)]
 
 
 def observed(scm: DiscreteScm, world: World) -> tuple:
@@ -466,9 +465,9 @@ class ExactConditionalSampler:
     """Exact p(X(z+) | X(z)=x, S=s) by enumeration over worlds.
 
     Given evidence (x, s), the unique consistent context z is recovered, the
-    posterior over worlds w with x_fn(z, u_w) = x and observed stratum s is
-    formed, and X(z+) = x_fn(z+, u_w) is pushed through it. Every table is
-    read from the model's ``WorldIndex.conditional_laws``.
+    posterior over worlds w whose input at z is x and whose observed stratum
+    is s is formed, and their inputs X(z+) at z+ are pushed through it. Every
+    table is read from the model's ``WorldIndex.conditional_laws``.
     """
 
     def __init__(self, scm: DiscreteScm):
@@ -533,52 +532,38 @@ def scm_from_tables(
     """Build a model whose mechanisms are lookup tables.
 
     x_table and y_table are keyed ``"z|u1|...|uk"``; s_table is keyed
-    ``"z|u1|...|uk|y"``. When s_table is None the stratifier is the constant
-    None (the empty stratification).  Missing entries are rejected here, so a
+    ``"z|u1|...|uk|y"``, and only the entry at each cell's own label y is
+    read. When s_table is None the stratifier is the constant None (the
+    empty stratification).  Missing entries are rejected here, so a
     malformed file fails at load time naming the offending table.
     """
     u_domains = tuple(u_domains)
-    for z in z_domain.values:
-        for u in itertools.product(*(d.values for d in u_domains)):
+    cells = {}
+    for u in itertools.product(*(d.values for d in u_domains)):
+        row = []
+        for z in z_domain.values:
             key = _encode_key(z, *u)
             if key not in x_table:
                 raise DomainMismatch(f"x_table is missing entry {key!r}")
             if key not in y_table:
                 raise DomainMismatch(f"y_table is missing entry {key!r}")
+            y, s = y_table[key], None
             if s_table is not None:
-                s_key = _encode_key(z, *u, y_table[key])
+                s_key = _encode_key(z, *u, y)
                 if s_key not in s_table:
                     raise DomainMismatch(f"s_table is missing entry {s_key!r}")
-
-    def x_fn(z, u):
-        return x_table[_encode_key(z, *u)]
-
-    def y_fn(z, u):
-        return y_table[_encode_key(z, *u)]
-
-    if s_table is None:
-        def s_fn(z, u, y):
-            return None
-    else:
-        def s_fn(z, u, y):
-            return s_table[_encode_key(z, *u, y)]
-
+                s = s_table[s_key]
+            row.append((x_table[key], y, s))
+        cells[u] = tuple(row)
     return DiscreteScm(
-        u_domains=tuple(u_domains),
+        u_domains=u_domains,
         z_domain=z_domain,
         p_u=dict(p_u),
         z_parents=tuple(z_parents),
         p_z_given_parents={k: dict(v) for k, v in p_z_given_parents.items()},
-        x_fn=x_fn,
-        y_fn=y_fn,
-        s_fn=s_fn,
+        cells=cells,
         y_values=y_values,
         s_values=s_values,
-        tables={
-            "x": dict(x_table),
-            "y": dict(y_table),
-            "s": dict(s_table) if s_table is not None else None,
-        },
     )
 
 
@@ -646,9 +631,8 @@ def load_scm(source) -> DiscreteScm:
 
 
 def dump_scm(scm: DiscreteScm) -> dict:
-    """Serialize a table-backed model to a JSON-ready dict."""
-    if scm.tables is None:
-        raise ValueError("only table-backed models (scm_from_tables) serialize")
+    """Serialize a model to a JSON-ready dict, one table entry per (z, u)
+    cell; the s_table is left out when every cell's stratum is None."""
     parent_domains = [d for d in scm.u_domains if d.name in scm.z_parents]
     flat = {
         key + (z,): p
@@ -663,11 +647,16 @@ def dump_scm(scm: DiscreteScm) -> dict:
         "p_u": _map_to_nested(scm.p_u, list(scm.u_domains)),
         "z_parents": list(scm.z_parents),
         "p_z_given_parents": _map_to_nested(flat, parent_domains + [scm.z_domain]),
-        "x_table": scm.tables["x"],
-        "y_table": scm.tables["y"],
     }
-    if scm.tables["s"] is not None:
-        doc["s_table"] = scm.tables["s"]
+    cells = [
+        (z, u, row[k])
+        for k, z in enumerate(scm.z_domain.values)
+        for u, row in scm.cells.items()
+    ]
+    doc["x_table"] = {_encode_key(z, *u): x for z, u, (x, _y, _s) in cells}
+    doc["y_table"] = {_encode_key(z, *u): y for z, u, (_x, y, _s) in cells}
+    if any(s is not None for _z, _u, (_x, _y, s) in cells):
+        doc["s_table"] = {_encode_key(z, *u, y): s for z, u, (_x, y, s) in cells}
     if scm.y_values is not None:
         doc["y_values"] = list(scm.y_values)
     if scm.s_values is not None:

@@ -39,14 +39,14 @@ from stratinv.fixtures import (
 from stratinv.metrics import exact_prediction_law
 from stratinv.scm import (
     AMBIGUOUS,
-    DiscreteScm,
     ExactConditionalSampler,
     ExactRecoverer,
     FiniteDomain,
     enumerate_joint,
     observed,
+    potential,
 )
-from tests_support import blind, tiny_confounded
+from tests_support import blind, tabulate, tiny_confounded
 
 
 def exact_ap(scm, base, **kw):
@@ -222,15 +222,15 @@ def test_ambiguous_context_fails_the_call():
 def half_blind():
     """Three contexts; the input names zb only, so za and zc show the same
     pairs and zb's pairs recover."""
-    return DiscreteScm(
-        u_domains=(FiniteDomain("u1", (0, 1)),),
-        z_domain=FiniteDomain("z", ("za", "zb", "zc")),
-        p_u={(0,): 0.5, (1,): 0.5},
-        z_parents=(),
-        p_z_given_parents={(): {"za": 0.25, "zb": 0.5, "zc": 0.25}},
-        x_fn=lambda z, u: f"ctx=zb u1={u[0]}" if z == "zb" else f"u1={u[0]}",
-        y_fn=lambda z, u: u[0],
-        s_fn=lambda z, u, y: "all",
+    return tabulate(
+        (FiniteDomain("u1", (0, 1)),),
+        FiniteDomain("z", ("za", "zb", "zc")),
+        {(0,): 0.5, (1,): 0.5},
+        (),
+        {(): {"za": 0.25, "zb": 0.5, "zc": 0.25}},
+        lambda z, u: (
+            f"ctx=zb u1={u[0]}" if z == "zb" else f"u1={u[0]}", u[0], "all"
+        ),
     )
 
 
@@ -292,7 +292,7 @@ def reference_prediction_law(model, predictor):
         for s, members in by_stratum.items():
             law = {}
             for w, m in members:
-                out = predictor(model.x_fn(z, w.u), s)
+                out = predictor(potential(model, w, z)[0], s)
                 kernel = out if isinstance(out, dict) else {out: 1.0}
                 for y, p in kernel.items():
                     law[y] = law.get(y, 0.0) + p * m / s_mass[s]
@@ -309,12 +309,12 @@ def reference_augmented_kernel(model, base):
     def table(x, s, z_plus):
         (z0,) = [
             z for z in zs
-            if any(s_w == s and model.x_fn(z, w.u) == x for w, _m, s_w in worlds)
+            if any(s_w == s and potential(model, w, z)[0] == x for w, _m, s_w in worlds)
         ]
         mass, total = {}, 0.0
         for w, m, s_w in worlds:
-            if s_w == s and model.x_fn(z0, w.u) == x:
-                xp = model.x_fn(z_plus, w.u)
+            if s_w == s and potential(model, w, z0)[0] == x:
+                xp = potential(model, w, z_plus)[0]
                 mass[xp] = mass.get(xp, 0.0) + m
                 total += m
         return tuple(mass), np.array(list(mass.values()), dtype=float) / total
@@ -362,7 +362,7 @@ def test_exact_law_calls_the_predictor_once_per_distinct_input():
     for fx in fixture_suite(24):
         model = fx.scm
         pairs = {
-            (model.x_fn(z, w.u), observed(model, w)[2])
+            (potential(model, w, z)[0], observed(model, w)[2])
             for w, _m in enumerate_joint(model)
             for z in model.z_domain.values
         }
@@ -392,7 +392,10 @@ def test_exact_law_calls_the_predictor_once_per_distinct_input():
 def world_rows(model):
     """(mass, observed s, potential input at each context) per world."""
     return [
-        (m, observed(model, w)[2], [model.x_fn(z, w.u) for z in model.z_domain.values])
+        (
+            m, observed(model, w)[2],
+            [potential(model, w, z)[0] for z in model.z_domain.values],
+        )
         for w, m in enumerate_joint(model)
     ]
 
@@ -515,15 +518,15 @@ def test_a_sampler_of_another_model_answers_through_the_kernel():
 def scrambled_model():
     """Inputs at zb reappear out of world order: "B" is first seen in the
     first world, but the evidence "ctx=za g=1" shows "A" before "B"."""
-    return DiscreteScm(
-        u_domains=(FiniteDomain("u1", (0, 1, 2)),),
-        z_domain=FiniteDomain("z", ("za", "zb")),
-        p_u={(0,): 0.3, (1,): 0.3, (2,): 0.4},
-        z_parents=(),
-        p_z_given_parents={(): {"za": 0.6, "zb": 0.4}},
-        x_fn=lambda z, u: f"ctx=za g={min(u[0], 1)}" if z == "za" else "BAB"[u[0]],
-        y_fn=lambda z, u: u[0],
-        s_fn=lambda z, u, y: "all",
+    return tabulate(
+        (FiniteDomain("u1", (0, 1, 2)),),
+        FiniteDomain("z", ("za", "zb")),
+        {(0,): 0.3, (1,): 0.3, (2,): 0.4},
+        (),
+        {(): {"za": 0.6, "zb": 0.4}},
+        lambda z, u: (
+            f"ctx=za g={min(u[0], 1)}" if z == "za" else "BAB"[u[0]], u[0], "all"
+        ),
     )
 
 

@@ -159,6 +159,13 @@ def test_http_malformed_payload(chat_server):
     client, _ = http_client(chat_server, [(200, '{"choices": []}')])
     with pytest.raises(ServiceError, match="malformed completion"):
         client.complete(req())
+    for content, kind in (("null", "null"), ("7", "number"), ('["a"]', "array")):
+        body = f'{{"choices": [{{"message": {{"content": {content}}}}}]}}'
+        client, _ = http_client(chat_server, [(200, body)])
+        with pytest.raises(
+            ServiceError, match=f"malformed completion payload: content is {kind},"
+        ):
+            client.complete(req())
 
 
 def test_http_endpoint_must_be_an_http_url():

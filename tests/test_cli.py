@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import threading
 from collections import Counter
 from pathlib import Path
@@ -179,6 +182,21 @@ def test_check_adjustment_unknown_node(tmp_path, capsys):
     )
     assert code == 2
     assert "Bogus" in capsys.readouterr().err
+
+
+def test_check_adjustment_names_one_unknown_node_under_every_hash_seed(tmp_path):
+    argv = ["check-adjustment", "--graph", str(CONFIGS / "graph_anticausal.json"),
+            "--treatment", "Z", "--outcome", "X",
+            "--candidate", "Bogus1,Bogus2,Bogus3", "--out-dir", str(tmp_path / "o")]
+    code = "import sys; from stratinv.cli import main; sys.exit(main(sys.argv[1:]))"
+    seen = set()
+    for seed in range(1, 5):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed),
+               "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        seen.add((done.returncode, done.stderr))
+    assert seen == {(2, "error: node 'Bogus1' not in graph\n")}
 
 
 def test_check_adjustment_rejects_a_negative_max_size(tmp_path, capsys):
@@ -692,8 +710,8 @@ _EMPTY_OBJECT_MESSAGES = {
 
 
 @pytest.mark.parametrize("command", list(_EMPTY_OBJECT_MESSAGES))
-@pytest.mark.parametrize("content", ["[1, 2]", '{"a": }', "{}"],
-                         ids=["array", "bad-json", "empty-object"])
+@pytest.mark.parametrize("content", ["[1, 2]", '{"a": }', "{}", '{"a": 1, "a": 1}'],
+                         ids=["array", "bad-json", "empty-object", "repeated-key"])
 def test_a_malformed_input_file_is_named_and_nothing_is_written(
     tmp_path, capsys, command, content
 ):
@@ -708,8 +726,26 @@ def test_a_malformed_input_file_is_named_and_nothing_is_written(
         assert "malformed JSON: Expecting value: line 1 column 7 (char 6)" in err
     elif content == "{}":
         assert _EMPTY_OBJECT_MESSAGES[command] in err
+    elif content == '{"a": 1, "a": 1}':
+        assert "malformed JSON: repeated key 'a'" in err
     else:
         assert "must be a JSON object" in err or "expected a JSON object" in err
+    assert not out.exists()
+
+
+def test_a_task_file_that_repeats_a_key_is_refused(tmp_path, capsys):
+    text = (CONFIGS / "demo_task.json").read_text()
+    assert text.count('  "m": 3,\n') == 1
+    task = tmp_path / "task.json"
+    task.write_text(text.replace('  "m": 3,\n', '  "m": 3,\n  "m": 5,\n'))
+    out = tmp_path / "out"
+    code = main(["ooc-run", "--task", str(task), "--records",
+                 str(write_toy_records(tmp_path / "records.jsonl")),
+                 "--out-dir", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {task}: malformed JSON: repeated key 'm'\n"
+    )
     assert not out.exists()
 
 
@@ -943,6 +979,30 @@ def test_ooc_run_http_fan_out_matches_serial_and_mock(tmp_path, chat_server):
         outs[label] = [(out / name).read_bytes() for name in OOC_OUTPUTS] + [rows]
     assert peak > 1
     assert outs["http1"] == outs["http4"] == outs["mock"]
+
+
+def test_ooc_run_http_null_content_fails_one_record(tmp_path, capsys, chat_server):
+    """A completion whose content is not text fails its record, not the run."""
+    task = write_task(tmp_path / "task.json")
+    records = write_toy_records(tmp_path / "records.jsonl")
+    answer = mock_reply(MockStructuredLm.for_task(load_task(task)))
+    null = (200, '{"choices": [{"message": {"content": null}}]}')
+    server = chat_server(
+        lambda doc: null if "routine note 2" in json.dumps(doc) else answer(doc)
+    )
+    out = tmp_path / "out"
+    assert main(["ooc-run", "--task", str(task), "--records", str(records),
+                 "--client", "http", "--endpoint", server.url,
+                 "--out-dir", str(out)]) == 0
+    assert "failed r2: standard label: malformed completion payload: content is null" \
+        in capsys.readouterr().out
+    std = load_records(out / "records_standard.jsonl")
+    assert {r.record_id for r in std} == {f"r{i}" for i in range(8)} - {"r2"}
+    rates = {
+        r.method: r.value for r in load_rows(out / "rows.json")
+        if r.metric == "failure_rate"
+    }
+    assert rates["standard"] == 1 / 8
 
 
 def test_ooc_run_on_the_mock_starts_no_thread(tmp_path, monkeypatch):

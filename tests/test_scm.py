@@ -25,7 +25,6 @@ from stratinv.fixtures import ctx_reader, fixture_suite, random_fixture_scm
 from stratinv.metrics import exact_prediction_law
 from stratinv.scm import (
     AMBIGUOUS,
-    DiscreteScm,
     ExactConditionalSampler,
     ExactRecoverer,
     FiniteDomain,
@@ -40,23 +39,21 @@ from stratinv.scm import (
     scm_from_tables,
     stratum_values,
 )
-from tests_support import blind as _blind
+from tests_support import blind as _blind, closure_twin, tabulate
 
 
 def tiny_scm():
     """One binary factor driving z: joint masses 0.125/0.125/0.15/0.6."""
-    return DiscreteScm(
-        u_domains=(FiniteDomain("u1", (0, 1)),),
-        z_domain=FiniteDomain("z", ("za", "zb")),
-        p_u={(0,): 0.25, (1,): 0.75},
-        z_parents=("u1",),
-        p_z_given_parents={
+    return tabulate(
+        (FiniteDomain("u1", (0, 1)),),
+        FiniteDomain("z", ("za", "zb")),
+        {(0,): 0.25, (1,): 0.75},
+        ("u1",),
+        {
             (0,): {"za": 0.5, "zb": 0.5},
             (1,): {"za": 0.2, "zb": 0.8},
         },
-        x_fn=lambda z, u: f"ctx={z} u1={u[0]}",
-        y_fn=lambda z, u: u[0],
-        s_fn=lambda z, u, y: "all",
+        lambda z, u: (f"ctx={z} u1={u[0]}", u[0], "all"),
         y_values=(0, 1),
         s_values=("all",),
     )
@@ -91,15 +88,13 @@ def test_domain_validation():
 
 def test_bad_probability_row_rejected():
     with pytest.raises(DomainMismatch):
-        DiscreteScm(
-            u_domains=(FiniteDomain("u1", (0, 1)),),
-            z_domain=FiniteDomain("z", ("za", "zb")),
-            p_u={(0,): 0.6, (1,): 0.6},  # sums to 1.2
-            z_parents=(),
-            p_z_given_parents={(): {"za": 0.5, "zb": 0.5}},
-            x_fn=lambda z, u: "x",
-            y_fn=lambda z, u: 0,
-            s_fn=lambda z, u, y: None,
+        tabulate(
+            (FiniteDomain("u1", (0, 1)),),
+            FiniteDomain("z", ("za", "zb")),
+            {(0,): 0.6, (1,): 0.6},  # sums to 1.2
+            (),
+            {(): {"za": 0.5, "zb": 0.5}},
+            lambda z, u: ("x", 0, None),
         )
 
 
@@ -131,15 +126,13 @@ def test_exact_recoverer():
     assert rec.recover("ctx=zb u1=1", "all") == "zb"
 
     # drop the ctx token and both contexts become consistent
-    blind = DiscreteScm(
-        u_domains=scm.u_domains,
-        z_domain=scm.z_domain,
-        p_u=scm.p_u,
-        z_parents=scm.z_parents,
-        p_z_given_parents=scm.p_z_given_parents,
-        x_fn=lambda z, u: f"u1={u[0]}",
-        y_fn=scm.y_fn,
-        s_fn=scm.s_fn,
+    blind = tabulate(
+        scm.u_domains,
+        scm.z_domain,
+        scm.p_u,
+        scm.z_parents,
+        scm.p_z_given_parents,
+        lambda z, u: (f"u1={u[0]}", *potential(scm, World(u=u, z=z), z)[1:]),
         y_values=scm.y_values,
         s_values=scm.s_values,
     )
@@ -264,7 +257,7 @@ def reference_recoverer(scm):
     for w, _mass in enumerate_joint(scm):
         s_obs = observed(scm, w)[2]
         for z in scm.z_domain.values:
-            index.setdefault((scm.x_fn(z, w.u), s_obs), set()).add(z)
+            index.setdefault((potential(scm, w, z)[0], s_obs), set()).add(z)
 
     def recover(x, s):
         candidates = index.get((x, s), set())
@@ -282,7 +275,7 @@ def test_recoverer_matches_the_set_index_reference():
     for fx in fixture_suite(24):
         for scm in (fx.scm, _blind(fx.scm)):
             inputs = {
-                scm.x_fn(z, w.u) for w, _ in enumerate_joint(scm)
+                potential(scm, w, z)[0] for w, _ in enumerate_joint(scm)
                 for z in scm.z_domain.values
             }
             reference, recoverer = reference_recoverer(scm), ExactRecoverer(scm)
@@ -307,7 +300,7 @@ def evidence_walk(scm):
     zs = scm.z_domain.values
     out = {}
     for w, m in enumerate_joint(scm):
-        xs = [scm.x_fn(z, w.u) for z in zs]
+        xs = [potential(scm, w, z)[0] for z in zs]
         s_obs = observed(scm, w)[2]
         for z, x in zip(zs, xs):
             out.setdefault((x, s_obs, z), []).append((m, xs))
@@ -432,6 +425,49 @@ def test_one_pass_tables_refuse_a_context_outside_the_domain():
     )
     with pytest.raises(DomainMismatch, match="'zq' outside the domain"):
         exact_augmented_distribution(scm, ap)
+
+
+# --- the cells against mechanism closures over the tables --------------------
+
+
+def _same(got, want, what):
+    """Equal NamedTuples of arrays, tuples and dicts: dtypes, values, floats
+    bit for bit, and the order of every tuple and dict."""
+    for name, a, b in zip(type(want)._fields, got, want):
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype, (what, name)
+            a, b = a.tolist(), b.tolist()
+            if b and isinstance(b[0], float):
+                a, b = [v.hex() for v in a], [v.hex() for v in b]
+        elif isinstance(b, dict):
+            a, b = list(a.items()), list(b.items())
+        assert a == b, (what, name)
+
+
+def test_the_cells_give_the_codes_and_laws_of_the_closure_path():
+    for seed in range(150):
+        model = random_fixture_scm(seed)
+        for scm in (model, _blind(model)):
+            twin = closure_twin(scm)
+            _same(scm.index.codes, twin.index.codes, (seed, "codes"))
+            zs = scm.z_domain.values
+            for k in range(len(zs)):
+                _same(
+                    scm.index.conditional_laws(k), twin.index.conditional_laws(k),
+                    (seed, "laws", k),
+                )
+            for contexts in (zs, zs[::-1]):
+                got, want = (
+                    _outcome(exact_augmented_distribution, m, AugmentedPredictor(
+                        recoverer=ExactRecoverer(m), sampler=ExactConditionalSampler(m),
+                        base=ctx_reader, contexts=contexts,
+                    ))
+                    for m in (scm, twin)
+                )
+                if isinstance(want, str):
+                    assert got == want, (seed, contexts)
+                else:
+                    assert _hexed_law(got) == _hexed_law(want), (seed, contexts)
 
 
 # --- the coded index: built on first use, once per model ---------------------

@@ -2,12 +2,37 @@
 replaced engines."""
 
 import dataclasses
+import itertools
 import re
 
 import numpy as np
 
 from stratinv.ooc import _normalize
-from stratinv.scm import DiscreteScm, FiniteDomain
+from stratinv.scm import (
+    FiniteDomain,
+    WorldCodes,
+    dump_scm,
+    first_seen,
+    scm_from_tables,
+)
+
+
+def tabulate(
+    u_domains, z_domain, p_u, z_parents, p_z, cell, y_values=None, s_values=None
+):
+    """The model whose mechanisms give ``cell(z, u) = (x, y, s)``, built from
+    string-keyed tables by ``scm_from_tables``."""
+    x_table, y_table, s_table = {}, {}, {}
+    for z in z_domain.values:
+        for u in itertools.product(*(d.values for d in u_domains)):
+            x, y, s = cell(z, u)
+            key = "|".join(map(str, (z, *u)))
+            x_table[key], y_table[key] = x, y
+            s_table[f"{key}|{y}"] = s
+    return scm_from_tables(
+        u_domains, z_domain, p_u, z_parents, p_z, x_table, y_table, s_table,
+        y_values=y_values, s_values=s_values,
+    )
 
 
 def tiny_confounded():
@@ -16,18 +41,16 @@ def tiny_confounded():
     The input reveals the context and the bit, so a ctx reader and a
     bit reader bracket the invariance spectrum.
     """
-    return DiscreteScm(
-        u_domains=(FiniteDomain("u1", (0, 1)),),
-        z_domain=FiniteDomain("z", ("za", "zb")),
-        p_u={(0,): 0.5, (1,): 0.5},
-        z_parents=("u1",),
-        p_z_given_parents={
+    return tabulate(
+        (FiniteDomain("u1", (0, 1)),),
+        FiniteDomain("z", ("za", "zb")),
+        {(0,): 0.5, (1,): 0.5},
+        ("u1",),
+        {
             (0,): {"za": 0.8, "zb": 0.2},
             (1,): {"za": 0.3, "zb": 0.7},
         },
-        x_fn=lambda z, u: f"ctx={z} u1={u[0]}",
-        y_fn=lambda z, u: u[0],
-        s_fn=lambda z, u, y: "all",
+        lambda z, u: (f"ctx={z} u1={u[0]}", u[0], "all"),
         y_values=(0, 1),
         s_values=("all",),
     )
@@ -35,10 +58,76 @@ def tiny_confounded():
 
 def blind(scm):
     """The same model with the context token dropped from every input."""
-    x_fn = scm.x_fn
-    return dataclasses.replace(
-        scm, x_fn=lambda z, u: re.sub(r"ctx=\S+ ?", "", x_fn(z, u))
+    return dataclasses.replace(scm, cells={
+        u: tuple((re.sub(r"ctx=\S+ ?", "", x), y, s) for x, y, s in row)
+        for u, row in scm.cells.items()
+    })
+
+
+# --- the coded index over mechanism closures ---------------------------------
+# Before a model held its (z, u) cells, its mechanisms were closures over the
+# string-keyed tables, called per world and context. The codes built that way
+# are the oracle for the codes built from the cells.
+
+
+def closure_codes(scm) -> WorldCodes:
+    """``WorldIndex.codes`` from closures over ``dump_scm``'s tables."""
+    doc = dump_scm(scm)
+    x_table, y_table, s_table = doc["x_table"], doc["y_table"], doc.get("s_table")
+
+    def encode(*parts):
+        return "|".join(map(str, parts))
+
+    def x_fn(z, u):
+        return x_table[encode(z, *u)]
+
+    def s_observed(w):
+        y = y_table[encode(w.z, *w.u)]
+        return None if s_table is None else s_table[encode(w.z, *w.u, y)]
+
+    worlds, zs = scm.index.worlds, scm.z_domain.values
+    n_w, n_z = len(worlds), len(zs)
+    strata: dict = {}
+    stratum = np.fromiter(
+        (strata.setdefault(s_observed(w), len(strata)) for w, _ in worlds),
+        np.intp, n_w,
     )
+    inputs: dict = {}
+    input_code = np.fromiter(
+        (inputs.setdefault(x_fn(z, w.u), len(inputs)) for w, _ in worlds for z in zs),
+        np.intp, n_w * n_z,
+    )
+    rows, cols = np.divmod(np.arange(n_w * n_z), n_z)
+    visit = np.argsort(stratum[rows] * n_z + cols, kind="stable")
+    key = (stratum[rows] * len(inputs) + input_code)[visit]
+    pair_code, at = first_seen(key)
+    pair = np.empty(n_w * n_z, np.intp)
+    pair[visit] = pair_code
+    s_of, x_of = np.divmod(key[at], len(inputs))
+    shown = np.zeros((len(at), n_z), dtype=bool)
+    shown[pair, cols] = True
+    xs, ss = tuple(inputs), tuple(strata)
+    return WorldCodes(
+        mass=np.fromiter((m for _w, m in worlds), float, n_w),
+        stratum=stratum,
+        strata=ss,
+        input=input_code.reshape(n_w, n_z),
+        inputs=xs,
+        pair=pair.reshape(n_w, n_z),
+        pairs={
+            (xs[x], ss[s]): c
+            for c, (x, s) in enumerate(zip(x_of.tolist(), s_of.tolist()))
+        },
+        context=np.where(shown.sum(1) == 1, shown.argmax(1), -1),
+    )
+
+
+def closure_twin(scm):
+    """A copy of ``scm`` whose index holds ``closure_codes``, so every exact
+    law read from the twin is built on the closure path's codes."""
+    twin = dataclasses.replace(scm)
+    twin.index.__dict__["codes"] = closure_codes(scm)
+    return twin
 
 
 # --- the permutation kernel before its context-major layout -----------------
