@@ -4,15 +4,15 @@ Nodes carry a mark: "observed", "latent" (cannot be conditioned on) or
 "selected" (a selection node, permanently conditioned on, which keeps the
 collider it sits on open for every query).
 
-Verdicts use Bayes-ball reachability (Shachter, UAI 1998; Koller & Friedman,
-Alg. 3.1): a search over (node, direction) states that is linear in the size
-of the graph, so the validity test in `is_adjustment_set` and every
-candidate of `minimal_adjustment_sets` cost O(V + E) however many paths the
-graph has. A rejection still names the concrete open paths behind it:
-`open_paths` walks simple paths depth-first over the sorted adjacency and
-drops a prefix at its first blocked triple. Blocking is local to a triple, so
-the walk yields exactly the open paths in the order of a full simple-path
-enumeration, and it runs only when reachability says there is one.
+d-separation is written once, as a trail rule: which next steps are open
+for a trail that reached a node along an edge into it or out of it. The
+verdict, the named paths and the minimal search all read it. Reachability
+over those states, as in Bayes-ball (Shachter, UAI 1998), is linear in the
+graph however many paths it has. A rejection names the open paths behind
+it: a depth-first walk over the same steps that never steps back onto its
+own path. Blocking is local to a triple, so the walk yields exactly the open
+paths in the order of a full simple-path enumeration; it runs only when
+reachability says there is one.
 
 The adjustment check certifies a candidate stratification for a
 (treatment, outcome) pair:
@@ -23,8 +23,9 @@ The adjustment check certifies a candidate stratification for a
        which is what lets an anti-causal or selected-collider label act as
        the stratifier);
   (ii) treatment and outcome are d-separated by candidate + selected nodes
-       in the graph where the treatment's edges into the outcome's causal
-       pathway (the outcome and its ancestors) are removed.
+       in the causal cut: the graph with the treatment's edges into the
+       outcome's causal pathway (the outcome and its ancestors) skipped,
+       for trails and for the ancestry that opens a collider alike.
 
 Under (i)+(ii) the observed conditional law P(outcome | treatment, candidate)
 identifies the interventional one, which is what makes a stratified
@@ -48,8 +49,8 @@ _MARKS = (OBSERVED, LATENT, SELECTED)
 
 @dataclass(frozen=True, eq=False)
 class CausalDag:
-    """Marked DAG; the mark, parent, child and sorted adjacency maps are
-    built once at construction and shared by every query on the graph."""
+    """Marked DAG; the mark, parent, child and trail-step maps (`_sides`)
+    are built once at construction and shared by every query on the graph."""
 
     nodes: tuple[tuple[str, str], ...]  # (name, mark)
     edges: tuple[tuple[str, str], ...]  # (parent, child)
@@ -80,9 +81,7 @@ class CausalDag:
             self, "_children", {n: frozenset(v) for n, v in children.items()}
         )
         object.__setattr__(
-            self,
-            "_adjacent",
-            {n: tuple(sorted(parents[n] | children[n])) for n in marks},
+            self, "_sides", {n: _sides(parents[n], children[n]) for n in marks}
         )
         self._check_acyclic()
 
@@ -110,7 +109,7 @@ class CausalDag:
     def ancestors(self, name: str) -> frozenset[str]:
         """Strict ancestors (the node itself excluded)."""
         self.mark(name)
-        return _upward_closure(self, self._parents[name])
+        return _closure(self._parents, self._parents[name])
 
     def _check_acyclic(self) -> None:
         indeg = {n: len(p) for n, p in self._parents.items()}
@@ -126,21 +125,25 @@ class CausalDag:
         if seen != len(indeg):
             raise GraphError("graph has a directed cycle")
 
-    def drop_edges(self, removed: Iterable[tuple[str, str]]) -> "CausalDag":
-        gone = set(removed)
-        return CausalDag(self.nodes, tuple(e for e in self.edges if e not in gone))
 
-
-def _upward_closure(g: CausalDag, start: Iterable[str]) -> frozenset[str]:
-    """The start nodes and every ancestor of one of them."""
+def _closure(step: Mapping, start: Iterable[str]) -> frozenset[str]:
+    """The start nodes and every node reached from one of them through
+    ``step`` (a parent map gives ancestors, a child map descendants)."""
     out: set[str] = set()
     frontier = list(start)
     while frontier:
         v = frontier.pop()
         if v not in out:
             out.add(v)
-            frontier.extend(g._parents[v])
+            frontier.extend(step[v])
     return frozenset(out)
+
+
+def _sides(parents, children) -> tuple:
+    """A node's next trail states (neighbour, whether the step goes into it)
+    in sorted order: to every neighbour, to the children, to the parents."""
+    every = tuple((n, n in children) for n in sorted(parents | children))
+    return every, tuple(s for s in every if s[1]), tuple(s for s in every if not s[1])
 
 
 def dag(nodes: Mapping[str, str] | Iterable, edges: Iterable[tuple[str, str]]) -> CausalDag:
@@ -154,10 +157,7 @@ def dag(nodes: Mapping[str, str] | Iterable, edges: Iterable[tuple[str, str]]) -
     return CausalDag(node_tuple, tuple(tuple(e) for e in edges))
 
 
-# --- d-separation: reachability verdicts, pruned path walk -------------------
-
-_END = object()
-
+# --- d-separation: one trail rule, read by reachability and the path walk ---
 
 def _conditioning(g: CausalDag, a: str, b: str, given: Iterable[str]) -> frozenset[str]:
     """Validate a query; the conditioning set with the selection nodes added."""
@@ -174,67 +174,63 @@ def _conditioning(g: CausalDag, a: str, b: str, given: Iterable[str]) -> frozens
     return frozenset(cond | g.selected_nodes())
 
 
-def _connected(g: CausalDag, a: str, b: str, cond: frozenset[str]) -> bool:
-    """Bayes-ball: does an active trail join a and b given cond?
+def _trail(g: CausalDag, cond: frozenset[str], cut: frozenset = frozenset()):
+    """The open steps of a trail given cond, with the edges in cut skipped.
 
-    A state is (node, arrived from a child). A non-conditioned node passes
-    the ball on to its children, and to its parents when the ball came up
-    from a child; a collider passes it back up to its parents when it is in
-    cond or an ancestor of a cond node. The source passes in every direction.
+    A state (v, into) is a trail standing at v that arrived along an edge
+    into v (True) or out of it (False; None at the source). ``steps(state)``
+    gives the states it may move to, in sorted-adjacency order: a collider
+    (into v, then on to a parent of v) passes iff v is in cond or an ancestor
+    of a cond node, any other node iff it is outside cond. Cut edges are not
+    walked and do not count as ancestry.
     """
-    opens = _upward_closure(g, cond)
-    parents, children = g._parents, g._children
-    stack = [(p, True) for p in parents[a]] + [(c, False) for c in children[a]]
-    seen: set[tuple[str, bool]] = set()
+    parents, sides = dict(g._parents), dict(g._sides)
+    for v in {v for edge in cut for v in edge}:  # the cut's maps differ only here
+        parents[v] = parents[v] - {p for p, c in cut if c == v}
+        sides[v] = _sides(parents[v], g._children[v] - {c for p, c in cut if p == v})
+    opens = _closure(parents, cond)
+
+    def steps(state):
+        v, into = state
+        every, down, up = sides[v]
+        if into is None:
+            return every
+        if v in cond:  # blocks a chain or fork; opens a collider to the parents
+            return up if into else ()
+        return every if not into or v in opens else down
+
+    return steps
+
+
+def _connected(steps, a: str, b: str) -> bool:
+    """Does an open trail join a and b? A search over the trail states."""
+    stack, seen = [(a, None)], set()
     while stack:
-        state = stack.pop()
-        if state in seen:
-            continue
-        seen.add(state)
-        v, up = state
-        if v == b:
-            return True
-        if v not in cond:
-            stack.extend((c, False) for c in children[v])
-            if up:
-                stack.extend((p, True) for p in parents[v])
-        if not up and v in opens:
-            stack.extend((p, True) for p in parents[v])
+        for state in steps(stack.pop()):
+            if state[0] == b:
+                return True
+            if state not in seen:
+                seen.add(state)
+                stack.append(state)
     return False
 
 
-def _open_walk(g: CausalDag, a: str, b: str, cond: frozenset[str]):
-    """Open simple paths a..b, depth-first over the sorted adjacency.
-
-    A prefix is extended from its last node v to a neighbour only if the
-    triple (previous, v, neighbour) is open: a collider must be in cond or
-    an ancestor of it, any other middle node must be outside cond.
-    """
-    opens = _upward_closure(g, cond)
-    parents, adjacent = g._parents, g._adjacent
+def _open_walk(steps, a: str, b: str):
+    """Open simple paths a..b: the depth-first walk over the open steps that
+    never steps back onto its own path."""
     path, on_path = [a], {a}
-    pending = [iter(adjacent[a])]
+    pending = [iter(steps((a, None)))]
     while pending:
-        nxt = next(pending[-1], _END)
-        if nxt is _END:
+        state = next(pending[-1], None)
+        if state is None:
             pending.pop()
             on_path.discard(path.pop())
-            continue
-        if nxt in on_path:
-            continue
-        if len(path) > 1:
-            prev, v = path[-2], path[-1]
-            if prev in parents[v] and nxt in parents[v]:  # collider at v
-                if v not in opens:
-                    continue
-            elif v in cond:
-                continue
-        if nxt == b:
+        elif state[0] == b:
             yield (*path, b)
-            continue
-        path.append(nxt)
-        on_path.add(nxt)
-        pending.append(iter(adjacent[nxt]))
+        elif state[0] not in on_path:
+            path.append(state[0])
+            on_path.add(state[0])
+            pending.append(iter(steps(state)))
 
 
 def format_path(g: CausalDag, path: tuple[str, ...]) -> str:
@@ -256,10 +252,12 @@ def open_paths(
     confounders are ordinary nodes, they just cannot be conditioned on).
     Paths come in depth-first order over sorted neighbours.
     """
-    cond = _conditioning(g, a, b, given)
-    if not _connected(g, a, b, cond):
-        return []
-    return list(_open_walk(g, a, b, cond))
+    return _paths(_trail(g, _conditioning(g, a, b, given)), a, b)
+
+
+def _paths(steps, a: str, b: str) -> list[tuple[str, ...]]:
+    """The open paths, walked only when reachability says there is one."""
+    return list(_open_walk(steps, a, b)) if _connected(steps, a, b) else []
 
 
 # --- adjustment sets ---------------------------------------------------------
@@ -277,23 +275,17 @@ class AdjustmentReport:
 
 def _forbidden_for(g: CausalDag, treatment: str, outcome: str) -> frozenset[str]:
     """Nodes reachable from the treatment by directed paths avoiding the outcome."""
-    out: set[str] = set()
-    frontier = [c for c in g.children(treatment) if c != outcome]
-    while frontier:
-        v = frontier.pop()
-        if v not in out:
-            out.add(v)
-            frontier.extend(c for c in g._children[v] if c != outcome)
-    return frozenset(out)
+    return _closure({**g._children, outcome: ()}, g.children(treatment)) - {outcome}
 
 
-def _causal_cut(g: CausalDag, treatment: str, outcome: str) -> CausalDag:
-    """Remove the treatment's edges into the outcome or its ancestors."""
+def _causal_cut(g: CausalDag, treatment: str, outcome: str) -> frozenset:
+    """The treatment's edges into the outcome or its ancestors, once the
+    treatment and outcome are checked to be two nodes of g."""
+    if treatment == outcome:
+        raise GraphError(f"treatment and outcome are the same node {treatment!r}")
+    children = g.children(treatment)
     pathway = g.ancestors(outcome) | {outcome}
-    removed = [
-        (treatment, c) for c in g.children(treatment) if c in pathway
-    ]
-    return g.drop_edges(removed)
+    return frozenset((treatment, c) for c in children if c in pathway)
 
 
 def is_adjustment_set(
@@ -306,8 +298,7 @@ def is_adjustment_set(
     in the conditioning), an acceptance says what was checked.
     """
     cand = frozenset(candidate)
-    g.mark(treatment)
-    g.mark(outcome)
+    cut = _causal_cut(g, treatment, outcome)
     for v in sorted(cand):  # the first unknown node is named whatever the hash seed
         g.mark(v)
     reasons: list[str] = []
@@ -326,9 +317,8 @@ def is_adjustment_set(
             f"{outcome}, so conditioning on it distorts the treatment's effect"
         )
 
-    cut = _causal_cut(g, treatment, outcome)
-    opened = open_paths(cut, treatment, outcome, cand)
-    names = tuple(format_path(cut, p) for p in opened)
+    opened = _paths(_trail(g, cand | g.selected_nodes(), cut), treatment, outcome)
+    names = tuple(format_path(g, p) for p in opened)
     for text in names:
         reasons.append(f"open non-causal path: {text}")
 
@@ -351,13 +341,13 @@ def minimal_adjustment_sets(
     Candidates are drawn from observed nodes other than the treatment and
     outcome; selection nodes are never candidates (they are already
     conditioned on by definition). Each candidate costs one reachability
-    check on the causal cut, which is built once.
+    check with the causal cut's edges skipped.
     """
+    cut = _causal_cut(g, treatment, outcome)
     if max_size < 0:
         raise ValueError(f"max_size must be at least 0, got {max_size}")
     forbidden = _forbidden_for(g, treatment, outcome)
-    cut = _causal_cut(g, treatment, outcome)
-    selected = _conditioning(cut, treatment, outcome, ())
+    selected = g.selected_nodes()
     pool = sorted(g.observed_nodes() - {treatment, outcome})
     valid: list[frozenset[str]] = []
     for size in range(0, max_size + 1):
@@ -366,7 +356,7 @@ def minimal_adjustment_sets(
             if any(prev < cand for prev in valid):
                 continue
             if not cand & forbidden and not _connected(
-                cut, treatment, outcome, cand | selected
+                _trail(g, cand | selected, cut), treatment, outcome
             ):
                 valid.append(cand)
     return sorted(valid, key=lambda c: (len(c), sorted(c)))
@@ -376,10 +366,17 @@ def minimal_adjustment_sets(
 
 
 def load_dag(source) -> CausalDag:
-    """Load a graph from a JSON file path or parsed dict."""
+    """Load a graph from a JSON file path or parsed dict: ``nodes`` is a list
+    of ``{"name": str, "mark": str}`` objects (the mark defaults to observed),
+    ``edges`` a list of ``[parent, child]`` name pairs."""
     if isinstance(source, (str, Path)):
         with json_input(source) as doc:
             return load_dag(doc)
     nodes = tuple((n["name"], n.get("mark", OBSERVED)) for n in source["nodes"])
-    edges = tuple((a, b) for a, b in source["edges"])
-    return CausalDag(nodes, edges)
+    for name, _mark in nodes:
+        if not isinstance(name, str):
+            raise ValueError(f"graph node name must be a string, got {name!r}")
+    for e in source["edges"]:
+        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(v, str) for v in e)):
+            raise ValueError(f"graph edge must be an array of two node names, got {e!r}")
+    return CausalDag(nodes, tuple(tuple(e) for e in source["edges"]))

@@ -14,6 +14,7 @@ from stratinv.causal_graph import (
     CausalDag,
     _conditioning,
     _connected,
+    _trail,
     dag,
     is_adjustment_set,
     load_dag,
@@ -33,7 +34,7 @@ def reference_graph(name):
 def d_separated(g, a, b, given=()):
     """The reachability verdict behind every adjustment check: no active
     trail joins a and b given ``given`` plus the selection nodes."""
-    return not _connected(g, a, b, _conditioning(g, a, b, given))
+    return not _connected(_trail(g, _conditioning(g, a, b, given)), a, b)
 
 
 # --- independent Bayes-ball d-separation oracle -----------------------------
@@ -274,6 +275,87 @@ def test_adjustment_verdicts_and_minimal_sets_match_the_path_enumerator():
             g, t, o, size
         ), (g, t, o, size)
     assert 200 < valid < 1800
+
+
+def certify_scale_dag(rng):
+    """A 12-14-node DAG shaped like the certify benchmark's graphs: a share
+    of the forward pairs as edges, up to two parentless nodes with two or more
+    children as latent roots, and in half the graphs one sink with two or more
+    parents as a selection node."""
+    n = int(rng.integers(12, 15))
+    names = [f"V{i:02d}" for i in range(n)]
+    forward = [(names[i], names[j]) for j in range(n) for i in range(j)]
+    picked = rng.choice(len(forward), size=round(0.26 * len(forward)), replace=False)
+    edges = [forward[k] for k in sorted(picked)]
+    n_children = {v: sum(a == v for a, _ in edges) for v in names}
+    n_parents = {v: sum(b == v for _, b in edges) for v in names}
+    marks = dict.fromkeys(names, OBSERVED)
+    for v in [v for v in names if n_parents[v] == 0 and n_children[v] >= 2][:2]:
+        marks[v] = LATENT
+    sinks = [v for v in names if n_children[v] == 0 and n_parents[v] >= 2]
+    if sinks and rng.random() < 0.5:
+        marks[sinks[int(rng.integers(len(sinks)))]] = SELECTED
+    return CausalDag(tuple(marks.items()), tuple(edges))
+
+
+def test_certify_scale_verdicts_paths_and_minimal_sets_match_the_path_enumerator():
+    # The causal cut only matters when the treatment is an ancestor of the
+    # outcome, and it changes which colliders a conditioned node opens only
+    # when that node lies below the outcome's pathway: so every pair is such
+    # an ancestor pair, and half the candidates hold a descendant of the
+    # outcome (the anti-causal stratifier the check exists for).
+    rng = np.random.default_rng(20_261_020)
+    queries = valid = selected_graphs = below_outcome = 0
+    for _ in range(150):
+        g = certify_scale_dag(rng)
+        observed = sorted(g.observed_nodes())
+        pairs = [(t, o) for o in observed for t in sorted(g.ancestors(o)) if t in observed]
+        if not pairs:
+            continue
+        selected_graphs += bool(g.selected_nodes())
+        for _ in range(6):
+            t, o = pairs[int(rng.integers(len(pairs)))]
+            pool = [v for v in observed if v not in (t, o)]
+            cand = {str(v) for v in rng.choice(pool, size=int(rng.integers(0, 2)), replace=False)}
+            below = [v for v in pool if o in g.ancestors(v)]
+            if below and rng.random() < 0.5:
+                cand.add(below[int(rng.integers(len(below)))])
+                below_outcome += 1
+            got = is_adjustment_set(g, t, o, cand)
+            assert got == oracle_is_adjustment_set(g, t, o, cand), (g, t, o, cand)
+            assert open_paths(g, t, o, cand) == oracle_open_paths(g, t, o, cand)
+            queries += 1
+            valid += got.valid
+        assert minimal_adjustment_sets(g, t, o, 2) == oracle_minimal_adjustment_sets(
+            g, t, o, 2
+        ), (g, t, o)
+    assert queries > 800 and 150 < valid < queries - 150
+    assert selected_graphs > 40 and below_outcome > 150
+
+
+def test_collider_ancestry_is_taken_in_the_causal_cut():
+    # W reaches the selection node S only through T -> O, the edge the cut
+    # skips, so the collider W on T <- A -> W <- B -> O stays closed.
+    g = dag(
+        {"T": OBSERVED, "A": OBSERVED, "W": OBSERVED, "B": OBSERVED, "O": OBSERVED,
+         "S": SELECTED},
+        [("A", "T"), ("A", "W"), ("W", "T"), ("B", "W"), ("B", "O"), ("T", "O"),
+         ("O", "S")],
+    )
+    report = is_adjustment_set(g, "T", "O", ())
+    assert not report.valid
+    assert report.open_path_names == ("T <- W <- B -> O",)
+
+
+def test_a_treatment_that_is_its_outcome_is_refused_first():
+    g = reference_graph("anticausal")
+    for query in (
+        lambda: is_adjustment_set(g, "Z", "Z", ()),
+        lambda: is_adjustment_set(g, "Z", "Z", ("Z",)),
+        lambda: minimal_adjustment_sets(g, "Z", "Z"),
+    ):
+        with pytest.raises(GraphError, match="treatment and outcome are the same node 'Z'"):
+            query()
 
 
 def layered_paths(source, sink, width=4, depth=10):

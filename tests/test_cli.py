@@ -213,6 +213,23 @@ def test_check_adjustment_rejects_a_negative_max_size(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("candidate", [[], ["--candidate", "Z"]],
+                         ids=["no-candidate", "candidate-is-the-node"])
+def test_check_adjustment_refuses_a_treatment_that_is_its_outcome(
+    tmp_path, capsys, candidate
+):
+    out = tmp_path / "o"
+    code = main(
+        ["check-adjustment", "--graph", str(CONFIGS / "graph_anticausal.json"),
+         "--treatment", "Z", "--outcome", "Z", *candidate, "--out-dir", str(out)]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: treatment and outcome are the same node 'Z'\n"
+    assert not out.exists()
+
+
 # --- audit -------------------------------------------------------------------
 
 
@@ -757,6 +774,13 @@ _ROW = {"dataset": "toy", "method": "standard", "metric": "si_bias", "value": 0.
     [
         ("check-adjustment", {"nodes": [1], "edges": []},
          "a value has the wrong JSON type: 'int' object is not subscriptable"),
+        ("check-adjustment", {"nodes": [{"name": 1}], "edges": []},
+         "graph node name must be a string, got 1"),
+        ("check-adjustment", {"nodes": [{"name": "Z"}, {"name": "X"}], "edges": ["ZX"]},
+         "graph edge must be an array of two node names, got 'ZX'"),
+        ("check-adjustment",
+         {"nodes": [{"name": "Z"}, {"name": "X"}], "edges": [{"Z": 1, "X": 2}]},
+         "graph edge must be an array of two node names, got {'Z': 1, 'X': 2}"),
         ("report", [{**_ROW, "value": [0.5]}], "a value has the wrong JSON type: "),
         ("ooc-run", {"mock": [1]},
          "task config key 'mock' must be an object or null, got [1]"),
@@ -777,7 +801,8 @@ _ROW = {"dataset": "toy", "method": "standard", "metric": "si_bias", "value": 0.
         ("ooc-run", {"name": 5}, "task config key 'name' must be a string, got 5"),
         ("ooc-run", {"model": 5}, "task config key 'model' must be a string, got 5"),
     ],
-    ids=["graph-node-number", "row-value-list", "task-mock-list",
+    ids=["graph-node-number", "graph-node-name-number", "graph-edge-string",
+         "graph-edge-object", "row-value-list", "task-mock-list",
          "task-label-rules-number", "task-label-rules-number-list",
          "row-dataset-number", "row-value-bool", "row-n-fraction",
          "task-prompt-number", "task-z-description-number", "task-name-number",
