@@ -20,8 +20,8 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .errors import AmbiguousContext, DomainMismatch, SamplerFailure
-from .scm import AMBIGUOUS, DiscreteScm, ExactConditionalSampler, first_seen
-from .metrics import PairLaws, exact_prediction_law, law_over_worlds
+from .scm import AMBIGUOUS, DiscreteScm, ExactConditionalSampler, Laws, group_laws
+from .metrics import exact_prediction_law, law_over_worlds
 # max_context_deviation lives with the exact checks and is public here too
 from .metrics import max_context_deviation  # noqa: F401
 
@@ -146,7 +146,7 @@ def augmented_kernel(ap: AugmentedPredictor) -> Callable[[Any, Any], dict]:
     law of the Def-3 augmented prediction; aggregation over replicates does
     not change it, since replicates are exchangeable. A context outside the
     domain, a pair no world shows and a pair several contexts show raise as
-    the sampler's ``conditional_tables`` does.
+    the sampler's ``draw`` does.
     """
     model = _sampler_model(ap)
     every_pair = functools.cache(lambda: _pair_laws(model, ap))
@@ -154,10 +154,10 @@ def augmented_kernel(ap: AugmentedPredictor) -> Callable[[Any, Any], dict]:
     def kernel(x, s) -> dict:
         _check_contexts(model, ap)
         c = model.index.recover(x, s)
-        law = every_pair()
+        law, labels = every_pair()
         a, b = law.start[c], law.start[c + 1]
         return dict(zip(
-            [law.labels[y] for y in law.label[a:b].tolist()], law.prob[a:b].tolist()
+            [labels[y] for y in law.item[a:b].tolist()], law.prob[a:b].tolist()
         ))
 
     return kernel
@@ -184,13 +184,13 @@ def exact_augmented_distribution(
     several = np.flatnonzero(codes.context < 0)
     if len(several):
         model.index.recover(*list(codes.pairs)[several[0]])  # raises
-    return law_over_worlds(model, _pair_laws(model, ap))
+    return law_over_worlds(model, *_pair_laws(model, ap))
 
 
 def _sampler_model(ap: AugmentedPredictor) -> DiscreteScm:
     if not isinstance(ap.sampler, ExactConditionalSampler):
         raise ValueError(
-            "exact law needs a sampler with conditional_tables (the exact sampler)"
+            "exact law needs the exact sampler (ExactConditionalSampler)"
         )
     return ap.sampler.scm
 
@@ -201,16 +201,17 @@ def _check_contexts(model: DiscreteScm, ap: AugmentedPredictor) -> None:
             raise DomainMismatch(f"context {z_plus!r} outside the domain")
 
 
-def _pair_laws(model: DiscreteScm, ap: AugmentedPredictor) -> PairLaws:
+def _pair_laws(model: DiscreteScm, ap: AugmentedPredictor) -> tuple[Laws, tuple]:
     """The augmented kernel's law at every (x, s) pair of the model that
-    one context shows; a pair several contexts show gets no law.
+    one context shows, and the labels its items code; a pair several
+    contexts show gets no law.
 
     For each fresh context z+, in ``ap.contexts`` order, the pair's law of
     X(z+) (``WorldIndex.conditional_laws``) puts w * p onto the label the
     base gives each input of its support, one running sum per label. So
-    every float is built as a loop over the sampler's ``conditional_tables``
-    would build it. The base is called once per distinct input the laws
-    need, in input-code order.
+    every float is built as a loop over each pair's law of each X(z+) would
+    build it. The base is called once per distinct input the laws need, in
+    input-code order.
     """
     codes = model.index.codes
     laws = [
@@ -219,26 +220,17 @@ def _pair_laws(model: DiscreteScm, ap: AugmentedPredictor) -> PairLaws:
     ]
     needed = np.zeros(len(codes.inputs), dtype=bool)
     for law in laws:
-        needed[law.input] = True
+        needed[law.item] = True
     labels: dict[Any, int] = {}
     label_of = np.full(len(codes.inputs), -1, dtype=np.intp)
     for i in np.flatnonzero(needed).tolist():
         label_of[i] = labels.setdefault(ap.base(codes.inputs[i]), len(labels))
     w = 1.0 / len(ap.contexts)
-    n_pairs, n_labels = len(codes.pairs), len(labels)
-    cell = np.concatenate([
-        np.repeat(np.arange(n_pairs), np.diff(law.start)) * n_labels
-        + label_of[law.input]
-        for law in laws
-    ])
-    code, at = first_seen(cell)
-    acc = np.bincount(code, weights=np.concatenate([w * law.prob for law in laws]))
-    # each pair's labels in the order its terms first name them
-    pair_of, label = np.divmod(cell[at], n_labels)
-    order = np.argsort(pair_of, kind="stable")
-    start = np.zeros(n_pairs + 1, dtype=np.intp)
-    np.cumsum(np.bincount(pair_of, minlength=n_pairs), out=start[1:])
-    return PairLaws(start, label[order], acc[order], tuple(labels))
+    pairs = np.arange(len(codes.pairs))
+    pair = np.concatenate([np.repeat(pairs, np.diff(law.start)) for law in laws])
+    label = np.concatenate([label_of[law.item] for law in laws])
+    weight = np.concatenate([w * law.prob for law in laws])
+    return group_laws(pair, label, len(labels), weight, len(pairs)), tuple(labels)
 
 
 def hoeffding_envelope(n: int, n_strata: int, n_contexts: int) -> float:

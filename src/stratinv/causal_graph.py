@@ -372,10 +372,12 @@ def load_dag(source) -> CausalDag:
     if isinstance(source, (str, Path)):
         with json_input(source) as doc:
             return load_dag(doc)
+    for n in source["nodes"]:
+        if not isinstance(n, dict):
+            raise ValueError(f"graph node must be an object, got {n!r}")
+        if not isinstance(n["name"], str):
+            raise ValueError(f"graph node name must be a string, got {n['name']!r}")
     nodes = tuple((n["name"], n.get("mark", OBSERVED)) for n in source["nodes"])
-    for name, _mark in nodes:
-        if not isinstance(name, str):
-            raise ValueError(f"graph node name must be a string, got {name!r}")
     for e in source["edges"]:
         if not (isinstance(e, list) and len(e) == 2 and all(isinstance(v, str) for v in e)):
             raise ValueError(f"graph edge must be an array of two node names, got {e!r}")

@@ -38,7 +38,9 @@ def json_input(path, kind: type = dict):
     ``kind``. Malformed JSON (an object that repeats a key included), a
     document of another type, and a KeyError, ValueError or TypeError raised
     while it is read (a value of the wrong JSON type inside the document)
-    become a ValueError naming the file."""
+    become a ValueError naming the file. A StratinvError raised while it is
+    read (a structural fault, such as a graph cycle or a missing table
+    entry) names the file and keeps its class."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh, object_pairs_hook=_distinct_keys)
@@ -51,6 +53,8 @@ def json_input(path, kind: type = dict):
         )
     try:
         yield doc
+    except StratinvError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from None
     except ValueError as exc:

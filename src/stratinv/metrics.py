@@ -18,7 +18,7 @@ import itertools
 import json
 import warnings
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Union
 
 import numpy as np
 
@@ -320,19 +320,6 @@ class InvarianceReport:
     skipped_strata: tuple = ()
 
 
-class PairLaws(NamedTuple):
-    """A prediction law at every (x, s) pair of a model's codes.
-
-    Pair ``c``'s law gives ``labels[label[i]]`` probability ``prob[i]`` for
-    i in ``start[c]:start[c + 1]``, in the order the law lists its labels.
-    """
-
-    start: np.ndarray
-    label: np.ndarray
-    prob: np.ndarray
-    labels: tuple
-
-
 def exact_prediction_law(
     model: "scm_mod.DiscreteScm", predictor: Predictor
 ) -> dict[tuple, dict[Any, float]]:
@@ -351,19 +338,19 @@ def exact_prediction_law(
             label.append(labels.setdefault(y, len(labels)))
             prob.append(p)
         start.append(len(prob))
-    return law_over_worlds(model, PairLaws(
+    return law_over_worlds(model, scm_mod.Laws(
         np.array(start, dtype=np.intp), np.array(label, dtype=np.intp),
-        np.array(prob, dtype=float), tuple(labels),
-    ))
+        np.array(prob, dtype=float),
+    ), tuple(labels))
 
 
 def law_over_worlds(
-    model: "scm_mod.DiscreteScm", laws: PairLaws
+    model: "scm_mod.DiscreteScm", laws: "scm_mod.Laws", labels: tuple
 ) -> dict[tuple, dict[Any, float]]:
     """The {(z, s): {label: prob}} table of a prediction whose law at every
-    (x, s) pair of the model is given.
+    (x, s) pair of the model is given, its items codes into ``labels``.
 
-    Each (z, s) law is one weighted count over the world codes, one context
+    Each (z, s) law is one ``group_laws`` over the world codes, one context
     at a time: a term p * mass / stratum mass per world and pair-law entry,
     added in world order and then pair-law order, as a loop over the worlds
     would add them. A law lists its labels in the order its terms first
@@ -374,30 +361,21 @@ def law_over_worlds(
     zs = model.z_domain.values
     table = {(z, s): {} for z in zs for s in codes.strata}
     for k, z in enumerate(zs):
-        cell, term = _world_terms(codes, laws, s_mass, codes.pair[:, k])
-        code, at = scm_mod.first_seen(cell)
-        sums = np.bincount(code, weights=term)
-        s_of, y_of = np.divmod(cell[at], len(laws.labels))
-        for s, y, p in zip(s_of.tolist(), y_of.tolist(), sums.tolist()):
-            table[(z, codes.strata[s])][laws.labels[y]] = p
+        # each world's pair-law entries, world by world
+        pair = codes.pair[:, k]
+        first = laws.start[pair]
+        count = laws.start[pair + 1] - first
+        world = np.repeat(np.arange(len(first)), count)
+        entry = np.arange(len(world)) + (first - np.cumsum(count) + count)[world]
+        stratum = codes.stratum[world]
+        term = laws.prob[entry] * codes.mass[world] / s_mass[stratum]
+        law = scm_mod.group_laws(
+            stratum, laws.item[entry], len(labels), term, len(codes.strata)
+        )
+        s_of = np.repeat(np.arange(len(codes.strata)), np.diff(law.start))
+        for s, y, p in zip(s_of.tolist(), law.item.tolist(), law.prob.tolist()):
+            table[(z, codes.strata[s])][labels[y]] = p
     return table
-
-
-def _world_terms(codes, laws: PairLaws, s_mass: np.ndarray, pair: np.ndarray):
-    """Each world's pair-law entries, world by world: their (stratum, label)
-    cells and their terms p * mass / stratum mass."""
-    first = laws.start[pair]
-    count = laws.start[pair + 1] - first
-    world = np.repeat(np.arange(len(pair)), count)
-    entry = np.arange(len(world))
-    entry += np.repeat(first - (np.cumsum(count) - count), count)
-    stratum = codes.stratum[world]
-    term = laws.prob[entry]
-    term *= codes.mass[world]
-    term /= s_mass[stratum]
-    stratum *= len(laws.labels)
-    stratum += laws.label[entry]
-    return stratum, term
 
 
 def check_stratified_invariance_exact(
@@ -573,13 +551,9 @@ def ci_permutation_test(
 # --- estimation, accuracy ----------------------------------------------------
 
 
-def macro_f1(data: Records, labels: Sequence | None = None) -> float:
-    """Unweighted mean of per-class F1 between y and yhat.
-
-    A class with no true and no predicted instances contributes F1 = 1 (it
-    was handled perfectly); this only arises when an explicit label list
-    names a class absent from the data.
-    """
+def macro_f1(data: Records) -> float:
+    """Unweighted mean of per-class F1 between y and yhat, over the classes
+    that occur as a label or a prediction."""
     table = as_table(data)
     if not len(table):
         raise MissingLabels("no records")
@@ -598,16 +572,12 @@ def macro_f1(data: Records, labels: Sequence | None = None) -> float:
     twin = np.array([at.get(v, -1) for v in y.values], dtype=np.intp)
     hits = y.codes[y_hat.codes == twin[y.codes]]
     correct = dict(zip(y.values, np.bincount(hits, minlength=len(y.values)).tolist()))
-    classes = list(labels) if labels is not None else list({**actual, **predicted})
     scores = []
-    for c in classes:
+    for c in {**actual, **predicted}:
         tp = correct.get(c, 0)
         fp = predicted.get(c, 0) - tp
         fn = actual.get(c, 0) - tp
-        if tp + fp + fn == 0:
-            scores.append(1.0)
-        else:
-            scores.append(2 * tp / (2 * tp + fp + fn))
+        scores.append(2 * tp / (2 * tp + fp + fn))
     return float(np.mean(scores))
 
 

@@ -97,10 +97,11 @@ class DiscreteScm:
         unknown = set(self.z_parents) - set(names)
         if unknown:
             raise DomainMismatch(f"z_parents reference unknown factors {unknown}")
-        _check_rows(
-            {(): dict(zip(self._u_tuples(), (self.p_u[u] for u in self._u_tuples())))},
-            "p_u",
-        )
+        u_tuples = list(itertools.product(*(d.values for d in self.u_domains)))
+        missing = [u for u in u_tuples if u not in self.p_u]
+        if missing:
+            raise DomainMismatch(f"p_u missing entries, e.g. {missing[0]!r}")
+        _check_rows({(): {u: self.p_u[u] for u in u_tuples}}, "p_u")
         parent_tuples = list(
             itertools.product(
                 *(d.values for d in self.u_domains if d.name in self.z_parents)
@@ -119,13 +120,6 @@ class DiscreteScm:
                 )
             rows[pt] = row
         _check_rows(rows, "p_z_given_parents")
-
-    def _u_tuples(self) -> Iterable[tuple]:
-        tuples = list(itertools.product(*(d.values for d in self.u_domains)))
-        missing = [u for u in tuples if u not in self.p_u]
-        if missing:
-            raise DomainMismatch(f"p_u missing entries, e.g. {missing[0]!r}")
-        return tuples
 
     def z_row(self, u: tuple) -> Mapping[Any, float]:
         """Context distribution for the given factor tuple."""
@@ -179,17 +173,16 @@ class WorldCodes(NamedTuple):
     context: np.ndarray  # (pairs,) the one context showing the pair, or -1
 
 
-class ConditionalLaws(NamedTuple):
-    """Every pair's law of X(z+) at one context z+, given the pair as
-    evidence (``WorldIndex.conditional_laws``).
+class Laws(NamedTuple):
+    """One law per row, built by ``group_laws``.
 
-    Pair ``c``'s law gives ``inputs[input[i]]`` probability ``prob[i]`` for
-    i in ``start[c]:start[c + 1]``, its support in first-seen order; a pair
-    that several contexts show has an empty law.
+    Row ``r``'s law gives item ``item[i]`` probability ``prob[i]`` for i in
+    ``start[r]:start[r + 1]``, its items in first-seen order. The items'
+    values (inputs, labels) travel beside the table.
     """
 
     start: np.ndarray
-    input: np.ndarray
+    item: np.ndarray
     prob: np.ndarray
 
 
@@ -203,7 +196,7 @@ class WorldIndex:
 
     def __init__(self, scm: DiscreteScm):
         self._scm = scm
-        self._laws: dict[int, ConditionalLaws] = {}
+        self._laws: dict[int, Laws] = {}
 
     @cached_property
     def worlds(self) -> tuple[tuple[World, float], ...]:
@@ -297,23 +290,25 @@ class WorldIndex:
             )
         return c
 
-    def conditional_laws(self, k: int) -> ConditionalLaws:
-        """Every pair's law of X(z+) at the context of domain position k.
+    def conditional_laws(self, k: int) -> Laws:
+        """Every pair's law of X(z+) at the context of domain position k, its
+        items codes into ``codes.inputs``.
 
         A pair's evidence is the worlds that show it at its one context z0.
         Its law is their mass per potential input at z+, added in world order
         and divided by their total, likewise added, with the support in
-        first-seen order. All pairs come from one pass over the worlds, and
-        each context's laws are kept, so at most |Z| are.
+        first-seen order; a pair several contexts show has an empty law. All
+        pairs come from one pass over the worlds, and each context's laws are
+        kept, so at most |Z| are.
         """
         laws = self._laws.get(k)
         if laws is None:
             laws = self._laws[k] = self._conditional_laws(k)
         return laws
 
-    def _conditional_laws(self, k: int) -> ConditionalLaws:
+    def _conditional_laws(self, k: int) -> Laws:
         codes = self.codes
-        n_pairs, n_inputs = len(codes.pairs), len(codes.inputs)
+        n_pairs = len(codes.pairs)
         # each world at each context whose pair that context alone shows,
         # world by world; a pair's evidence is its own entries, in world order
         world, z0 = np.nonzero(
@@ -321,14 +316,11 @@ class WorldIndex:
         )
         evidence, mass = codes.pair[world, z0], codes.mass[world]
         total = np.bincount(evidence, weights=mass, minlength=n_pairs)
-        key = evidence * n_inputs + codes.input[world, k]
-        support, at = first_seen(key)
-        p_of, x_of = np.divmod(key[at], n_inputs)
-        by_pair = np.argsort(p_of, kind="stable")
-        start = np.zeros(n_pairs + 1, dtype=np.intp)
-        np.cumsum(np.bincount(p_of, minlength=n_pairs), out=start[1:])
-        prob = np.bincount(support, weights=mass) / total[p_of]
-        return ConditionalLaws(start, x_of[by_pair], prob[by_pair])
+        law = group_laws(
+            evidence, codes.input[world, k], len(codes.inputs), mass, n_pairs
+        )
+        np.divide(law.prob, np.repeat(total, np.diff(law.start)), out=law.prob)
+        return law
 
     @cached_property
     def groups(self) -> dict[tuple, tuple[tuple[World, ...], np.ndarray]]:
@@ -374,6 +366,26 @@ def first_seen(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     code = np.empty_like(order)
     code[order] = rank[run]
     return code, at[by_appearance]
+
+
+def group_laws(
+    row: np.ndarray, item: np.ndarray, n_items: int, weight: np.ndarray, n_rows: int
+) -> Laws:
+    """The weights summed per (row, item), as one law per row of ``n_rows``.
+
+    Each sum adds its entries' weights in entry order, and each row lists
+    its items in the order its entries first name them; a row no entry names
+    has an empty law. The sums are not normalized.
+    """
+    key = row * n_items + item
+    code, at = first_seen(key)
+    # float even with no entries, where bincount would give integers
+    sums = np.bincount(code, weights=weight).astype(float, copy=False)
+    row_of, item_of = np.divmod(key[at], n_items)
+    order = np.argsort(row_of, kind="stable")
+    start = np.zeros(n_rows + 1, dtype=np.intp)
+    np.cumsum(np.bincount(row_of, minlength=n_rows), out=start[1:])
+    return Laws(start, item_of[order], sums[order])
 
 
 def enumerate_joint(scm: DiscreteScm) -> tuple[tuple[World, float], ...]:
@@ -462,46 +474,27 @@ class ExactRecoverer:
 
 
 class ExactConditionalSampler:
-    """Exact p(X(z+) | X(z)=x, S=s) by enumeration over worlds.
+    """Exact draws from p(X(z+) | X(z)=x, S=s) by enumeration over worlds.
 
     Given evidence (x, s), the unique consistent context z is recovered, the
     posterior over worlds w whose input at z is x and whose observed stratum
-    is s is formed, and their inputs X(z+) at z+ are pushed through it. Every
-    table is read from the model's ``WorldIndex.conditional_laws``.
+    is s is formed, and their inputs X(z+) at z+ are pushed through it: the
+    pair's law in the model's ``WorldIndex.conditional_laws``. A context
+    outside the domain, a pair no world shows and a pair several contexts
+    show raise, in that order.
     """
 
     def __init__(self, scm: DiscreteScm):
         self.scm = scm
-        self._index = scm.index
-
-    def recover(self, x, s):
-        index = self._index
-        return self.scm.z_domain.values[index.codes.context[index.recover(x, s)]]
-
-    def conditional_tables(self, x, s, contexts) -> dict:
-        """{z+: (support, probabilities) of X(z+) given the evidence} for each
-        context in ``contexts``, in that order."""
-        zs = self.scm.z_domain.values
-        for z_plus in contexts:
-            if z_plus not in self.scm.z_domain:
-                raise DomainMismatch(f"context {z_plus!r} outside the domain")
-        c, inputs = self._index.recover(x, s), self._index.codes.inputs
-        out = {}
-        for z_plus in contexts:
-            law = self._index.conditional_laws(zs.index(z_plus))
-            a, b = law.start[c], law.start[c + 1]
-            out[z_plus] = (
-                tuple(inputs[i] for i in law.input[a:b].tolist()), law.prob[a:b].copy()
-            )
-        return out
-
-    def conditional_table(self, x, s, z_plus):
-        """Support and probabilities of X(z+) given the evidence."""
-        return self.conditional_tables(x, s, (z_plus,))[z_plus]
 
     def draw(self, x, s, z_plus, rng: np.random.Generator):
-        values, probs = self.conditional_table(x, s, z_plus)
-        return values[rng.choice(len(values), p=probs)]
+        if z_plus not in self.scm.z_domain:
+            raise DomainMismatch(f"context {z_plus!r} outside the domain")
+        index = self.scm.index
+        c = index.recover(x, s)
+        law = index.conditional_laws(self.scm.z_domain.values.index(z_plus))
+        a, b = law.start[c], law.start[c + 1]
+        return index.codes.inputs[law.item[a + rng.choice(b - a, p=law.prob[a:b])]]
 
 
 # --- table-backed construction and JSON io ----------------------------------

@@ -5,7 +5,8 @@ an optional free-text tail, e.g. ``"ctx=male s=nurse topic=1 loves the ward"``.
 Reserved keys are ``ctx`` (the context), ``s`` (the stratum) and ``u1..uk``
 (exogenous features); any other key is allowed. Token order is declaration
 order and is preserved verbatim, so canonical texts (single spaces between
-tokens) round-trip byte-identically through parse/render.
+tokens) round-trip byte-identically through ``parse_structured`` and
+``render_tokens`` of the parsed pairs and tail.
 """
 
 from __future__ import annotations
@@ -29,9 +30,6 @@ class StructuredText:
 
     pairs: tuple[tuple[str, str], ...]
     tail: str = ""
-
-    def render(self) -> str:
-        return render_tokens([f"{k}={v}" for k, v in self.pairs], self.tail)
 
     def get(self, key: str, default: str | None = None) -> str | None:
         for k, v in self.pairs:

@@ -139,7 +139,7 @@ def test_augmented_kernel_requires_exact_sampler():
         base=ctx_reader,
         contexts=("za", "zb"),
     )
-    with pytest.raises(ValueError, match="conditional_table"):
+    with pytest.raises(ValueError, match="the exact sampler"):
         augmented_kernel(ap)
 
 
@@ -252,9 +252,8 @@ def test_recovery_errors_keep_their_text():
             augment_predict(ap, x, "all", rng)
         assert str(got.value) == f"context not recoverable from x={x!r}, s='all'"
         for call in (
-            lambda: sampler.recover(x, "all"),
-            lambda: sampler.conditional_table(x, "all", "zb"),
-            lambda: sampler.conditional_tables(x, "all", ("zc", "za")),
+            lambda: model.index.recover(x, "all"),
+            lambda: sampler.draw(x, "all", "zc", rng),
             lambda: sampler.draw(x, "all", "zb", rng),
             lambda: augmented_kernel(ap)(x, "all"),
         ):
@@ -262,7 +261,8 @@ def test_recovery_errors_keep_their_text():
                 call()
             assert str(got.value) == text
     assert recoverer.recover("ctx=zb u1=1", "all") == "zb"
-    assert sampler.recover("ctx=zb u1=1", "all") == "zb"
+    zs, index = model.z_domain.values, model.index
+    assert zs[index.codes.context[index.recover("ctx=zb u1=1", "all")]] == "zb"
     with pytest.raises(AmbiguousContext) as got:
         exact_augmented_distribution(model, ap)
     assert str(got.value) == "contexts ['za', 'zc'] all consistent with x='u1=0', s='all'"

@@ -15,7 +15,9 @@ import pytest
 
 from stratinv import cli, ooc
 from stratinv.chat import ChatTurnRequest
+from stratinv.causal_graph import load_dag
 from stratinv.cli import main
+from stratinv.errors import DomainMismatch, GraphError, UnknownNode
 from stratinv.fixtures import chain_fixture
 from stratinv.metrics import (
     LabeledRecord,
@@ -29,7 +31,7 @@ from stratinv.metrics import (
 from stratinv.mock import MockStructuredLm
 from stratinv.ooc import load_task
 from stratinv.reports import ReportRow, load_rows, write_rows_csv, write_rows_json
-from stratinv.scm import dump_scm
+from stratinv.scm import dump_scm, load_scm
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -773,7 +775,7 @@ _ROW = {"dataset": "toy", "method": "standard", "metric": "si_bias", "value": 0.
     "command, content, message",
     [
         ("check-adjustment", {"nodes": [1], "edges": []},
-         "a value has the wrong JSON type: 'int' object is not subscriptable"),
+         "graph node must be an object, got 1"),
         ("check-adjustment", {"nodes": [{"name": 1}], "edges": []},
          "graph node name must be a string, got 1"),
         ("check-adjustment", {"nodes": [{"name": "Z"}, {"name": "X"}], "edges": ["ZX"]},
@@ -822,6 +824,56 @@ def test_a_value_of_the_wrong_json_type_is_named_and_nothing_is_written(
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ")
     assert message in err
+    assert not out.exists()
+
+
+def _graph(nodes=("Z", "X"), edges=(), **marks):
+    return {"nodes": [{"name": n, **({"mark": marks[n]} if n in marks else {})}
+                      for n in nodes],
+            "edges": [list(e) for e in edges]}
+
+
+def _demo_scm(**change):
+    return {**json.loads((CONFIGS / "demo_scm.json").read_text()), **change}
+
+
+_DEMO_X = _demo_scm()["x_table"]
+
+
+@pytest.mark.parametrize(
+    "command, content, error, message",
+    [
+        ("check-adjustment", _graph(Z="hidden"), GraphError,
+         "unknown node mark 'hidden'"),
+        ("check-adjustment", _graph(edges=[("Z", "Q")]), UnknownNode,
+         "edge ('Z', 'Q') references unknown node"),
+        ("check-adjustment", _graph(edges=[("Z", "X"), ("X", "Z")]), GraphError,
+         "graph has a directed cycle"),
+        ("check-adjustment", _graph(nodes=("Z", "X", "Z")), GraphError,
+         "duplicate node names"),
+        ("check-adjustment", _graph(edges=[("Z", "Z")]), GraphError,
+         "self-loop on 'Z'"),
+        ("simulate",
+         _demo_scm(x_table={k: v for k, v in _DEMO_X.items() if k != "a|amb|0"}),
+         DomainMismatch, "x_table is missing entry 'a|amb|0'"),
+        ("simulate", _demo_scm(p_u=[[0.5, 0.5]]), DomainMismatch,
+         "array level 0 has 1 entries, domain 'u1' has 2"),
+    ],
+    ids=["graph-mark", "graph-unknown-node", "graph-cycle", "graph-duplicate-node",
+         "graph-self-loop", "scm-missing-entry", "scm-array-level"],
+)
+def test_a_structural_fault_names_the_file_and_keeps_its_class(
+    tmp_path, capsys, command, content, error, message
+):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content) + "\n")
+    load = load_dag if command == "check-adjustment" else load_scm
+    with pytest.raises(error) as got:
+        load(path)
+    assert str(got.value) == f"{path}: {message}"
+    out = tmp_path / "out"
+    assert main(_reading(command, path, tmp_path) + ["--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
     assert not out.exists()
 
 

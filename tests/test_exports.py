@@ -1,6 +1,7 @@
 """The public surface carries no dead names, and no undeclared imports."""
 
 import ast
+import inspect
 import re
 import sys
 import types
@@ -27,21 +28,42 @@ def _referenced_names(path) -> set[str]:
     return names
 
 
+def _public_methods(cls) -> list[str]:
+    """The public functions defined in the body of the class ``cls``."""
+    tree = ast.parse(Path(inspect.getfile(cls)).read_text(encoding="utf-8"))
+    body = next(
+        node.body for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == cls.__name__
+    )
+    return [
+        node.name for node in body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+    ]
+
+
 def test_every_export_is_referenced():
-    """Each exported name is used by a package module other than the
-    ``__init__``, by the acceptance criteria or by the benchmark; a name only
-    its own unit test calls is dead."""
+    """Each exported name, and each public method defined in an exported
+    class's body, is used by a package module other than the ``__init__``,
+    by the acceptance criteria or by the benchmark; a name only its own unit
+    test calls is dead."""
     files = [
         *(p for p in (ROOT / "src" / "stratinv").glob("*.py") if p.name != "__init__.py"),
         ROOT / "tests" / "test_acceptance.py",
         *(ROOT / "perfbench").glob("*.py"),
     ]
     used = set().union(*map(_referenced_names, files))
-    unused = [
-        name
-        for name in stratinv.__all__
-        if not isinstance(getattr(stratinv, name), types.ModuleType) and name not in used
+    exported = [
+        (name, getattr(stratinv, name)) for name in stratinv.__all__
+        if not isinstance(getattr(stratinv, name), types.ModuleType)
     ]
+    names = [name for name, _value in exported]
+    names += [
+        f"{name}.{method}"
+        for name, value in exported if inspect.isclass(value)
+        for method in _public_methods(value)
+    ]
+    unused = [name for name in names if name.split(".")[-1] not in used]
     assert unused == []
 
 

@@ -106,11 +106,6 @@ def test_macro_f1_hand_computed():
     assert macro_f1(records) == pytest.approx((2 / 3 + 1 / 2) / 2)
 
 
-def test_macro_f1_absent_class_with_explicit_labels():
-    records = [rec(0, "s", "z", "1", y="1")]
-    assert macro_f1(records, labels=["1", "0"]) == pytest.approx(1.0)
-
-
 def test_macro_f1_requires_labels():
     with pytest.raises(MissingLabels):
         macro_f1([rec(0, "s", "z", None, y="1")])
@@ -386,21 +381,14 @@ def reference_si_bias(records):
     return SiBiasReport(value, tuple(per_stratum), len(records))
 
 
-def reference_macro_f1(records, labels=None):
-    classes = (
-        list(labels)
-        if labels is not None
-        else list(dict.fromkeys([r.y for r in records] + [r.y_hat for r in records]))
-    )
+def reference_macro_f1(records):
+    classes = dict.fromkeys([r.y for r in records] + [r.y_hat for r in records])
     scores = []
     for c in classes:
         tp = sum(1 for r in records if r.y == c and r.y_hat == c)
         fp = sum(1 for r in records if r.y != c and r.y_hat == c)
         fn = sum(1 for r in records if r.y == c and r.y_hat != c)
-        if tp + fp + fn == 0:
-            scores.append(1.0)
-        else:
-            scores.append(2 * tp / (2 * tp + fp + fn))
+        scores.append(2 * tp / (2 * tp + fp + fn))
     return float(np.mean(scores))
 
 
@@ -509,14 +497,10 @@ def test_si_bias_matches_the_loop_reference(cells):
         st.tuples(st.sampled_from(["a", "b", "c"]), st.sampled_from(["a", "b", "d"])),
         min_size=1, max_size=30,
     ),
-    labels=st.none() | st.lists(st.sampled_from(["a", "b", "c", "d", "e"]),
-                                min_size=1, max_size=5, unique=True),
 )
-def test_macro_f1_matches_the_loop_reference(pairs, labels):
+def test_macro_f1_matches_the_loop_reference(pairs):
     records = [rec(i, "s", "z", y_hat, y=y) for i, (y, y_hat) in enumerate(pairs)]
-    assert repr(macro_f1(records, labels)) == repr(
-        reference_macro_f1(records, labels)
-    )
+    assert repr(macro_f1(records)) == repr(reference_macro_f1(records))
 
 
 @settings(max_examples=300, deadline=None)

@@ -18,7 +18,13 @@ from stratinv.ooc import (
     STRATIFIER_MARKER,
     TEXT_SECTION,
 )
-from stratinv.structured import CTX_KEY, PAD_KEY, StructuredText, parse_structured
+from stratinv.structured import (
+    CTX_KEY,
+    PAD_KEY,
+    StructuredText,
+    parse_structured,
+    render_tokens,
+)
 
 
 def turn(text, temperature=0.0, seed=None):
@@ -210,6 +216,11 @@ def _with_front(st, key, value):
     return StructuredText(((key, value),) + st.pairs, st.tail)
 
 
+def _render(st):
+    """The text of a parsed structured text: its pairs, then its tail."""
+    return render_tokens([f"{k}={v}" for k, v in st.pairs], st.tail)
+
+
 def _replace_value(st, key, value):
     """Rewrite the value of the first token with the given key."""
     keys = [k for k, _ in st.pairs]
@@ -259,7 +270,7 @@ class StepwiseMock(MockStructuredLm):
         st, varied = self._vary_pad(st, request)
         if not (changed or varied):
             return payload
-        return st.render()
+        return _render(st)
 
     def _add(self, text, request, *, last_context=False):
         z_plus = self._instruction_context(text, last=last_context)
@@ -269,7 +280,7 @@ class StepwiseMock(MockStructuredLm):
             st = _without(st, CTX_KEY)
         st = _with_front(st, CTX_KEY, z_plus)
         st, _varied = self._vary_pad(st, request)
-        return st.render()
+        return _render(st)
 
     def _stratum(self, text):
         payload = self._payload(text, upto_options=True)

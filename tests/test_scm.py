@@ -7,6 +7,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stratinv import scm as scm_mod
 from stratinv.augment import (
@@ -40,6 +42,16 @@ from stratinv.scm import (
     stratum_values,
 )
 from tests_support import blind as _blind, closure_twin, tabulate
+
+
+def conditional_table(scm, x, s, z_plus):
+    """Support and probabilities of X(z+) given the evidence (x, s): the
+    pair's law in the model's ``WorldIndex.conditional_laws``."""
+    index = scm.index
+    c = index.recover(x, s)
+    law = index.conditional_laws(scm.z_domain.values.index(z_plus))
+    a, b = law.start[c], law.start[c + 1]
+    return tuple(index.codes.inputs[i] for i in law.item[a:b].tolist()), law.prob[a:b]
 
 
 def tiny_scm():
@@ -162,19 +174,20 @@ def test_conditional_sampler_posterior():
         None,
         y_values=(0, 1),
     )
-    sampler = ExactConditionalSampler(scm)
-    values, probs = sampler.conditional_table("ctx=za r=0", None, "zb")
+    values, probs = conditional_table(scm, "ctx=za r=0", None, "zb")
     law = dict(zip(values, probs))
     assert law == {
         "ctx=zb r=0": pytest.approx(0.5),
         "ctx=zb r=1": pytest.approx(0.5),
     }
     # same event, resampled to za: degenerate at the original input
-    values, probs = sampler.conditional_table("ctx=za r=0", None, "za")
+    values, probs = conditional_table(scm, "ctx=za r=0", None, "za")
     assert dict(zip(values, probs)) == {"ctx=za r=0": pytest.approx(1.0)}
 
     with pytest.raises(InconsistentEvidence):
-        sampler.conditional_table("ctx=za r=7", None, "zb")
+        ExactConditionalSampler(scm).draw(
+            "ctx=za r=7", None, "zb", np.random.default_rng(0)
+        )
 
 
 def test_conditional_sampler_ambiguous_context():
@@ -188,7 +201,7 @@ def test_conditional_sampler_ambiguous_context():
         scm.p_z_given_parents, blind_tables, y, None,
     )
     with pytest.raises(AmbiguousContext):
-        ExactConditionalSampler(blind).conditional_table("u1=1", None, "za")
+        ExactConditionalSampler(blind).draw("u1=1", None, "za", np.random.default_rng(0))
 
 
 def test_scm_json_round_trip(tmp_path):
@@ -380,15 +393,14 @@ def test_one_pass_tables_match_the_per_context_walk():
         pairs = list(dict.fromkeys((x, s) for x, s, _z in evidence_walk(scm)))
         rng_new, rng_old = np.random.default_rng(3), np.random.default_rng(3)
         for x, s in pairs:
-            tables = _outcome(sampler.conditional_tables, x, s, zs)
             for z_plus in zs:
                 want = _outcome(per_context_table, scm, x, s, z_plus)
                 if isinstance(want, str):
-                    assert tables == want, (name, x, s)
-                    assert _outcome(sampler.conditional_table, x, s, z_plus) == want
+                    assert _outcome(conditional_table, scm, x, s, z_plus) == want
+                    assert _outcome(sampler.draw, x, s, z_plus, rng_new) == want
                     continue
-                assert _hexed(tables[z_plus]) == _hexed(want), (name, x, s, z_plus)
-                assert _hexed(sampler.conditional_table(x, s, z_plus)) == _hexed(want)
+                got = conditional_table(scm, x, s, z_plus)
+                assert _hexed(got) == _hexed(want), (name, x, s, z_plus)
                 values, probs = want
                 assert sampler.draw(x, s, z_plus, rng_new) == values[
                     rng_old.choice(len(values), p=probs)
@@ -414,15 +426,13 @@ def test_one_pass_tables_refuse_a_context_outside_the_domain():
     x, s, _z = next(iter(evidence_walk(scm)))
     sampler = ExactConditionalSampler(scm)
     with pytest.raises(DomainMismatch, match="'zq' outside the domain"):
-        sampler.conditional_table(x, s, "zq")
-    with pytest.raises(DomainMismatch, match="'zq' outside the domain"):
-        sampler.conditional_tables(x, s, ("za", "zq"))
-    with pytest.raises(DomainMismatch, match="'zq' outside the domain"):
         sampler.draw(x, s, "zq", np.random.default_rng(0))
     ap = AugmentedPredictor(
         recoverer=ExactRecoverer(scm), sampler=sampler, base=ctx_reader,
         contexts=("zb", "zq"),
     )
+    with pytest.raises(DomainMismatch, match="'zq' outside the domain"):
+        augmented_kernel(ap)(x, s)
     with pytest.raises(DomainMismatch, match="'zq' outside the domain"):
         exact_augmented_distribution(scm, ap)
 
@@ -523,8 +533,8 @@ def test_conditional_laws_are_built_at_most_once_per_context(monkeypatch):
             sampler.draw(x, s, zs[1], rng)
     assert builds == [(model.index, 1)]
     for sampler in samplers:
-        sampler.conditional_tables(x, s, zs)
-        sampler.conditional_table(x, s, zs[0])
+        for z_plus in (*zs, zs[0]):
+            sampler.draw(x, s, z_plus, rng)
         ap = AugmentedPredictor(
             recoverer=ExactRecoverer(model), sampler=sampler, base=ctx_reader,
             contexts=tuple(reversed(zs)),
@@ -532,3 +542,38 @@ def test_conditional_laws_are_built_at_most_once_per_context(monkeypatch):
         exact_augmented_distribution(model, ap)
         augmented_kernel(ap)(x, s)
     assert builds == [(model.index, 1), (model.index, 0), (model.index, 2)]
+
+
+# --- the grouping kernel against a per-row dict loop -------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    entries=st.lists(
+        st.tuples(
+            st.integers(0, 5), st.integers(0, 3),
+            st.floats(0, 1e3, allow_nan=False, allow_infinity=False),
+        ),
+        max_size=40,
+    ),
+    spare_rows=st.integers(0, 3),
+)
+@example(entries=[], spare_rows=2)
+@example(entries=[(2, 1, 0.1), (0, 3, 0.2), (2, 0, 0.3), (2, 1, 0.7)], spare_rows=1)
+def test_group_laws_matches_a_per_row_dict_loop(entries, spare_rows):
+    """Each row's sums, added in entry order, with its items in first-seen
+    order; rows no entry names, below the largest row and above it, are
+    empty."""
+    n_rows = max((r for r, _i, _w in entries), default=-1) + 1 + spare_rows
+    want = [{} for _ in range(n_rows)]
+    for r, i, w in entries:
+        want[r][i] = want[r].get(i, 0.0) + w
+    row = np.array([r for r, _i, _w in entries], dtype=np.intp)
+    item = np.array([i for _r, i, _w in entries], dtype=np.intp)
+    weight = np.array([w for _r, _i, w in entries], dtype=float)
+    got = scm_mod.group_laws(row, item, 4, weight, n_rows)
+    assert got.start.tolist() == np.cumsum([0] + [len(law) for law in want]).tolist()
+    assert got.item.tolist() == [i for law in want for i in law]
+    assert [p.hex() for p in got.prob.tolist()] == [
+        p.hex() for law in want for p in law.values()
+    ]
