@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .errors import GraphError, UnknownNode, json_input
+from .errors import FieldTable, GraphError, UnknownNode, json_input
 
 OBSERVED = "observed"
 LATENT = "latent"
@@ -365,6 +365,12 @@ def minimal_adjustment_sets(
 # --- json io -----------------------------------------------------------------
 
 
+_GRAPH_FIELDS = FieldTable("graph key", {"nodes": "list", "edges": "list"},
+                           required=("nodes", "edges"))
+_NODE_FIELDS = FieldTable("graph node key", {"name": "string", "mark": "string"},
+                          required=("name",))
+
+
 def load_dag(source) -> CausalDag:
     """Load a graph from a JSON file path or parsed dict: ``nodes`` is a list
     of ``{"name": str, "mark": str}`` objects (the mark defaults to observed),
@@ -372,12 +378,10 @@ def load_dag(source) -> CausalDag:
     if isinstance(source, (str, Path)):
         with json_input(source) as doc:
             return load_dag(doc)
-    for n in source["nodes"]:
-        if not isinstance(n, dict):
-            raise ValueError(f"graph node must be an object, got {n!r}")
-        if not isinstance(n["name"], str):
-            raise ValueError(f"graph node name must be a string, got {n['name']!r}")
-    nodes = tuple((n["name"], n.get("mark", OBSERVED)) for n in source["nodes"])
+    _GRAPH_FIELDS.check(source)
+    nodes = tuple(
+        (n["name"], n.get("mark", OBSERVED)) for n in map(_NODE_FIELDS.check, source["nodes"])
+    )
     for e in source["edges"]:
         if not (isinstance(e, list) and len(e) == 2 and all(isinstance(v, str) for v in e)):
             raise ValueError(f"graph edge must be an array of two node names, got {e!r}")

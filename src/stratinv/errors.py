@@ -2,7 +2,8 @@
 
 Every error raised on a contract violation derives from StratinvError so
 callers (and the CLI) can tell usage errors from genuine bugs. ``json_input``
-reads an input file so that its faults name the file; ``text_output`` is the
+reads an input file so that its faults name the file, and a ``FieldTable``
+checks the keys and JSON types of each object in it; ``text_output`` is the
 one way the package writes an artifact.
 """
 
@@ -12,11 +13,54 @@ import json
 import os
 import stat
 from contextlib import contextmanager
+from typing import Iterable, Mapping
 
 _JSON_TYPES = {
     dict: "object", list: "array", str: "string", int: "number",
     float: "number", bool: "boolean", type(None): "null",
 }
+
+# The JSON types a field table names: the Python types json.load gives for
+# each, and how a message names it.
+_FIELD_KINDS = {
+    "object": ((dict,), "an object"), "list": ((list,), "a list"),
+    "string": ((str,), "a string"), "integer": ((int,), "an integer"),
+    "number": ((int, float), "a number"), "null": ((type(None),), "null"),
+}
+
+
+class FieldTable:
+    """The keys one kind of JSON object may hold, each with its JSON type: a
+    name in ``_FIELD_KINDS``, or several joined by " or ". ``what`` names a
+    key in messages ("task config key")."""
+
+    def __init__(self, what: str, types: Mapping[str, str], required: Iterable[str] = ()):
+        self.what, self.types, self.required = what, dict(types), tuple(required)
+        self._required = frozenset(self.required)
+        self._kinds = {
+            key: frozenset(t for kind in spec.split(" or ") for t in _FIELD_KINDS[kind][0])
+            for key, spec in self.types.items()
+        }
+
+    def check(self, doc) -> dict:
+        """``doc``, if it is an object of listed keys, each value of a type
+        its key takes as json.load gives it (a bool is no number), that holds
+        every required key; else a ValueError naming the first fault."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"expected a JSON object of {self.what}s, got {doc!r}")
+        kinds = self._kinds
+        for key, value in doc.items():
+            kind = kinds.get(key)
+            if kind is None:
+                raise ValueError(f"unknown {self.what} {key!r}")
+            if value.__class__ not in kind:
+                named = " or ".join(_FIELD_KINDS[k][1] for k in self.types[key].split(" or "))
+                raise ValueError(f"{self.what} {key!r} must be {named}, got {value!r}")
+        if not doc.keys() >= self._required:
+            missing = [key for key in self.required if key not in doc]
+            plural = "s" if len(missing) > 1 else ""
+            raise ValueError(f"missing {self.what}{plural} {', '.join(map(repr, missing))}")
+        return doc
 
 
 def _distinct_keys(pairs: list) -> dict:
@@ -36,9 +80,9 @@ def _distinct_keys(pairs: list) -> dict:
 def json_input(path, kind: type = dict):
     """Yield the JSON document in the file at ``path``, which must be a
     ``kind``. Malformed JSON (an object that repeats a key included), a
-    document of another type, and a KeyError, ValueError or TypeError raised
-    while it is read (a value of the wrong JSON type inside the document)
-    become a ValueError naming the file. A StratinvError raised while it is
+    document of another type, and a ValueError or TypeError raised while it
+    is read (a key or value that a ``FieldTable`` refuses, a probability of
+    the wrong JSON type) become a ValueError naming the file. A StratinvError raised while it is
     read (a structural fault, such as a graph cycle or a missing table
     entry) names the file and keeps its class."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -55,8 +99,6 @@ def json_input(path, kind: type = dict):
         yield doc
     except StratinvError as exc:
         raise type(exc)(f"{path}: {exc}") from None
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing key {exc}") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     except TypeError as exc:

@@ -39,6 +39,7 @@ from .ooc import (
     REWRITE_MARKER,
     STRATIFIER_MARKER,
     TEXT_SECTION,
+    _LABEL_RULE_FIELDS,
     TaskConfig,
 )
 from .structured import CTX_KEY, PAD_KEY, STRATUM_KEY, parse_structured, render_tokens
@@ -78,14 +79,11 @@ class LabelRule:
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "LabelRule":
-        known = {"if", "read", "map", "label", "default"}
-        unknown = set(doc) - known
-        if unknown:
-            raise ValueError(f"unknown label rule keys {sorted(unknown)}")
+        _LABEL_RULE_FIELDS.check(doc)
         return cls(
-            when=tuple((str(k), str(v)) for k, v in dict(doc.get("if", {})).items()),
+            when=tuple((str(k), str(v)) for k, v in doc.get("if", {}).items()),
             read=doc.get("read"),
-            map=tuple((str(k), str(v)) for k, v in dict(doc.get("map", {})).items()),
+            map=tuple((str(k), str(v)) for k, v in doc.get("map", {}).items()),
             label=doc.get("label"),
             default=doc.get("default"),
         )
@@ -146,18 +144,9 @@ class MockStructuredLm(ChatClient):
 
     @classmethod
     def for_task(cls, cfg: TaskConfig) -> "MockStructuredLm":
-        """Build from a task's ``mock`` config section (and its context list)."""
-        section = dict(cfg.mock or {})
-        known = {"label_rules", "stratum_key", "default_stratum"}
-        unknown = set(section) - known
-        if unknown:
-            raise ValueError(f"unknown mock config keys {sorted(unknown)}")
-        return cls(
-            contexts=cfg.contexts,
-            label_rules=tuple(section.get("label_rules", ())),
-            stratum_key=section.get("stratum_key", STRATUM_KEY),
-            default_stratum=section.get("default_stratum"),
-        )
+        """Build from a task's context list and ``mock`` section, whose keys
+        (checked when the task was made) are this constructor's keywords."""
+        return cls(cfg.contexts, **(cfg.mock or {}))
 
     # -- dispatch ----------------------------------------------------------
 

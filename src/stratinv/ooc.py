@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 import string
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -19,6 +19,7 @@ import numpy as np
 from .augment import Aggregator
 from .chat import ChatClient, ChatTurnRequest
 from .errors import (
+    FieldTable,
     OocFailed,
     ServiceError,
     TemplateError,
@@ -257,6 +258,16 @@ def render_template(body: str, values: Mapping[str, str]) -> str:
 
 STRATUM_SLOT = "{S_lm}"
 
+# A task's ``mock`` section and each of its label rules, as
+# ``mock.MockStructuredLm`` reads them (see ``mock.LabelRule``).
+_MOCK_FIELDS = FieldTable("mock config key", {
+    "label_rules": "list", "stratum_key": "string", "default_stratum": "string or null",
+})
+_LABEL_RULE_FIELDS = FieldTable("label rule key", {
+    "if": "object", "map": "object",
+    "read": "string or null", "label": "string or null", "default": "string or null",
+})
+
 
 @dataclass(frozen=True, eq=False)
 class TaskConfig:
@@ -307,9 +318,11 @@ class TaskConfig:
             raise ValueError(
                 f"unknown safety prompt {self.safety_prompt!r}; known: {known}"
             )
-        if self.requires_stratum and self.strata:
-            if len(set(self.strata)) != len(self.strata):
-                raise ValueError("duplicate stratum values")
+        if self.requires_stratum and len(set(self.strata)) != len(self.strata):
+            raise ValueError("duplicate stratum values")
+        if self.mock is not None:
+            for rule in _MOCK_FIELDS.check(self.mock).get("label_rules", ()):
+                _LABEL_RULE_FIELDS.check(rule)
 
     @property
     def requires_stratum(self) -> bool:
@@ -326,68 +339,27 @@ class TaskConfig:
         return f"{self.standard_prompt} {text}"
 
 
-# The one task-file key of each field, in field order.  Three keep the paper's
-# spelling, which mirrors the {Z_description} and {S_description} placeholders.
-_PAPER_KEYS = {
-    "contexts": "sampled_contexts",
-    "z_description": "Z_description",
-    "s_description": "S_description",
-}
-_TASK_KEYS = {_PAPER_KEYS.get(f.name, f.name): f for f in fields(TaskConfig)}
-_TUPLE_FIELDS = {"contexts", "labels", "strata"}
-
-
-# JSON types that TaskConfig's own checks take for granted; a bool is no number.
-_FIELD_TYPES = {
-    "m": (int, "an integer"),
-    "max_in_flight": (int, "an integer"),
-    "transform_temperature": ((int, float), "a number"),
-    "predict_temperature": ((int, float), "a number"),
-    **{name: ((list, tuple), "a list") for name in _TUPLE_FIELDS},
-    "mock": ((Mapping, type(None)), "an object or null"),
-    **{name: (str, "a string") for name in (
-        "name", "z_description", "s_description", "standard_prompt",
-        "stratifier_question", "model",
-    )},
-    "safety_prompt": ((str, type(None)), "a string or null"),
-}
-
-
-def _check_label_rules(rules) -> None:
-    """The mock's rules are objects whose ``if`` and ``map`` are objects, as
-    ``MockStructuredLm`` reads them."""
-    if not isinstance(rules, list) or not all(
-        isinstance(rule, Mapping)
-        and all(isinstance(rule.get(key, {}), Mapping) for key in ("if", "map"))
-        for rule in rules
-    ):
-        raise ValueError(
-            "task config key 'mock' must be an object whose label_rules is a "
-            f"list of objects with object 'if' and 'map', got {rules!r}"
-        )
+# The one task-file key of each field, in field order, and its JSON type.
+# Three keep the paper's spelling, which mirrors the {Z_description} and
+# {S_description} placeholders.
+_TASK_FIELDS = FieldTable("task config key", {
+    "name": "string", "sampled_contexts": "list", "Z_description": "string",
+    "S_description": "string", "labels": "list", "standard_prompt": "string",
+    "strata": "list", "stratifier_question": "string", "safety_prompt": "string or null",
+    "transform_temperature": "number", "predict_temperature": "number", "m": "integer",
+    "max_in_flight": "integer", "model": "string", "mock": "object or null",
+}, required=(
+    "name", "sampled_contexts", "Z_description", "S_description", "labels", "standard_prompt",
+))
+_PAPER_KEYS = {"sampled_contexts": "contexts", "Z_description": "z_description",
+               "S_description": "s_description"}
 
 
 def task_from_dict(doc: Mapping) -> TaskConfig:
-    kwargs = {}
-    for key, value in doc.items():
-        if key not in _TASK_KEYS:
-            raise ValueError(f"unknown task config key {key!r}")
-        name = _TASK_KEYS[key].name
-        kinds, what = _FIELD_TYPES[name]
-        if isinstance(value, bool) or not isinstance(value, kinds):
-            raise ValueError(f"task config key {key!r} must be {what}, got {value!r}")
-        if name in _TUPLE_FIELDS:
-            value = tuple(str(v) for v in value)
-        if name == "mock" and value is not None:
-            _check_label_rules(value.get("label_rules", []))
-        kwargs[name] = value
-    missing = [
-        key for key, f in _TASK_KEYS.items()
-        if f.default is MISSING and f.name not in kwargs
-    ]
-    if missing:
-        raise ValueError(f"task config lacks {', '.join(map(repr, missing))}")
-    return TaskConfig(**kwargs)
+    return TaskConfig(**{
+        _PAPER_KEYS.get(key, key): tuple(map(str, value)) if isinstance(value, list) else value
+        for key, value in _TASK_FIELDS.check(doc).items()
+    })
 
 
 def load_task(path) -> TaskConfig:

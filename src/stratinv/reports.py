@@ -14,26 +14,20 @@ import json
 from dataclasses import asdict, dataclass, replace
 from typing import Iterable, Sequence
 
-from .errors import MissingBaseline, json_input, text_output
+from .errors import FieldTable, MissingBaseline, json_input, text_output
 
 #: Metrics whose values must land in [0, 1]; anything else is unchecked.
 UNIT_INTERVAL_METRICS = frozenset(
     {"si_bias", "macro_f1", "ci_probability", "p_value", "failure_rate"}
 )
 
-# Each field of a rows file, in column order, and its JSON type; a bool is no
-# number.
-_FIELD_TYPES = {
-    "dataset": (str, "a string"),
-    "z_pair": (str, "a string"),
-    "method": (str, "a string"),
-    "metric": (str, "a string"),
-    "value": ((int, float), "a number"),
-    "dispersion": ((int, float, type(None)), "a number or null"),
-    "n": ((int, type(None)), "an integer or null"),
-    "manifest": (str, "a string"),
-}
-_FIELDS = tuple(_FIELD_TYPES)
+# Each field of a rows file, in column order, and its JSON type.
+_ROW_FIELDS = FieldTable("report field", {
+    "dataset": "string", "z_pair": "string", "method": "string", "metric": "string",
+    "value": "number", "dispersion": "number or null", "n": "integer or null",
+    "manifest": "string",
+}, required=("dataset", "method", "metric", "value"))
+_FIELDS = tuple(_ROW_FIELDS.types)
 
 
 @dataclass(frozen=True)
@@ -66,25 +60,11 @@ def row_to_dict(row: ReportRow) -> dict:
 
 
 def row_from_dict(doc: dict) -> ReportRow:
-    if not isinstance(doc, dict):
-        raise ValueError(f"a report row must be a JSON object, got {doc!r}")
-    unknown = set(doc) - set(_FIELDS)
-    if unknown:
-        raise ValueError(f"unknown report fields: {sorted(unknown)}")
-    for key, value in doc.items():
-        kinds, what = _FIELD_TYPES[key]
-        if isinstance(value, bool) or not isinstance(value, kinds):
-            raise TypeError(f"report field {key!r} must be {what}, got {value!r}")
-    return ReportRow(
-        dataset=doc["dataset"],
-        z_pair=doc.get("z_pair", "all"),
-        method=doc["method"],
-        metric=doc["metric"],
-        value=float(doc["value"]),
-        dispersion=None if doc.get("dispersion") is None else float(doc["dispersion"]),
-        n=None if doc.get("n") is None else int(doc["n"]),
-        manifest=doc.get("manifest", ""),
-    ).validate()
+    dispersion = _ROW_FIELDS.check(doc).get("dispersion")
+    return ReportRow(**{
+        "z_pair": "all", **doc, "value": float(doc["value"]),
+        "dispersion": None if dispersion is None else float(dispersion),
+    }).validate()
 
 
 def write_rows_json(rows: Sequence[ReportRow], path) -> None:

@@ -28,6 +28,7 @@ from .errors import (
     AmbiguousContext,
     DomainMismatch,
     EnumerationTooLarge,
+    FieldTable,
     InconsistentEvidence,
     ZeroMassStratum,
     json_input,
@@ -500,14 +501,18 @@ class ExactConditionalSampler:
 # --- table-backed construction and JSON io ----------------------------------
 
 
-def _encode_key(*parts) -> str:
-    out = []
-    for p in parts:
-        text = str(p)
-        if "|" in text:
-            raise DomainMismatch(f"value {p!r} may not contain '|'")
-        out.append(text)
-    return "|".join(out)
+def _check_key_parts(domains: Iterable[FiniteDomain]) -> None:
+    """Each domain value reads as its own table-key part: it holds no '|',
+    and no other value of its domain prints alike (1 and "1")."""
+    for d in domains:
+        seen = {}
+        for v in d.values:
+            if "|" in (text := str(v)):
+                raise DomainMismatch(f"value {v!r} may not contain '|'")
+            if seen.setdefault(text, v) is not v:
+                raise DomainMismatch(
+                    f"domain {d.name!r} values {seen[text]!r} and {v!r} both read {text!r}"
+                )
 
 
 def scm_from_tables(
@@ -531,18 +536,19 @@ def scm_from_tables(
     malformed file fails at load time naming the offending table.
     """
     u_domains = tuple(u_domains)
+    _check_key_parts((z_domain, *u_domains))
     cells = {}
     for u in itertools.product(*(d.values for d in u_domains)):
         row = []
         for z in z_domain.values:
-            key = _encode_key(z, *u)
+            key = "|".join(map(str, (z, *u)))
             if key not in x_table:
                 raise DomainMismatch(f"x_table is missing entry {key!r}")
             if key not in y_table:
                 raise DomainMismatch(f"y_table is missing entry {key!r}")
             y, s = y_table[key], None
             if s_table is not None:
-                s_key = _encode_key(z, *u, y)
+                s_key = f"{key}|{y!s}"
                 if s_key not in s_table:
                     raise DomainMismatch(f"s_table is missing entry {s_key!r}")
                 s = s_table[s_key]
@@ -592,17 +598,26 @@ def _map_to_nested(table, domains: list[FiniteDomain]):
     return build([])
 
 
+_MODEL_FIELDS = FieldTable("model key", {
+    "u_domains": "list", "z_domain": "object", "p_u": "list or number",
+    "z_parents": "list", "p_z_given_parents": "list", "x_table": "object",
+    "y_table": "object", "s_table": "object or null", "y_values": "list", "s_values": "list",
+}, required=("u_domains", "z_domain", "p_u", "p_z_given_parents", "x_table", "y_table"))
+_DOMAIN_FIELDS = FieldTable("domain key", {"name": "string", "values": "list"},
+                            required=("name", "values"))
+
+
 def load_scm(source) -> DiscreteScm:
     """Load a table-backed model from a JSON file path or parsed dict."""
     if isinstance(source, (str, Path)):
         with json_input(source) as doc:
             return load_scm(doc)
-    doc = source
-    u_domains = tuple(
-        FiniteDomain(d["name"], tuple(d["values"])) for d in doc["u_domains"]
+    doc = _MODEL_FIELDS.check(source)
+    *u_domains, z_domain = (
+        FiniteDomain(d["name"], tuple(d["values"]))
+        for d in map(_DOMAIN_FIELDS.check, (*doc["u_domains"], doc["z_domain"]))
     )
-    z_domain = FiniteDomain(doc["z_domain"]["name"], tuple(doc["z_domain"]["values"]))
-    p_u = _nested_to_map(doc["p_u"], list(u_domains))
+    p_u = _nested_to_map(doc["p_u"], u_domains)
     z_parents = tuple(doc.get("z_parents", ()))
     parent_domains = [d for d in u_domains if d.name in z_parents]
     flat = _nested_to_map(doc["p_z_given_parents"], parent_domains + [z_domain])
@@ -610,14 +625,8 @@ def load_scm(source) -> DiscreteScm:
     for key, p in flat.items():
         p_z.setdefault(key[:-1], {})[key[-1]] = p
     return scm_from_tables(
-        u_domains,
-        z_domain,
-        p_u,
-        z_parents,
-        p_z,
-        doc["x_table"],
-        doc["y_table"],
-        doc.get("s_table"),
+        u_domains, z_domain, p_u, z_parents, p_z,
+        doc["x_table"], doc["y_table"], doc.get("s_table"),
         y_values=tuple(doc["y_values"]) if "y_values" in doc else None,
         s_values=tuple(doc["s_values"]) if "s_values" in doc else None,
     )
@@ -646,10 +655,12 @@ def dump_scm(scm: DiscreteScm) -> dict:
         for k, z in enumerate(scm.z_domain.values)
         for u, row in scm.cells.items()
     ]
-    doc["x_table"] = {_encode_key(z, *u): x for z, u, (x, _y, _s) in cells}
-    doc["y_table"] = {_encode_key(z, *u): y for z, u, (_x, y, _s) in cells}
+    _check_key_parts((scm.z_domain, *scm.u_domains))
+    keys = ["|".join(map(str, (z, *u))) for z, u, _cell in cells]
+    doc["x_table"] = {key: x for key, (_z, _u, (x, _y, _s)) in zip(keys, cells)}
+    doc["y_table"] = {key: y for key, (_z, _u, (_x, y, _s)) in zip(keys, cells)}
     if any(s is not None for _z, _u, (_x, _y, s) in cells):
-        doc["s_table"] = {_encode_key(z, *u, y): s for z, u, (_x, y, s) in cells}
+        doc["s_table"] = {f"{key}|{y!s}": s for key, (_z, _u, (_x, y, s)) in zip(keys, cells)}
     if scm.y_values is not None:
         doc["y_values"] = list(scm.y_values)
     if scm.s_values is not None:

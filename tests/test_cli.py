@@ -1,9 +1,15 @@
 """CLI behavior through main(): artifacts, exit codes, reproducible reruns."""
 
+import contextlib
+import copy
+import functools
+import io
 import json
 import math
+import operator
 import os
 import re
+import string
 import subprocess
 import sys
 import threading
@@ -12,8 +18,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stratinv import cli, ooc
+from stratinv import causal_graph as cg
+from stratinv import cli, ooc, reports
+from stratinv import scm as scm_mod
 from stratinv.chat import ChatTurnRequest
 from stratinv.causal_graph import load_dag
 from stratinv.cli import main
@@ -721,9 +731,9 @@ def _reading(command, path, tmp_path):
 
 
 _EMPTY_OBJECT_MESSAGES = {
-    "simulate": "missing key 'u_domains'",
-    "check-adjustment": "missing key 'nodes'",
-    "ooc-run": "task config lacks 'name', 'sampled_contexts'",
+    "simulate": "missing model keys 'u_domains', 'z_domain', 'p_u'",
+    "check-adjustment": "missing graph keys 'nodes', 'edges'",
+    "ooc-run": "missing task config keys 'name', 'sampled_contexts'",
     "report": "expected a JSON array, got object",
 }
 
@@ -775,21 +785,22 @@ _ROW = {"dataset": "toy", "method": "standard", "metric": "si_bias", "value": 0.
     "command, content, message",
     [
         ("check-adjustment", {"nodes": [1], "edges": []},
-         "graph node must be an object, got 1"),
+         "expected a JSON object of graph node keys, got 1"),
         ("check-adjustment", {"nodes": [{"name": 1}], "edges": []},
-         "graph node name must be a string, got 1"),
+         "graph node key 'name' must be a string, got 1"),
         ("check-adjustment", {"nodes": [{"name": "Z"}, {"name": "X"}], "edges": ["ZX"]},
          "graph edge must be an array of two node names, got 'ZX'"),
         ("check-adjustment",
          {"nodes": [{"name": "Z"}, {"name": "X"}], "edges": [{"Z": 1, "X": 2}]},
          "graph edge must be an array of two node names, got {'Z': 1, 'X': 2}"),
-        ("report", [{**_ROW, "value": [0.5]}], "a value has the wrong JSON type: "),
+        ("report", [{**_ROW, "value": [0.5]}],
+         "report field 'value' must be a number, got [0.5]"),
         ("ooc-run", {"mock": [1]},
          "task config key 'mock' must be an object or null, got [1]"),
         ("ooc-run", {"mock": {"label_rules": 5}},
-         "label_rules is a list of objects with object 'if' and 'map', got 5"),
+         "mock config key 'label_rules' must be a list, got 5"),
         ("ooc-run", {"mock": {"label_rules": [5]}},
-         "label_rules is a list of objects with object 'if' and 'map', got [5]"),
+         "expected a JSON object of label rule keys, got 5"),
         ("report", [_ROW, {**_ROW, "dataset": 5}],
          "report field 'dataset' must be a string, got 5"),
         ("report", [{**_ROW, "value": True}],
@@ -902,6 +913,172 @@ def test_a_task_file_cannot_replace_the_prompt_frame(tmp_path, capsys, key):
     assert code == 2
     assert f"unknown task config key '{key}'" in capsys.readouterr().err
     assert not out.exists()
+
+
+_GRAPH_CONFOUNDED = json.loads((CONFIGS / "graph_confounded.json").read_text())
+
+
+def _renamed(doc, old, new):
+    return {new if key == old else key: value for key, value in doc.items()}
+
+
+@pytest.mark.parametrize(
+    "command, content, message",
+    [
+        ("check-adjustment",
+         {**_GRAPH_CONFOUNDED,
+          "nodes": [_renamed(n, "mark", "mrak") for n in _GRAPH_CONFOUNDED["nodes"]]},
+         "unknown graph node key 'mrak'"),
+        ("check-adjustment", {**_GRAPH_CONFOUNDED, "layout": "dot"},
+         "unknown graph key 'layout'"),
+        ("simulate", _renamed(_demo_scm(), "s_table", "s_tabel"), "unknown model key 's_tabel'"),
+        ("simulate", _renamed(_demo_scm(z_parents=["u1"]), "z_parents", "z_parent"),
+         "unknown model key 'z_parent'"),
+        ("simulate", _demo_scm(z_domain={**_demo_scm()["z_domain"], "size": 2}),
+         "unknown domain key 'size'"),
+        ("ooc-run", {"mock": {"label_rules": [{"label": 5}]}},
+         "label rule key 'label' must be a string or null, got 5"),
+        ("ooc-run", {"mock": {"label_rules": [{"default": ["x"]}]}},
+         "label rule key 'default' must be a string or null, got ['x']"),
+        ("report", [_ROW, {**_ROW, "manifset": "abc"}], "unknown report field 'manifset'"),
+    ],
+    ids=["graph-node-mark-typo", "graph-unknown-key", "scm-s-table-typo",
+         "scm-z-parents-typo", "scm-domain-key", "task-rule-label-number",
+         "task-rule-default-list", "row-field-typo"],
+)
+def test_an_unknown_or_mistyped_key_is_named_and_nothing_is_written(
+    tmp_path, capsys, command, content, message
+):
+    """A misspelt key is refused, not read past: a graph whose latent marks
+    were misspelt would otherwise certify a latent candidate as VALID, and a
+    model with a misspelt s_table would write a null stratum for every
+    record."""
+    path = tmp_path / "input.json"
+    if command == "ooc-run":
+        content = {**json.loads(write_task(tmp_path / "task.json").read_text()), **content}
+    path.write_text(json.dumps(content) + "\n")
+    out = tmp_path / "out"
+    code = main(_reading(command, path, tmp_path) + ["--out-dir", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("client", ["mock", "http"])
+def test_a_mock_section_is_checked_whichever_client_runs(tmp_path, capsys, chat_server, client):
+    task = write_task(tmp_path / "task.json", mock={"bogus": 1})
+    server = chat_server(lambda doc: "0")
+    out = tmp_path / "out"
+    code = main(["ooc-run", "--task", str(task),
+                 "--records", str(write_toy_records(tmp_path / "records.jsonl")),
+                 "--client", client, "--endpoint", server.url, "--out-dir", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {task}: unknown mock config key 'bogus'\n"
+    assert server.calls == []
+    assert not out.exists()
+
+
+# Each input file's command, a valid document, and where in it each object
+# that a field table checks sits, as a path of keys and indexes.
+_DEMO_TASK = json.loads((CONFIGS / "demo_task.json").read_text())
+_DOCUMENTS = {
+    "ooc-run": (_DEMO_TASK, [
+        ((), ooc._TASK_FIELDS), (("mock",), ooc._MOCK_FIELDS),
+        *((("mock", "label_rules", i), ooc._LABEL_RULE_FIELDS)
+          for i in range(len(_DEMO_TASK["mock"]["label_rules"]))),
+    ]),
+    "check-adjustment": (_GRAPH_CONFOUNDED, [
+        ((), cg._GRAPH_FIELDS),
+        *((("nodes", i), cg._NODE_FIELDS) for i in range(len(_GRAPH_CONFOUNDED["nodes"]))),
+    ]),
+    "simulate": (_demo_scm(), [
+        ((), scm_mod._MODEL_FIELDS), (("z_domain",), scm_mod._DOMAIN_FIELDS),
+        *((("u_domains", i), scm_mod._DOMAIN_FIELDS)
+          for i in range(len(_demo_scm()["u_domains"]))),
+    ]),
+    "report": ([_ROW, {**_ROW, "method": "ooc", "z_pair": "za|zb", "dispersion": 0.1,
+                       "n": 4, "manifest": "abc"}],
+               [((0,), reports._ROW_FIELDS), ((1,), reports._ROW_FIELDS)]),
+}
+# A value of each JSON type; a "number" key takes an integer too.
+_JSON_VALUES = {
+    "object": st.dictionaries(st.sampled_from("ab"), st.integers(0, 3), max_size=2),
+    "list": st.lists(st.integers(0, 3), max_size=2),
+    "string": st.text(alphabet="xyz", max_size=3),
+    "integer": st.integers(-3, 3),
+    "number": st.floats(-2, 2),
+    "null": st.none(),
+    "boolean": st.booleans(),
+}
+
+
+@st.composite
+def _faulty_input(draw):
+    """A command, one of its documents with one fault, and the fault's message:
+    an unknown key in one checked object, or a key's value swapped for one of
+    a JSON type the key does not take."""
+    command = draw(st.sampled_from(sorted(_DOCUMENTS)))
+    doc, objects = _DOCUMENTS[command]
+    doc = copy.deepcopy(doc)
+    where, table = draw(st.sampled_from(objects))
+    target = functools.reduce(operator.getitem, where, doc)
+    if draw(st.booleans()):
+        key = draw(st.text(alphabet=string.ascii_letters + "_", min_size=1, max_size=8)
+                   .filter(lambda k: k not in table.types))
+        target[key] = draw(st.one_of(*_JSON_VALUES.values()))
+        return command, doc, f"unknown {table.what} {key!r}"
+    key = draw(st.sampled_from(list(table.types)))
+    takes = set(table.types[key].split(" or "))
+    if "number" in takes:
+        takes.add("integer")
+    kind = draw(st.sampled_from(sorted(set(_JSON_VALUES) - takes)))
+    target[key] = draw(_JSON_VALUES[kind])
+    return command, doc, f"{table.what} {key!r} must be "
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_faulty_input())
+def test_any_unknown_key_or_mistyped_value_in_an_input_file_exits_2(tmp_path_factory, case):
+    command, doc, message = case
+    base = tmp_path_factory.getbasetemp() / "faulty-input"
+    base.mkdir(exist_ok=True)
+    path, out = base / "input.json", base / "out"
+    path.write_text(json.dumps(doc) + "\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(_reading(command, path, base) + ["--out-dir", str(out)])
+    assert code == 2
+    assert err.getvalue().startswith(f"error: {path}: ")
+    assert message in err.getvalue()
+    assert not out.exists()
+
+
+_README_OBJECTS = {
+    "task file": ooc._TASK_FIELDS,
+    "task `mock` section": ooc._MOCK_FIELDS,
+    "label rule": ooc._LABEL_RULE_FIELDS,
+    "graph file": cg._GRAPH_FIELDS,
+    "graph node": cg._NODE_FIELDS,
+    "SCM file": scm_mod._MODEL_FIELDS,
+    "SCM domain (`u_domains` entry, `z_domain`)": scm_mod._DOMAIN_FIELDS,
+    "rows file row": reports._ROW_FIELDS,
+}
+
+
+def test_the_readme_input_table_lists_exactly_the_field_tables():
+    """Each object's keys in table order, with their JSON types, and which of
+    them are required."""
+    readme = (CONFIGS.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n### Input files\n", 1)[1].split("\n### ", 1)[0]
+    listed: dict = {}
+    for obj, key, kind, default in re.findall(
+        r"^\| (.+?) \| `([^`]+)` \| ([a-z ]+) \| (.+) \|$", section, re.M
+    ):
+        listed.setdefault(obj, []).append((key, kind, default == "required"))
+    assert listed == {
+        obj: [(key, kind, key in table.required) for key, kind in table.types.items()]
+        for obj, table in _README_OBJECTS.items()
+    }
 
 
 def _set_x(path, x):

@@ -156,6 +156,21 @@ def test_records_jsonl_round_trip(tmp_path):
     assert again == records
 
 
+def test_a_record_line_ignores_other_keys_and_keeps_a_repeated_keys_last_value(tmp_path):
+    """A record file has no key table, so audit's scan stays one json call
+    per line: an unknown key is read past and a repeated key keeps its last
+    value, in the record list and the record table alike."""
+    path = tmp_path / "records.jsonl"
+    path.write_text('{"record_id": "r0", "x": "a", "z": "za", "note": [1], "z": "zb"}\n'
+                    '{"record_id": "r1", "record_id": "r2", "x": "b", "y": "1", "y": "0"}\n')
+    assert load_records(path) == [
+        LabeledRecord("r0", "a", None, "zb"), LabeledRecord("r2", "b", None, None, "0"),
+    ]
+    table = load_record_table(path)
+    assert table.record_ids == ["r0", "r2"]
+    assert (table.z.values, table.y.values) == (["zb", None], [None, "0"])
+
+
 def test_blank_lines_are_skipped_but_counted(tmp_path):
     path = tmp_path / "records.jsonl"
     lines = ['', '{"record_id": "r0", "x": "a"}', "  \t", "",

@@ -17,6 +17,7 @@ from stratinv.ooc import (
     REWRITE_MARKER,
     STRATIFIER_MARKER,
     TEXT_SECTION,
+    builtin_task,
 )
 from stratinv.structured import (
     CTX_KEY,
@@ -158,7 +159,7 @@ def test_label_no_matching_rule():
 
 
 def test_label_rule_rejects_unknown_keys():
-    with pytest.raises(ValueError, match="unknown label rule keys"):
+    with pytest.raises(ValueError, match="unknown label rule key 'iff'"):
         LabelRule.from_dict({"iff": {"kind": "amb"}, "label": "1"})
 
 
@@ -181,8 +182,6 @@ def test_stratifier_default_and_fallback():
 
 
 def test_for_task_wiring():
-    from stratinv.ooc import builtin_task
-
     cfg = builtin_task(
         "bios", mock={"label_rules": [{"read": "job"}], "stratum_key": "s"}
     )
@@ -190,8 +189,34 @@ def test_for_task_wiring():
     assert client.complete(label_request("job=surgeon")) == "surgeon"
     bare = MockStructuredLm.for_task(builtin_task("bios"))
     assert bare.complete(label_request("job=surgeon")) == "unknown"
-    with pytest.raises(ValueError, match="unknown mock config keys"):
+    with pytest.raises(ValueError, match="unknown mock config key 'rules'"):
         MockStructuredLm.for_task(builtin_task("bios", mock={"rules": []}))
+
+
+@pytest.mark.parametrize(
+    "section, message",
+    [
+        ({"label_rules": [{"label": 5}]}, "label rule key 'label' must be a string or null, got 5"),
+        ({"label_rules": [{"default": ["x"]}]},
+         "label rule key 'default' must be a string or null, got ['x']"),
+        ({"label_rules": [{"if": {"kind": "amb"}, "lable": "1"}]}, "unknown label rule key 'lable'"),
+        ({"label_rules": ({"read": "job"},)}, "mock config key 'label_rules' must be a list"),
+        ({"stratum_key": None}, "mock config key 'stratum_key' must be a string, got None"),
+        ({"default_stratum": 0}, "mock config key 'default_stratum' must be a string or null"),
+        ({"bogus": 1}, "unknown mock config key 'bogus'"),
+    ],
+    ids=["label-number", "default-list", "rule-key-typo", "rules-tuple", "stratum-key-null",
+         "default-stratum-number", "section-key-typo"],
+)
+def test_every_path_to_a_mock_reads_one_section_table(section, message):
+    """A task made in code checks its mock section as a task file does, and
+    the mock checks the label rules it is given against the same table."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        builtin_task("bios", mock=section)
+    rules = section.get("label_rules")
+    if isinstance(rules, list):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            mock(label_rules=rules)
 
 
 def test_mock_requires_contexts():

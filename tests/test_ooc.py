@@ -1,6 +1,7 @@
 """Prompt rendering, answer parsing, and the replicate pipeline on the mock."""
 
 import json
+import re
 import string
 from pathlib import Path
 
@@ -518,6 +519,16 @@ def test_task_round_trip(tmp_path):
         task_from_dict({**doc, "bogus": 1})
 
 
+# A fault inside the mock section names the section's key or the rule's.
+_MOCK_SECTION_FAULTS = {
+    '{"label_rules": 5}': "mock config key 'label_rules' must be a list, got 5",
+    '{"label_rules": [5]}': "expected a JSON object of label rule keys, got 5",
+    '{"label_rules": [{"if": 5}]}': "label rule key 'if' must be an object, got 5",
+    '{"label_rules": [{"read": "topic", "map": ["a"]}]}':
+        "label rule key 'map' must be an object, got ['a']",
+}
+
+
 @pytest.mark.parametrize(
     "key, value",
     [
@@ -548,7 +559,8 @@ def test_task_round_trip(tmp_path):
 )
 def test_task_rejects_a_field_of_the_wrong_type(key, value):
     doc = {**demo_task_doc(), key: value}
-    with pytest.raises(ValueError, match=f"task config key '{key}' must be"):
+    message = _MOCK_SECTION_FAULTS.get(json.dumps(value), f"task config key '{key}' must be")
+    with pytest.raises(ValueError, match=re.escape(message)):
         task_from_dict(doc)
 
 

@@ -45,7 +45,7 @@ def test_validate_ranges():
 def test_dict_round_trip_and_unknown_fields():
     full = row(dispersion=0.01, n=400, manifest="abc123")
     assert row_from_dict(row_to_dict(full)) == full
-    with pytest.raises(ValueError, match="unknown report fields"):
+    with pytest.raises(ValueError, match="unknown report field 'extra'"):
         row_from_dict({**row_to_dict(full), "extra": 1})
 
 

@@ -3,6 +3,7 @@
 import functools
 import gc
 import json
+import re
 import weakref
 
 import numpy as np
@@ -235,6 +236,55 @@ def test_missing_table_entry_named(tmp_path):
     del doc["y_table"]["zb|1"]
     with pytest.raises(DomainMismatch, match="y_table.*zb|1"):
         load_scm(doc)
+
+
+def _two_cell_tables(u_values, z_values=("za", "zb")):
+    """A one-factor model's arguments to ``scm_from_tables``."""
+    cells = [f"{z}|{u}" for z in z_values for u in u_values]
+    return (
+        (FiniteDomain("u1", u_values),), FiniteDomain("z", z_values),
+        {(u,): 1 / len(u_values) for u in u_values}, (),
+        {(): {z: 1 / len(z_values) for z in z_values}},
+        {key: f"x={key}" for key in cells}, {key: "0" for key in cells},
+    )
+
+
+@pytest.mark.parametrize(
+    "u_values, z_values, message",
+    [
+        ((1, "1"), ("za", "zb"), "domain 'u1' values 1 and '1' both read '1'"),
+        ((0, 1), ("za", 2, "2"), "domain 'z' values 2 and '2' both read '2'"),
+        ((0, True, "True"), ("za", "zb"), "domain 'u1' values True and 'True' both read 'True'"),
+        ((0, "a|b"), ("za", "zb"), "value 'a|b' may not contain '|'"),
+        ((0, 1), ("z|a", "zb"), "value 'z|a' may not contain '|'"),
+    ],
+    ids=["int-and-string", "context-int-and-string", "bool-and-string", "bar-in-factor",
+         "bar-in-context"],
+)
+def test_a_domain_value_must_read_as_its_own_table_key_part(
+    tmp_path, u_values, z_values, message
+):
+    """Two values that print alike would read one table entry for two cells,
+    and dump_scm would write one entry for both; each is refused once, on
+    load and on dump alike, naming both values."""
+    with pytest.raises(DomainMismatch) as got:
+        scm_from_tables(*_two_cell_tables(u_values, z_values))
+    assert str(got.value) == message
+    clean = scm_from_tables(*_two_cell_tables(
+        tuple(range(len(u_values))), tuple(f"z{k}" for k in range(len(z_values)))
+    ))
+    doc = dump_scm(clean)
+    doc["u_domains"][0]["values"], doc["z_domain"]["values"] = list(u_values), list(z_values)
+    with pytest.raises(DomainMismatch, match=re.escape(message)):
+        load_scm(doc)
+    direct = scm_mod.DiscreteScm(
+        (FiniteDomain("u1", u_values),), FiniteDomain("z", z_values),
+        dict(zip([(u,) for u in u_values], clean.p_u.values())), (),
+        {(): dict(zip(z_values, clean.p_z_given_parents[()].values()))},
+        dict(zip([(u,) for u in u_values], clean.cells.values())),
+    )
+    with pytest.raises(DomainMismatch, match=re.escape(message)):
+        dump_scm(direct)
 
 
 def test_enumeration_cap_is_read_at_call_time(monkeypatch):
