@@ -129,13 +129,10 @@ def metric_rows(
     z_pair = z_pair or _z_pair(table.z.values)
 
     def add(metric, value, dispersion=None, n=None):
-        rows.append(
-            ReportRow(
-                dataset=dataset, z_pair=z_pair, method=method, metric=metric,
-                value=float(value), dispersion=dispersion, n=n,
-                manifest=manifest_digest,
-            ).validate()
-        )
+        rows.append(ReportRow(
+            dataset=dataset, z_pair=z_pair, method=method, metric=metric,
+            value=float(value), dispersion=dispersion, n=n, manifest=manifest_digest,
+        ))
 
     # The test's observed statistic is si_bias, from the same count table;
     # si_bias and macro_f1 draw nothing, so the stream is unchanged.
@@ -452,7 +449,7 @@ def cmd_ooc_run(args) -> int:
                     metric="failure_rate",
                     value=(len(records) - len(table)) / len(records),
                     n=len(records), manifest=digest,
-                ).validate())
+                ))
             passes.append(rows_r)
 
     rows = []
@@ -466,7 +463,7 @@ def cmd_ooc_run(args) -> int:
         )
         rows.append(replace(
             same[-1], value=float(np.mean(values)), dispersion=dispersion
-        ).validate())
+        ))
     standard_records, ooc_records, traces = first_pass
     out = write_manifest(manifest, args.out_dir)
     write_rows_json(rows, out / "rows.json")

@@ -21,11 +21,16 @@ _JSON_TYPES = {
 }
 
 # The JSON types a field table names: the Python types json.load gives for
-# each, and how a message names it.
+# each, with the types their elements take (None: any), and its message name.
+_SCALARS = (str, int, float, bool, type(None))
 _FIELD_KINDS = {
-    "object": ((dict,), "an object"), "list": ((list,), "a list"),
-    "string": ((str,), "a string"), "integer": ((int,), "an integer"),
-    "number": ((int, float), "a number"), "null": ((type(None),), "null"),
+    "object": ({dict: None}, "an object"), "list": ({list: None}, "a list"),
+    "string": ({str: None}, "a string"), "integer": ({int: None}, "an integer"),
+    "number": ({int: None, float: None}, "a number"), "null": ({type(None): None}, "null"),
+    "list of strings": ({list: (str,)}, "a list of strings"),
+    "list of scalars": ({list: _SCALARS}, "a list of scalars"),
+    "object of strings": ({dict: (str,)}, "an object of strings"),
+    "object of scalars": ({dict: _SCALARS}, "an object of scalars"),
 }
 
 
@@ -38,14 +43,14 @@ class FieldTable:
         self.what, self.types, self.required = what, dict(types), tuple(required)
         self._required = frozenset(self.required)
         self._kinds = {
-            key: frozenset(t for kind in spec.split(" or ") for t in _FIELD_KINDS[kind][0])
+            key: {k: v for kind in spec.split(" or ") for k, v in _FIELD_KINDS[kind][0].items()}
             for key, spec in self.types.items()
         }
 
     def check(self, doc) -> dict:
-        """``doc``, if it is an object of listed keys, each value of a type
-        its key takes as json.load gives it (a bool is no number), that holds
-        every required key; else a ValueError naming the first fault."""
+        """``doc``, if it is an object of listed keys, each value and typed
+        element of a type its key takes as json.load gives it (a bool is no
+        number), with every required key; else a ValueError naming the first fault."""
         if not isinstance(doc, dict):
             raise ValueError(f"expected a JSON object of {self.what}s, got {doc!r}")
         kinds = self._kinds
@@ -53,7 +58,10 @@ class FieldTable:
             kind = kinds.get(key)
             if kind is None:
                 raise ValueError(f"unknown {self.what} {key!r}")
-            if value.__class__ not in kind:
+            elements = kind.get(value.__class__, False)
+            if elements is False or elements and any(
+                    item.__class__ not in elements
+                    for item in (value.values() if value.__class__ is dict else value)):
                 named = " or ".join(_FIELD_KINDS[k][1] for k in self.types[key].split(" or "))
                 raise ValueError(f"{self.what} {key!r} must be {named}, got {value!r}")
         if not doc.keys() >= self._required:

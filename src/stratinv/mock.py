@@ -81,9 +81,9 @@ class LabelRule:
     def from_dict(cls, doc: Mapping) -> "LabelRule":
         _LABEL_RULE_FIELDS.check(doc)
         return cls(
-            when=tuple((str(k), str(v)) for k, v in doc.get("if", {}).items()),
+            when=tuple(doc.get("if", {}).items()),
             read=doc.get("read"),
-            map=tuple((str(k), str(v)) for k, v in doc.get("map", {}).items()),
+            map=tuple(doc.get("map", {}).items()),
             label=doc.get("label"),
             default=doc.get("default"),
         )

@@ -264,7 +264,7 @@ _MOCK_FIELDS = FieldTable("mock config key", {
     "label_rules": "list", "stratum_key": "string", "default_stratum": "string or null",
 })
 _LABEL_RULE_FIELDS = FieldTable("label rule key", {
-    "if": "object", "map": "object",
+    "if": "object of strings", "map": "object of strings",
     "read": "string or null", "label": "string or null", "default": "string or null",
 })
 
@@ -343,11 +343,12 @@ class TaskConfig:
 # Three keep the paper's spelling, which mirrors the {Z_description} and
 # {S_description} placeholders.
 _TASK_FIELDS = FieldTable("task config key", {
-    "name": "string", "sampled_contexts": "list", "Z_description": "string",
-    "S_description": "string", "labels": "list", "standard_prompt": "string",
-    "strata": "list", "stratifier_question": "string", "safety_prompt": "string or null",
-    "transform_temperature": "number", "predict_temperature": "number", "m": "integer",
-    "max_in_flight": "integer", "model": "string", "mock": "object or null",
+    "name": "string", "sampled_contexts": "list of strings", "Z_description": "string",
+    "S_description": "string", "labels": "list of strings", "standard_prompt": "string",
+    "strata": "list of strings", "stratifier_question": "string",
+    "safety_prompt": "string or null", "transform_temperature": "number",
+    "predict_temperature": "number", "m": "integer", "max_in_flight": "integer",
+    "model": "string", "mock": "object or null",
 }, required=(
     "name", "sampled_contexts", "Z_description", "S_description", "labels", "standard_prompt",
 ))
@@ -357,7 +358,7 @@ _PAPER_KEYS = {"sampled_contexts": "contexts", "Z_description": "z_description",
 
 def task_from_dict(doc: Mapping) -> TaskConfig:
     return TaskConfig(**{
-        _PAPER_KEYS.get(key, key): tuple(map(str, value)) if isinstance(value, list) else value
+        _PAPER_KEYS.get(key, key): tuple(value) if value.__class__ is list else value
         for key, value in _TASK_FIELDS.check(doc).items()
     })
 

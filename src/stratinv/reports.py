@@ -41,6 +41,9 @@ class ReportRow:
     n: int | None = None
     manifest: str = ""
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> "ReportRow":
         if not self.dataset or not self.method or not self.metric:
             raise ValueError("dataset, method and metric must be non-empty")
@@ -64,11 +67,11 @@ def row_from_dict(doc: dict) -> ReportRow:
     return ReportRow(**{
         "z_pair": "all", **doc, "value": float(doc["value"]),
         "dispersion": None if dispersion is None else float(dispersion),
-    }).validate()
+    })
 
 
 def write_rows_json(rows: Sequence[ReportRow], path) -> None:
-    doc = [row_to_dict(r.validate()) for r in rows]
+    doc = [row_to_dict(r) for r in rows]
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     with text_output(path) as fh:
         fh.write(text)
@@ -84,7 +87,7 @@ def write_rows_csv(rows: Sequence[ReportRow], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(_FIELDS)
         for row in rows:
-            d = row_to_dict(row.validate())
+            d = row_to_dict(row)
             writer.writerow(
                 ["" if d[f] is None else d[f] for f in _FIELDS]
             )

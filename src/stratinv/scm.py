@@ -566,25 +566,29 @@ def scm_from_tables(
     )
 
 
-def _nested_to_map(nested, domains: list[FiniteDomain]):
-    """Nested probability array in domain order -> {value tuple: p}."""
+def _nested_to_map(doc, key: str, domains: list[FiniteDomain]):
+    """Nested probability array ``doc[key]`` in domain order -> {value tuple: p}."""
     out = {}
 
     def walk(node, prefix):
         depth = len(prefix)
         if depth == len(domains):
-            out[tuple(prefix)] = float(node)
+            if node.__class__ not in (int, float):
+                raise ValueError(f"{key} array leaf {prefix} must be a number, got {node!r}")
+            out[prefix] = float(node)
             return
         dom = domains[depth]
+        if node.__class__ is not list:
+            raise ValueError(f"{key} array level {depth} must be a list, got {node!r}")
         if len(node) != len(dom):
             raise DomainMismatch(
-                f"array level {depth} has {len(node)} entries, domain "
+                f"{key} array level {depth} has {len(node)} entries, domain "
                 f"{dom.name!r} has {len(dom)}"
             )
         for value, child in zip(dom.values, node):
-            walk(child, prefix + [value])
+            walk(child, (*prefix, value))
 
-    walk(nested, [])
+    walk(doc[key], ())
     return out
 
 
@@ -600,10 +604,11 @@ def _map_to_nested(table, domains: list[FiniteDomain]):
 
 _MODEL_FIELDS = FieldTable("model key", {
     "u_domains": "list", "z_domain": "object", "p_u": "list or number",
-    "z_parents": "list", "p_z_given_parents": "list", "x_table": "object",
-    "y_table": "object", "s_table": "object or null", "y_values": "list", "s_values": "list",
+    "z_parents": "list of strings", "p_z_given_parents": "list", "x_table": "object of scalars",
+    "y_table": "object of scalars", "s_table": "object of scalars or null",
+    "y_values": "list of scalars", "s_values": "list of scalars",
 }, required=("u_domains", "z_domain", "p_u", "p_z_given_parents", "x_table", "y_table"))
-_DOMAIN_FIELDS = FieldTable("domain key", {"name": "string", "values": "list"},
+_DOMAIN_FIELDS = FieldTable("domain key", {"name": "string", "values": "list of scalars"},
                             required=("name", "values"))
 
 
@@ -617,10 +622,10 @@ def load_scm(source) -> DiscreteScm:
         FiniteDomain(d["name"], tuple(d["values"]))
         for d in map(_DOMAIN_FIELDS.check, (*doc["u_domains"], doc["z_domain"]))
     )
-    p_u = _nested_to_map(doc["p_u"], u_domains)
+    p_u = _nested_to_map(doc, "p_u", u_domains)
     z_parents = tuple(doc.get("z_parents", ()))
     parent_domains = [d for d in u_domains if d.name in z_parents]
-    flat = _nested_to_map(doc["p_z_given_parents"], parent_domains + [z_domain])
+    flat = _nested_to_map(doc, "p_z_given_parents", parent_domains + [z_domain])
     p_z: dict[tuple, dict] = {}
     for key, p in flat.items():
         p_z.setdefault(key[:-1], {})[key[-1]] = p

@@ -868,10 +868,22 @@ _DEMO_X = _demo_scm()["x_table"]
          _demo_scm(x_table={k: v for k, v in _DEMO_X.items() if k != "a|amb|0"}),
          DomainMismatch, "x_table is missing entry 'a|amb|0'"),
         ("simulate", _demo_scm(p_u=[[0.5, 0.5]]), DomainMismatch,
-         "array level 0 has 1 entries, domain 'u1' has 2"),
+         "p_u array level 0 has 1 entries, domain 'u1' has 2"),
+        ("simulate",
+         _demo_scm(u_domains=[{**d, "name": "u1"} for d in _demo_scm()["u_domains"]]),
+         DomainMismatch, "duplicate exogenous factor names"),
+        ("simulate", _demo_scm(z_parents=["u3"]), DomainMismatch,
+         "z_parents reference unknown factors {'u3'}"),
+        ("simulate", _demo_scm(p_u=[[0.5, -0.25], [0.5, 0.25]]), DomainMismatch,
+         "p_u[()][('amb', '1')] is negative"),
+        ("simulate",
+         _demo_scm(s_table={k: v for k, v in _demo_scm()["s_table"].items()
+                            if k != "b|clear|1|1"}),
+         DomainMismatch, "s_table is missing entry 'b|clear|1|1'"),
     ],
     ids=["graph-mark", "graph-unknown-node", "graph-cycle", "graph-duplicate-node",
-         "graph-self-loop", "scm-missing-entry", "scm-array-level"],
+         "graph-self-loop", "scm-missing-entry", "scm-array-level", "scm-repeated-factor",
+         "scm-unknown-z-parent", "scm-negative-probability", "scm-missing-s-entry"],
 )
 def test_a_structural_fault_names_the_file_and_keeps_its_class(
     tmp_path, capsys, command, content, error, message
@@ -978,9 +990,90 @@ def test_a_mock_section_is_checked_whichever_client_runs(tmp_path, capsys, chat_
     assert not out.exists()
 
 
+def _demo_task(**change):
+    return {**json.loads((CONFIGS / "demo_task.json").read_text()), **change}
+
+
+_ELEMENT_FAULTS = {
+    "task-null-context": (_demo_task(sampled_contexts=["unknown", "removed", None]),
+                          "task config key 'sampled_contexts' must be a list of strings, "
+                          "got ['unknown', 'removed', None]"),
+    "task-number-labels": (_demo_task(labels=[1, 2]),
+                           "task config key 'labels' must be a list of strings, got [1, 2]"),
+    "task-object-stratum": (_demo_task(strata=[{"x": 1}]),
+                            "task config key 'strata' must be a list of strings, "
+                            "got [{'x': 1}]"),
+    "rule-null-if": (_demo_task(mock={"label_rules": [{"if": {"kind": None}, "label": "yes"}]}),
+                     "label rule key 'if' must be an object of strings, got {'kind': None}"),
+    "rule-number-map": (_demo_task(mock={"label_rules": [{"read": "topic", "map": {"1": 2}}]}),
+                        "label rule key 'map' must be an object of strings, got {'1': 2}"),
+    "scm-list-domain-value": (
+        _demo_scm(u_domains=[_demo_scm()["u_domains"][0], {"name": "u2", "values": [[0], "1"]}]),
+        "domain key 'values' must be a list of scalars, got [[0], '1']"),
+    "scm-list-y-value": (_demo_scm(y_values=[[0], {"a": 1}]),
+                         "model key 'y_values' must be a list of scalars, got [[0], {'a': 1}]"),
+    "scm-string-probability": (_demo_scm(p_u=[[0.25, "0.25"], [0.25, 0.25]]),
+                               "p_u array leaf ('amb', '1') must be a number, got '0.25'"),
+    "scm-bool-probability": (_demo_scm(p_z_given_parents=[True, 0.0]),
+                             "p_z_given_parents array leaf ('a',) must be a number, got True"),
+    "scm-number-level": (_demo_scm(p_u=[[0.25, 0.25], 0.5]),
+                         "p_u array level 1 must be a list, got 0.5"),
+    "scm-list-x": (_demo_scm(x_table={**_DEMO_X, "a|amb|0": ["ctx=a", "kind=amb"]}),
+                   "model key 'x_table' must be an object of scalars, got "
+                   + repr({**_DEMO_X, "a|amb|0": ["ctx=a", "kind=amb"]})),
+}
+
+
+@pytest.mark.parametrize("fault", list(_ELEMENT_FAULTS))
+def test_an_element_of_the_wrong_json_type_is_named_and_nothing_is_written(
+    tmp_path, capsys, chat_server, fault
+):
+    """A list or object element is never converted to the type its key
+    takes: a null context would otherwise be sent to the service as the
+    context "None"."""
+    content, message = _ELEMENT_FAULTS[fault]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content) + "\n")
+    server = chat_server(lambda doc: "0")
+    out = tmp_path / "out"
+    command = "simulate" if fault.startswith("scm") else "ooc-run"
+    clients = [["--client", "http", "--endpoint", server.url]] if command == "ooc-run" else []
+    for client in [[], *clients]:
+        code = main(_reading(command, path, tmp_path) + client + ["--out-dir", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert server.calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"sampled_contexts": []}, "contexts must be nonempty"),
+    ({"sampled_contexts": ["unknown", "unknown"]}, "duplicate context values"),
+    ({"labels": []}, "labels must be nonempty"),
+    ({"labels": ["0", "1", "0"]}, "duplicate label values"),
+    ({"transform_temperature": 2.5}, "transform_temperature must lie in [0, 2], got 2.5"),
+    ({"predict_temperature": -0.1}, "predict_temperature must lie in [0, 2], got -0.1"),
+    ({"m": 0}, "m must be >= 1"),
+    ({"max_in_flight": 0}, "max_in_flight must be >= 1"),
+    ({"strata": ["amb0", "amb1", "amb0"]}, "duplicate stratum values"),
+], ids=["no-contexts", "repeated-context", "no-labels", "repeated-label", "hot-transform",
+        "negative-predict-temperature", "no-replicates", "no-requests-in-flight",
+        "repeated-stratum"])
+def test_a_task_value_out_of_range_is_named_and_nothing_is_written(
+    tmp_path, capsys, change, message
+):
+    path = tmp_path / "task.json"
+    path.write_text(json.dumps(_demo_task(**change)) + "\n")
+    out = tmp_path / "out"
+    code = main(_reading("ooc-run", path, tmp_path) + ["--out-dir", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not out.exists()
+
+
 # Each input file's command, a valid document, and where in it each object
 # that a field table checks sits, as a path of keys and indexes.
-_DEMO_TASK = json.loads((CONFIGS / "demo_task.json").read_text())
+_DEMO_TASK = _demo_task()
 _DOCUMENTS = {
     "ooc-run": (_DEMO_TASK, [
         ((), ooc._TASK_FIELDS), (("mock",), ooc._MOCK_FIELDS),
@@ -1010,25 +1103,69 @@ _JSON_VALUES = {
     "null": st.none(),
     "boolean": st.booleans(),
 }
+# The JSON types an element of a "list of ..." or "object of ..." type takes.
+_ELEMENT_KINDS = {"strings": {"string"},
+                  "scalars": {"string", "integer", "number", "null", "boolean"}}
+
+
+def _leaves(node, where):
+    """Where each leaf of a nested probability array sits."""
+    if node.__class__ is not list:
+        return [where]
+    return [leaf for i, child in enumerate(node) for leaf in _leaves(child, (*where, i))]
+
+
+def _elements(command):
+    """Where each element of a typed list or object, and each probability
+    leaf, of ``command``'s document sits, the JSON types it takes, and how
+    the refusal of another type starts."""
+    doc, objects = _DOCUMENTS[command]
+    out = []
+    for where, table in objects:
+        target = functools.reduce(operator.getitem, where, doc)
+        for key, spec in table.types.items():
+            for alt in spec.split(" or "):
+                container, _, elements = alt.partition(" of ")
+                value = target.get(key)
+                if elements and value.__class__ is {"list": list, "object": dict}[container]:
+                    out += [((*where, key, i), _ELEMENT_KINDS[elements],
+                             f"{table.what} {key!r} must be ")
+                            for i in (value if container == "object" else range(len(value)))]
+    if command == "simulate":
+        out += [(leaf, {"integer", "number"}, f"{key} array leaf ")
+                for key in ("p_u", "p_z_given_parents") for leaf in _leaves(doc[key], (key,))]
+    return out
+
+
+_ELEMENTS = {command: _elements(command) for command in _DOCUMENTS}
 
 
 @st.composite
 def _faulty_input(draw):
     """A command, one of its documents with one fault, and the fault's message:
-    an unknown key in one checked object, or a key's value swapped for one of
-    a JSON type the key does not take."""
+    an unknown key in one checked object, a key's value swapped for one of a
+    JSON type the key does not take, or one element of a typed list or object
+    (or one probability leaf) swapped for one of a JSON type it does not take."""
     command = draw(st.sampled_from(sorted(_DOCUMENTS)))
     doc, objects = _DOCUMENTS[command]
     doc = copy.deepcopy(doc)
+    fault = draw(st.sampled_from(["key", "value", "element"] if _ELEMENTS[command]
+                                 else ["key", "value"]))
+    if fault == "element":
+        where, takes, message = draw(st.sampled_from(_ELEMENTS[command]))
+        target = functools.reduce(operator.getitem, where[:-1], doc)
+        target[where[-1]] = draw(_JSON_VALUES[draw(st.sampled_from(
+            sorted(set(_JSON_VALUES) - takes)))])
+        return command, doc, message
     where, table = draw(st.sampled_from(objects))
     target = functools.reduce(operator.getitem, where, doc)
-    if draw(st.booleans()):
+    if fault == "key":
         key = draw(st.text(alphabet=string.ascii_letters + "_", min_size=1, max_size=8)
                    .filter(lambda k: k not in table.types))
         target[key] = draw(st.one_of(*_JSON_VALUES.values()))
         return command, doc, f"unknown {table.what} {key!r}"
     key = draw(st.sampled_from(list(table.types)))
-    takes = set(table.types[key].split(" or "))
+    takes = {alt.partition(" of ")[0] for alt in table.types[key].split(" or ")}
     if "number" in takes:
         takes.add("integer")
     kind = draw(st.sampled_from(sorted(set(_JSON_VALUES) - takes)))

@@ -523,9 +523,9 @@ def test_task_round_trip(tmp_path):
 _MOCK_SECTION_FAULTS = {
     '{"label_rules": 5}': "mock config key 'label_rules' must be a list, got 5",
     '{"label_rules": [5]}': "expected a JSON object of label rule keys, got 5",
-    '{"label_rules": [{"if": 5}]}': "label rule key 'if' must be an object, got 5",
+    '{"label_rules": [{"if": 5}]}': "label rule key 'if' must be an object of strings, got 5",
     '{"label_rules": [{"read": "topic", "map": ["a"]}]}':
-        "label rule key 'map' must be an object, got ['a']",
+        "label rule key 'map' must be an object of strings, got ['a']",
 }
 
 
@@ -643,6 +643,55 @@ def test_failed_replicate_leaves_later_draws_unchanged():
     # same instruction, context and (through the seeded pad) seed as before
     assert out.replicates == base.replicates[1:]
     assert [r.seed for r in flaky.batches[2]] == [r.seed for r in clean.batches[2][1:]]
+
+
+class ReminderOutage(ChatClient):
+    """Answers ``target`` with text that names no option, fails its format
+    reminder, and forwards every other request to ``inner``."""
+
+    def __init__(self, inner, target):
+        self.inner = inner
+        self.target = target
+
+    def complete(self, request):
+        if request == self.target:
+            return "I would rather not say."
+        if len(request.messages) == 3 and request.messages[:1] == self.target.messages:
+            raise ServiceError("scripted reminder outage")
+        return self.inner.complete(request)
+
+
+@pytest.mark.parametrize("stage", [0, 3], ids=["standard-label", "replicate-label"])
+def test_a_reminder_that_fails_drops_its_label_with_the_service_error(stage):
+    """Record 0's first label request (its standard label, or its one
+    replicate's label) gets an unparsable answer, and the reminder a
+    ServiceError: that label is dropped with the error, and every other
+    output is as in a clean run."""
+    cfg = toy_task(m=1, transform_temperature=0.7)
+
+    def inputs():
+        return [(f"ctx={z} topic={t} pad=0 note {i}", None, np.random.default_rng([7, i]))
+                for i, (z, t) in enumerate([("male", 1), ("female", 0), ("male", 0)])]
+
+    clean = BatchLog(MockStructuredLm.for_task(cfg))
+    base = ooc_predict_many(cfg, clean, inputs(), standard=True)
+    # a clean run's batches: standard labels, obfuscate, add, replicate labels
+    assert len(clean.batches) == 4
+    target = clean.batches[stage][0]
+    client = BatchLog(ReminderOutage(MockStructuredLm.for_task(cfg), target))
+    out = ooc_predict_many(cfg, client, inputs(), standard=True)
+    reminders = [b for b in client.batches if len(b[0].messages) == 3]
+    assert [len(b) for b in reminders] == [1]
+    (std, result), rest = out[0], out[1:]
+    if stage == 0:
+        assert isinstance(std, ServiceError) and str(std) == "scripted reminder outage"
+        assert result == base[0][1]
+    else:
+        assert std == base[0][0]
+        assert isinstance(result, OocFailed)
+        assert str(result) == "all 1 replicates failed; last error: scripted reminder outage"
+        assert isinstance(result.__cause__, ServiceError)
+    assert rest == base[1:]
 
 
 def test_stratum_prediction_failure_fails_the_record_only():

@@ -111,6 +111,25 @@ def test_bad_probability_row_rejected():
         )
 
 
+@pytest.mark.parametrize("p_u, p_z, message", [
+    ({(0,): 1.0}, {(0,): {"za": 0.5, "zb": 0.5}, (1,): {"za": 1.0, "zb": 0.0}},
+     "p_u missing entries, e.g. (1,)"),
+    ({(0,): 0.25, (1,): 0.75}, {(0,): {"za": 0.5, "zb": 0.5}},
+     "p_z_given_parents missing row for (1,)"),
+    ({(0,): 0.25, (1,): 0.75}, {(0,): {"za": 1.0}, (1,): {"za": 0.2, "zb": 0.8}},
+     "p_z_given_parents row (0,) missing contexts {'zb'}"),
+], ids=["p-u-entry", "p-z-row", "p-z-context"])
+def test_a_missing_probability_is_refused_by_the_constructor(p_u, p_z, message):
+    """A model file's nested arrays hold every entry, so only a model built
+    in code can lack one."""
+    with pytest.raises(DomainMismatch) as got:
+        tabulate(
+            (FiniteDomain("u1", (0, 1)),), FiniteDomain("z", ("za", "zb")), p_u, ("u1",), p_z,
+            lambda z, u: ("x", 0, None),
+        )
+    assert str(got.value) == message
+
+
 def test_sample_world_frequencies():
     scm = tiny_scm()
     rng = np.random.default_rng(3)
