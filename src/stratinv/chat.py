@@ -15,13 +15,12 @@ import random
 import tempfile
 import threading
 import time
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from email.utils import parsedate_to_datetime
 from functools import partial
 from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 from urllib.parse import urlsplit
 
 from .errors import _JSON_TYPES, ServiceError
@@ -29,8 +28,9 @@ from .errors import _JSON_TYPES, ServiceError
 TOKEN_ENV = "STRATINV_API_TOKEN"
 
 
-@dataclass(frozen=True)
-class ChatTurnRequest:
+class ChatTurnRequest(NamedTuple):
+    """One chat turn; a tuple, so building and hashing one stay cheap."""
+
     messages: tuple[tuple[str, str], ...]  # (role, content) pairs
     temperature: float = 0.0
     seed: int | None = None
@@ -50,6 +50,8 @@ class ChatTurnRequest:
 
     def text(self) -> str:
         """All message content concatenated; what marker matching scans."""
+        if len(self.messages) == 1:
+            return self.messages[0][1]
         return "\n".join(c for _r, c in self.messages)
 
 

@@ -42,7 +42,7 @@ from .ooc import (
     _LABEL_RULE_FIELDS,
     TaskConfig,
 )
-from .structured import CTX_KEY, PAD_KEY, STRATUM_KEY, parse_structured, render_tokens
+from .structured import CTX_KEY, PAD_KEY, STRATUM_KEY, render_tokens, split_structured
 
 _NO_ANSWER = "unknown"
 _OPTIONS_SECTION = "\n\n" + LABEL_MARKER
@@ -89,7 +89,10 @@ class LabelRule:
         )
 
     def matches(self, tokens: Mapping[str, str]) -> bool:
-        return all(tokens.get(key) == value for key, value in self.when)
+        for key, value in self.when:  # a loop, not all(): no generator per call
+            if tokens.get(key) != value:
+                return False
+        return True
 
     def answer(self, tokens: Mapping[str, str]) -> str:
         if self.label is not None:
@@ -178,7 +181,7 @@ class MockStructuredLm(ChatClient):
 
     @staticmethod
     def _kept_tokens(
-        pairs: tuple[tuple[str, str], ...], request: ChatTurnRequest
+        pairs: Sequence[tuple[str, str]], request: ChatTurnRequest
     ) -> tuple[list[str], bool]:
         """The tokens without ``ctx``, and whether any token changed.
 
@@ -208,8 +211,13 @@ class MockStructuredLm(ChatClient):
         place, the longer wins.
         """
         end = text.find("\n")
+        if end < 0:
+            end = len(text)
+        # No mention starts before the first occurrence of some value, and
+        # str.find reaches it faster than the pattern's scan does.
+        starts = [k for z in self._contexts if (k := text.find(z, 0, end)) >= 0]
         find = self._last_mention if last else self._first_mention
-        found = find(text, 0, len(text) if end < 0 else end)
+        found = find(text, min(starts), end) if starts else None
         if found is None:
             raise ServiceError(
                 f"mock found no context value among {list(self._contexts)} "
@@ -221,17 +229,17 @@ class MockStructuredLm(ChatClient):
 
     def _obfuscate(self, text: str, request: ChatTurnRequest) -> str:
         payload = self._payload(text, upto_options=False)
-        st = parse_structured(payload)
-        tokens, changed = self._kept_tokens(st.pairs, request)
-        return render_tokens(tokens, st.tail) if changed else payload
+        pairs, tail = split_structured(payload)
+        tokens, changed = self._kept_tokens(pairs, request)
+        return render_tokens(tokens, tail) if changed else payload
 
     def _add(
         self, text: str, request: ChatTurnRequest, *, last_context: bool = False
     ) -> str:
         z_plus = self._instruction_context(text, last=last_context)
-        st = parse_structured(self._payload(text, upto_options=False))
-        tokens, _changed = self._kept_tokens(st.pairs, request)
-        return render_tokens([f"{CTX_KEY}={z_plus}", *tokens], st.tail)
+        pairs, tail = split_structured(self._payload(text, upto_options=False))
+        tokens, _changed = self._kept_tokens(pairs, request)
+        return render_tokens([f"{CTX_KEY}={z_plus}", *tokens], tail)
 
     def _rewrite(self, text: str, request: ChatTurnRequest) -> str:
         # Single-pass ablation: removal and addition in one request.
@@ -240,7 +248,8 @@ class MockStructuredLm(ChatClient):
     def _first_values(self, text: str) -> dict[str, str]:
         """The first value of each key in the payload's leading tokens."""
         payload = self._payload(text, upto_options=True)
-        return dict(reversed(parse_structured(payload).pairs))
+        pairs, _tail = split_structured(payload)
+        return dict(reversed(pairs))
 
     def _stratum(self, text: str) -> str:
         value = self._first_values(text).get(self._stratum_key, self._default_stratum)

@@ -527,16 +527,6 @@ def render_transform_prompt(
     return x.join(_transform_frame(cfg, body, instruction, stratum, z_plus))
 
 
-def _draw_instruction(
-    cfg: TaskConfig, pool: tuple[str, ...], rng: np.random.Generator
-) -> tuple[str, int | None]:
-    # RNG order per call is fixed: instruction index first, then (only when the
-    # temperature is positive) a request seed.  Replays depend on it.
-    instruction = pool[int(rng.integers(len(pool)))]
-    seed = int(rng.integers(1 << 31)) if cfg.transform_temperature > 0 else None
-    return instruction, seed
-
-
 def _dispatch(
     client: ChatClient, requests: Sequence[ChatTurnRequest]
 ) -> list[str | ServiceError]:
@@ -547,9 +537,10 @@ def _dispatch(
     """
     if not requests:
         return []
-    unique = list(dict.fromkeys(requests))
-    answers = dict(zip(unique, client.complete_many(unique)))
-    return [answers[r] for r in requests]
+    slots: dict[ChatTurnRequest, int] = {}
+    slot = [slots.setdefault(r, len(slots)) for r in requests]
+    answers = client.complete_many(list(slots))
+    return [answers[k] for k in slot]
 
 
 def _unwrap(value):
@@ -562,10 +553,7 @@ def _transform_request(
     cfg: TaskConfig, prompt: str, seed: int | None
 ) -> ChatTurnRequest:
     return ChatTurnRequest(
-        messages=(("user", prompt),),
-        temperature=cfg.transform_temperature,
-        seed=seed,
-        model=cfg.model,
+        (("user", prompt),), cfg.transform_temperature, seed, cfg.model
     )
 
 
@@ -666,12 +654,7 @@ def _stratifier_question(cfg: TaskConfig) -> _Question:
 
 
 def _predict_request(cfg: TaskConfig, messages) -> ChatTurnRequest:
-    return ChatTurnRequest(
-        messages=messages,
-        temperature=cfg.predict_temperature,
-        seed=None,
-        model=cfg.model,
-    )
+    return ChatTurnRequest(messages, cfg.predict_temperature, None, cfg.model)
 
 
 def _predict_many(
@@ -804,13 +787,13 @@ def ooc_predict_many(
 ) -> list[tuple[object, OocResult | OocFailed]]:
     """Run the replicate loop on many ``(x, s, rng)`` inputs in staged batches.
 
-    All draws come first, per replicate in this order: obfuscation
-    instruction and seed, new context, addition instruction and seed
-    (single-call: context, rewrite instruction and seed).  Then each stage is
-    one ``client.complete_many`` batch with identical requests sent once:
-    (1) standard labels (when ``standard``) and stratum predictions,
-    (2) obfuscate or the single-call rewrite, (3) add, (4) labels.  Predict
-    stages end with one format-reminder batch.
+    All draws come first, one draw call per input on its own ``rng``, per
+    replicate in this order: obfuscation instruction and seed, new context,
+    addition instruction and seed (single-call: context, rewrite instruction
+    and seed).  Then each stage is one ``client.complete_many`` batch with
+    identical requests sent once: (1) standard labels (when ``standard``)
+    and stratum predictions, (2) obfuscate or the single-call rewrite,
+    (3) add, (4) labels.  Predict stages end with one format-reminder batch.
 
     Replicates that fail with a service or parse error are dropped without
     topping ``m`` back up; the draws being fixed, a failure never shifts
@@ -819,16 +802,30 @@ def ooc_predict_many(
     or an OocFailed when the stratum or every replicate failed.
     """
     steps = _transform_steps(single_call)
+    seeded = cfg.transform_temperature > 0
+    # An input's plan is one draw call over these bounds, which gives the
+    # scalar draws' values and stream: per replicate and step, the new
+    # context (on the step that writes it), the instruction, then the seed
+    # (only when seeded).  Replays depend on this order.
+    bounds = []
+    for _body, pool, writes_context in steps:
+        if writes_context:
+            bounds.append(len(cfg.contexts))
+        bounds.append(len(pool))
+        if seeded:
+            bounds.append(1 << 31)
+    bounds = np.array(bounds * cfg.m)
     xs, strata, chains = [], [], []
     for i, (x, s, rng) in enumerate(inputs):
         xs.append(x)
         strata.append(s)
+        drawn = iter(rng.integers(bounds).tolist())
         for j in range(cfg.m):
             draws = []
             for _body, pool, writes_context in steps:
                 if writes_context:
-                    z_plus = cfg.contexts[int(rng.integers(len(cfg.contexts)))]
-                draws.append(_draw_instruction(cfg, pool, rng))
+                    z_plus = cfg.contexts[next(drawn)]
+                draws.append((pool[next(drawn)], next(drawn) if seeded else None))
             chains.append(_Chain(i, j, z_plus, draws, [x]))
 
     # Stage 1: standard labels and stratum predictions.

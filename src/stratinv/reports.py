@@ -14,7 +14,7 @@ import json
 from dataclasses import asdict, dataclass, replace
 from typing import Iterable, Sequence
 
-from .errors import FieldTable, MissingBaseline, json_input, text_output
+from .errors import FieldTable, MissingBaseline, StratinvError, json_input, text_output
 
 #: Metrics whose values must land in [0, 1]; anything else is unchecked.
 UNIT_INTERVAL_METRICS = frozenset(
@@ -99,7 +99,8 @@ def delta_vs_baseline(
     """Per (dataset, z_pair, metric) group, baseline value minus each method's.
 
     The baseline's own delta row is included and is always zero.  A group
-    with no baseline row raises :class:`MissingBaseline`.
+    with no baseline row raises :class:`MissingBaseline`; one with two or
+    more raises StratinvError, since which to subtract from is unknown.
     """
     groups: dict[tuple, list[ReportRow]] = {}
     for row in rows:
@@ -108,11 +109,15 @@ def delta_vs_baseline(
     for key in sorted(groups):
         group = groups[key]
         base = [r for r in group if r.method == baseline]
-        if not base:
+        if len(base) != 1:
             dataset, z_pair, metric = key
-            raise MissingBaseline(
-                f"no {baseline!r} row for dataset={dataset!r} "
-                f"z_pair={z_pair!r} metric={metric!r}"
+            where = f"dataset={dataset!r} z_pair={z_pair!r} metric={metric!r}"
+            if not base:
+                raise MissingBaseline(f"no {baseline!r} row for {where}")
+            manifests = ", ".join(repr(r.manifest) for r in base)
+            raise StratinvError(
+                f"{len(base)} {baseline!r} rows for {where}, from manifests "
+                f"{manifests}; a group takes one baseline row"
             )
         base_value = base[0].value
         for row in group:

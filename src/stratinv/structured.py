@@ -46,11 +46,18 @@ def render_tokens(tokens: list[str], tail: str) -> str:
     return head or tail
 
 
-def parse_structured(text: str) -> StructuredText:
-    """Split leading key=value tokens from the free-text tail.
+def split_structured(text: str) -> tuple[list[tuple[str, str]], str]:
+    """Split leading key=value tokens, as (key, value) pairs, from the
+    free-text tail.
 
     The first token that does not look like ``key=value`` starts the tail,
     which is kept verbatim (including any internal spacing).
     """
     end = _HEAD_RE.match(text).end()
-    return StructuredText(tuple(_PAIR_RE.findall(text, 0, end)), text[end:])
+    return _PAIR_RE.findall(text, 0, end), text[end:]
+
+
+def parse_structured(text: str) -> StructuredText:
+    """``split_structured`` as a StructuredText."""
+    pairs, tail = split_structured(text)
+    return StructuredText(tuple(pairs), tail)

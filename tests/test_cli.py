@@ -675,6 +675,34 @@ def test_ooc_run_builds_each_prompt_frame_once_per_stage(
     assert len(traces) == 300
 
 
+@given(seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**70)),
+       r=st.integers(0, 3), lo=st.integers(0, 2000))
+def test_record_rngs_are_the_id_list_streams(seed, r, lo):
+    ids = range(lo, lo + 3)
+    got = [rng.bit_generator.state for rng in cli._record_rngs(seed, r, ids)]
+    assert got == [
+        np.random.default_rng([seed, r, idx]).bit_generator.state for idx in ids
+    ]
+
+
+def test_ooc_run_manifest_records_the_permutation_count(tmp_path):
+    task = write_task(tmp_path / "task.json")
+    records = write_toy_records(tmp_path / "records.jsonl")
+    digests = []
+    for permutations in ("19", "99"):
+        out = tmp_path / permutations
+        assert main(["ooc-run", "--task", str(task), "--records", str(records),
+                     "--metrics", "si_bias,permutation", "--seed", "3",
+                     "--permutations", permutations, "--out-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["arguments"]["permutations"] == int(permutations)
+        assert {row.manifest for row in load_rows(out / "rows.json")} == {
+            manifest["digest"]
+        }
+        digests.append(manifest["digest"])
+    assert digests[0] != digests[1]
+
+
 # --- report ------------------------------------------------------------------
 
 
@@ -712,6 +740,26 @@ def test_report_missing_baseline(tmp_path, capsys):
     code = main(["report", "--rows", str(rows_path), "--out-dir", str(tmp_path / "o")])
     assert code == 2
     assert "no 'standard' row" in capsys.readouterr().err
+
+
+def test_report_refuses_two_baseline_rows_in_one_group(tmp_path, capsys):
+    # two audits of different logs that share a file name give the same
+    # dataset and method; which baseline to subtract from is unknown
+    paths = []
+    for name, value in (("a", 0.3), ("b", 0.1)):
+        path = tmp_path / name / "rows.json"
+        path.parent.mkdir()
+        write_rows_json([
+            ReportRow("preds", "za|zb", "standard", "si_bias", value, n=10,
+                      manifest=f"manifest-{name}"),
+        ], path)
+        paths += ["--rows", str(path)]
+    out = tmp_path / "o"
+    assert main(["report", *paths, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert ("2 'standard' rows for dataset='preds' z_pair='za|zb' "
+            "metric='si_bias', from manifests 'manifest-a', 'manifest-b'") in err
+    assert not out.exists()
 
 
 # --- malformed input files ---------------------------------------------------

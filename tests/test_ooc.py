@@ -3,6 +3,7 @@
 import json
 import re
 import string
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,6 @@ from stratinv.ooc import (
     STRATIFIER_TEMPLATE,
     TaskConfig,
     _choose,
-    _draw_instruction,
     _normalize_options,
     builtin_task,
     builtin_task_names,
@@ -248,18 +248,23 @@ def test_a_filled_question_is_the_render_template_bytes(data, x):
 
 
 def test_prompt_pool_uniform_draws():
-    pool = ("p0", "p1", "p2")
-    cfg = toy_task()
-    rng = np.random.default_rng(0)
     n = 10_000
-    counts = {p: 0 for p in pool}
-    for _ in range(n):
-        instruction, seed = _draw_instruction(cfg, pool, rng)
-        counts[instruction] += 1
-        assert seed is None  # no request seed at temperature 0
-    sigma = (2 / 9 / n) ** 0.5
-    for c in counts.values():
-        assert abs(c / n - 1 / 3) <= 3 * sigma
+    cfg = toy_task(m=n)
+    client = BatchLog(MockStructuredLm.for_task(cfg))
+    out = ooc_predict(cfg, client, "ctx=male topic=1 pad=0", rng=np.random.default_rng(0))
+    assert len(out.replicates) == n
+    for pool, drawn in (
+        (OBFUSCATE_PROMPTS, [r.obfuscate_instruction for r in out.replicates]),
+        (ADD_PROMPTS, [r.add_instruction for r in out.replicates]),
+    ):
+        counts = Counter(drawn)
+        assert set(counts) == set(pool)
+        p = 1 / len(pool)
+        sigma = (p * (1 - p) / n) ** 0.5
+        for c in counts.values():
+            assert abs(c / n - p) <= 3 * sigma
+    # no request seed at temperature 0
+    assert all(r.seed is None for batch in client.batches for r in batch)
 
 
 # --- answer parsing ----------------------------------------------------------
@@ -710,6 +715,50 @@ def test_stratum_prediction_failure_fails_the_record_only():
     assert res1.stratum == "amb" and res1.stratum_source == "predicted"
     with pytest.raises(OocFailed, match="stratum prediction failed"):
         ooc_predict(cfg, client, "ctx=male topic=1", rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("temperature", [0.7, 0.0])
+def test_two_step_plan_order(temperature):
+    # per replicate: obfuscate instruction and seed, the new context, then the
+    # add instruction and seed; a seed is drawn only at positive temperature
+    cfg = toy_task(m=3, transform_temperature=temperature)
+    client = BatchLog(MockStructuredLm.for_task(cfg))
+    out = ooc_predict(cfg, client, "ctx=male topic=1 pad=0 note",
+                      rng=np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+
+    def seed():
+        return int(rng.integers(1 << 31)) if temperature > 0 else None
+
+    want = []
+    for _j in range(cfg.m):
+        obfuscate = OBFUSCATE_PROMPTS[int(rng.integers(len(OBFUSCATE_PROMPTS)))]
+        obfuscate_seed = seed()
+        z_plus = cfg.contexts[int(rng.integers(len(cfg.contexts)))]
+        add = ADD_PROMPTS[int(rng.integers(len(ADD_PROMPTS)))]
+        want.append((obfuscate, obfuscate_seed, z_plus, add, seed()))
+    assert [(r.obfuscate_instruction, r.z_plus, r.add_instruction)
+            for r in out.replicates] == [(o, z, a) for o, _s, z, a, _t in want]
+    obfuscates, adds = client.batches[:2]  # stage 1 is empty here
+    if temperature > 0:
+        assert [r.seed for r in obfuscates] == [w[1] for w in want]
+        assert [r.seed for r in adds] == [w[4] for w in want]
+    else:
+        assert {r.seed for r in obfuscates + adds} == {None}
+
+
+_BOUNDS = st.sampled_from([1, 2, 3, 7, 97, 1 << 31, (1 << 32) - 1, 1 << 32, 1 << 40])
+
+
+@given(bounds=st.lists(_BOUNDS, max_size=40), seed=st.integers(0, 2**64))
+def test_one_integers_call_equals_the_scalar_calls(bounds, seed):
+    # an input's plan is one Generator.integers call over its bounds; it must
+    # give the scalar calls' values, in order, and leave the same state
+    # (a bound of 1 consumes nothing)
+    vector, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+    drawn = vector.integers(np.array(bounds, dtype=np.int64)).tolist()
+    assert drawn == [int(scalar.integers(b)) for b in bounds]
+    assert vector.bit_generator.state == scalar.bit_generator.state
 
 
 def test_single_call_plan_order():

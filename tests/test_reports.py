@@ -4,7 +4,7 @@ import csv
 
 import pytest
 
-from stratinv.errors import MissingBaseline
+from stratinv.errors import MissingBaseline, StratinvError
 from stratinv.reports import (
     ReportRow,
     delta_vs_baseline,
@@ -110,3 +110,11 @@ def test_delta_missing_baseline():
     # a different baseline name is honored
     out = delta_vs_baseline([row(method="ooc")], baseline="ooc")
     assert out[0].value == 0.0
+
+
+def test_delta_refuses_two_baseline_rows():
+    rows = [row(manifest="m1"), row(value=0.5, manifest="m2"), row(method="ooc")]
+    with pytest.raises(StratinvError, match="2 'standard' rows .* 'm1', 'm2'"):
+        delta_vs_baseline(rows)
+    # one baseline row per group is enough; other groups may hold their own
+    assert len(delta_vs_baseline([row(), row(metric="macro_f1")])) == 2
